@@ -14,15 +14,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import SingularityKind, graph_shape, singularity_kind
+from .classify import SingularityKind
 from .continuant import continuant, inverse_entry
-from .cycles import (
-    BoundaryData,
-    boundary_component,
-    canonical_cycle,
-    exceptional_pullback,
-    fundamental_cycle,
-)
+from .cycles import BoundaryData, boundary_component, exceptional_pullback
 from .families import (
     chain_family_size,
     chain_graph,
@@ -30,15 +24,8 @@ from .families import (
     rdp_family,
     smooth_graph,
 )
-from .graph import (
-    DualGraph,
-    GraphValidationError,
-    build_graph,
-    intersection_matrix,
-    validate,
-)
-from .invariants import DEFAULT_EPSILON, delta_min
-from .linalg import matvec, quadratic_form
+from .graph import DualGraph, GraphValidationError, build_graph, validate
+from .invariants import DEFAULT_EPSILON, analyze
 from .report import (
     NefData,
     build_report,
@@ -106,6 +93,8 @@ def parse_input(text: str) -> ParsedInput:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"syntax error: {exc}") from exc
+    except RecursionError:
+        raise InputError("document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError("top level must be a JSON object")
     known = {"vertices", "edges", "boundary", "nef"}
@@ -145,8 +134,10 @@ def parse_input(text: str) -> ParsedInput:
     graph = build_graph(vertices, edges)
 
     components = []
-    raw_boundary = doc.get("boundary") or []
-    if not isinstance(raw_boundary, list):
+    raw_boundary = doc.get("boundary")
+    if raw_boundary is None:
+        raw_boundary = []
+    elif not isinstance(raw_boundary, list):
         raise InputError("'boundary' must be a list")
     for k, item in enumerate(raw_boundary):
         where = f"boundary[{k}]"
@@ -212,7 +203,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     _emit(args, report_to_dict(report), render_text(report))
     if report.oracle_matches is False:
-        print("error: delta_min oracle disagrees with the active-set search",
+        print("error: delta_min oracle disagrees with the LCP solution",
               file=sys.stderr)
         return 2
     return 0
@@ -254,35 +245,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     failures = []
     for label, graph in _enumerate_rows(args):
         validate(graph)
-        # One pass per row: with B = 0 the gradient at x = 0 decides
-        # delta_min without the full active-set search in most cases.
-        form = intersection_matrix(graph).positive_form
-        z = fundamental_cycle(graph)
-        canonical = canonical_cycle(graph)
-        v = z - canonical
-        dy = quadratic_form(form, v.coeffs)
-        gradient = matvec(form, v.coeffs)
-        dmin = dy if all(gj >= 0 for gj in gradient) else delta_min(graph).value
-        kind = singularity_kind(graph)
-        shape = graph_shape(graph)
-        log_terminal = all(a < 1 for a in canonical)
+        a = analyze(graph)
+        cls, dy = a.classification, a.delta_y
         rows.append(
             {
                 "label": label,
-                "shape": shape.kind.value,
-                "kind": kind.value,
-                "log_terminal": log_terminal,
+                "shape": cls.shape.kind.value,
+                "kind": cls.kind.value,
+                "log_terminal": cls.log_terminal,
                 "delta_y": fraction_str(dy),
-                "delta_min": fraction_str(dmin),
+                "delta_min": fraction_str(a.delta_min.value),
             }
         )
-        if kind is SingularityKind.SMOOTH:
+        if cls.kind is SingularityKind.SMOOTH:
             if dy != 4:
                 failures.append(f"{label}: smooth point must have delta_y = 4, got {dy}")
-        elif kind is SingularityKind.RDP:
+        elif cls.kind is SingularityKind.RDP:
             if dy != 2:
                 failures.append(f"{label}: RDP must have delta_y = 2, got {dy}")
-        elif log_terminal:
+        elif cls.log_terminal:
             if not 0 < dy < 2:
                 failures.append(
                     f"{label}: log-terminal point must have 0 < delta_y < 2, got {dy}"

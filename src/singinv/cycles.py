@@ -16,11 +16,10 @@ from typing import Callable, Sequence
 from .graph import (
     DualGraph,
     ExcDivisor,
-    canonical_degree,
-    intersection_matrix,
+    canonical_degrees,
     solve_exceptional,
 )
-from .linalg import matvec, quadratic_form
+from .linalg import quadratic_form
 
 # The Laufer sequence terminates on every negative-definite graph; the cap
 # only guards against unvalidated input sending us into an endless loop.
@@ -59,7 +58,8 @@ class CycleSet:
     """Everything the boundary pass produces, in vertex order.
 
     ``boundary_canonical`` always equals ``canonical + boundary_part``
-    componentwise (e_j = a_j + b'_j).
+    componentwise (e_j = a_j + b'_j).  The ``*_image`` fields are N D =
+    (-D.E_j), which the Laufer sequence and the solves give for free.
     """
 
     fundamental: ExcDivisor  # Z, integral, >= 1 everywhere
@@ -67,6 +67,9 @@ class CycleSet:
     boundary_part: ExcDivisor  # b'_j
     boundary_canonical: ExcDivisor  # e_j
     fundamental_genus: Fraction  # p_a(Z)
+    fundamental_image: tuple[int, ...]  # s = N Z >= 0
+    canonical_image: tuple[int, ...]  # k = N Delta, the canonical degrees
+    boundary_image: tuple[Fraction, ...]  # q = N b', the weighted boundary counts
 
 
 def check_boundary(graph: DualGraph, boundary: BoundaryData) -> None:
@@ -88,26 +91,19 @@ def check_boundary(graph: DualGraph, boundary: BoundaryData) -> None:
             )
 
 
-def fundamental_cycle(
-    graph: DualGraph, *, tie_break: Callable[[list[int]], int] | None = None
-) -> ExcDivisor:
-    """Smallest integral cycle Z >= (1,..,1) with Z.E_j <= 0 for all j.
-
-    Laufer sequence: start at all ones and repeatedly increment a
-    coordinate whose curve still meets Z positively.  The result is
-    independent of the increment order; the default picks the lowest
-    index so runs are reproducible.  ``tie_break`` receives the list of
-    violating indices and must return one of them.
-    """
+def _laufer(
+    graph: DualGraph, tie_break: Callable[[list[int]], int] | None = None
+) -> tuple[list[int], list[int]]:
+    """The Laufer sequence: Z and s = N Z, both as integer lists."""
     n = graph.n
-    form = intersection_matrix(graph).positive_form
+    form = graph.positive_form
     z = [1] * n
     # s = N z; anti-nef means s >= 0 componentwise.
     s = [sum(row) for row in form]
     for _ in range(_LAUFER_CAP):
         violations = [j for j in range(n) if s[j] < 0]
         if not violations:
-            return ExcDivisor(tuple(Fraction(v) for v in z))
+            return z, s
         j = violations[0] if tie_break is None else tie_break(violations)
         if j not in violations:
             raise ValueError("tie_break returned a non-violating index")
@@ -119,6 +115,21 @@ def fundamental_cycle(
     )
 
 
+def fundamental_cycle(
+    graph: DualGraph, *, tie_break: Callable[[list[int]], int] | None = None
+) -> ExcDivisor:
+    """Smallest integral cycle Z >= (1,..,1) with Z.E_j <= 0 for all j.
+
+    Laufer sequence: start at all ones and repeatedly increment a
+    coordinate whose curve still meets Z positively.  The result is
+    independent of the increment order; the default picks the lowest
+    index so runs are reproducible.  ``tie_break`` receives the list of
+    violating indices and must return one of them.
+    """
+    z, _ = _laufer(graph, tie_break)
+    return ExcDivisor(tuple(Fraction(v) for v in z))
+
+
 def arithmetic_genus(graph: DualGraph, z: ExcDivisor) -> Fraction:
     """p_a(Z) = (Z.K + Z.Z)/2 + 1 for an effective integral cycle Z."""
     if len(z) != graph.n:
@@ -127,8 +138,8 @@ def arithmetic_genus(graph: DualGraph, z: ExcDivisor) -> Fraction:
         )
     if not z.is_integral() or not z.is_effective():
         raise ValueError("cycle must be effective and integral")
-    zk = sum(z[j] * canonical_degree(graph, j) for j in range(graph.n))
-    zz = -quadratic_form(intersection_matrix(graph).positive_form, z.coeffs)
+    zk = sum(zj * kj for zj, kj in zip(z, canonical_degrees(graph)))
+    zz = -quadratic_form(graph.positive_form, z.coeffs)
     return Fraction(zk + zz, 2) + 1
 
 
@@ -138,9 +149,7 @@ def canonical_cycle(graph: DualGraph) -> ExcDivisor:
     Effective whenever no vertex is the weight-1 smooth-point marker; on
     an all-weight-2 genus-0 graph it vanishes identically.
     """
-    return solve_exceptional(
-        graph, [canonical_degree(graph, j) for j in range(graph.n)]
-    )
+    return solve_exceptional(graph, canonical_degrees(graph))
 
 
 def exceptional_pullback(
@@ -167,25 +176,24 @@ def boundary_cycle(graph: DualGraph, boundary: BoundaryData | None = None) -> Cy
     for comp in boundary.components:
         for j, m in enumerate(comp.meets):
             q[j] += comp.coeff * m
-    delta = canonical_cycle(graph)
+    z, s = _laufer(graph)
+    k = canonical_degrees(graph)
+    delta = solve_exceptional(graph, k)
     if any(q):
         bprime = solve_exceptional(graph, q)
+        e = delta + bprime
     else:
-        bprime = ExcDivisor.zero(n)
-    z = fundamental_cycle(graph)
+        bprime, e = ExcDivisor.zero(n), delta
+    # p_a(Z) = (Z.K + Z.Z)/2 + 1, and Z.Z = -Z.(N Z) = -Z.s
+    zk = sum(zj * kj for zj, kj in zip(z, k))
+    zz = -sum(zj * sj for zj, sj in zip(z, s))
     return CycleSet(
-        fundamental=z,
+        fundamental=ExcDivisor(tuple(Fraction(v) for v in z)),
         canonical=delta,
         boundary_part=bprime,
-        boundary_canonical=delta + bprime,
-        fundamental_genus=arithmetic_genus(graph, z),
+        boundary_canonical=e,
+        fundamental_genus=Fraction(zk + zz, 2) + 1,
+        fundamental_image=tuple(s),
+        canonical_image=tuple(k),
+        boundary_image=tuple(q),
     )
-
-
-def intersect(graph: DualGraph, a: ExcDivisor, b: ExcDivisor) -> Fraction:
-    """Intersection product a.b of two exceptional divisors."""
-    if len(a) != graph.n or len(b) != graph.n:
-        raise ValueError("dimension mismatch")
-    form = intersection_matrix(graph).positive_form
-    image = matvec(form, b.coeffs)
-    return -sum((x * y for x, y in zip(a.coeffs, image)), Fraction(0))

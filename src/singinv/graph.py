@@ -161,6 +161,11 @@ class DualGraph:
             nbrs[j].add(i)
         return tuple(frozenset(s) for s in nbrs)
 
+    @cached_property
+    def positive_form(self) -> tuple[tuple[int, ...], ...]:
+        """N = -(E_i . E_j), built once per graph."""
+        return intersection_matrix(self).positive_form
+
     def index_of(self, vid: str) -> int:
         try:
             return self.index[vid]
@@ -228,8 +233,7 @@ def validate(graph: DualGraph) -> None:
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("graph is not connected")
-    form = intersection_matrix(graph).positive_form
-    bad = first_nonpositive_leading_minor(form)
+    bad = first_nonpositive_leading_minor(graph.positive_form)
     if bad is not None:
         raise NotNegativeDefiniteError(bad)
     smooth_convention = (
@@ -248,8 +252,12 @@ def canonical_degree(graph: DualGraph, j: int) -> int:
     """K_X . E_j by adjunction: w_j + 2*g_j - 2."""
     if not 0 <= j < graph.n:
         raise IndexError(f"vertex index {j} out of range for {graph.n} vertices")
-    v = graph.vertices[j]
-    return v.weight + 2 * v.genus - 2
+    return canonical_degrees(graph)[j]
+
+
+def canonical_degrees(graph: DualGraph) -> list[int]:
+    """[K_X . E_j for every j], in vertex order."""
+    return [v.weight + 2 * v.genus - 2 for v in graph.vertices]
 
 
 def solve_exceptional(
@@ -260,5 +268,4 @@ def solve_exceptional(
     For a validated graph N is positive definite, so the solution exists
     and is unique; if rhs >= 0 componentwise then so is x.
     """
-    form = intersection_matrix(graph).positive_form
-    return ExcDivisor(tuple(solve(form, rhs)))
+    return ExcDivisor(tuple(solve(graph.positive_form, rhs)))

@@ -1,16 +1,21 @@
-"""The delta family of singularity invariants.
+"""The delta family of singularity invariants, computed in one pass.
 
-delta_y = -(Z - Delta)^2 and delta_by = -(Z - Delta_B)^2 are plain
-quadratic-form evaluations.  delta_min minimizes -(Z - Delta_B + x)^2
-over effective exceptional x: a strictly convex quadratic over the
-nonnegative cone, solved exactly by active-set search.  For a candidate
-active set S we solve the stationarity equations on S, require the
-solution to be nonnegative there and the gradient to be nonnegative off
-S; any subset passing both is a KKT certificate and hence the unique
-global minimum.  Subsets are visited in increasing size with a
-first-hit exit; `delta_min_exhaustive` instead scans all 2^n subsets
-and compares objectives only, giving an independent route to the same
-answer.
+`analyze` derives everything from the positive form N and three vectors,
+Z, Delta and b', each computed once by `boundary_cycle` together with
+their images s = N Z, k = N Delta and q = N b'.  With v = Z - Delta_B,
+N v = s - k - q, so delta_y = (Z - Delta).(s - k) and
+delta_by = v.(s - k - q) need no further matrix product.
+
+delta_min minimizes -(v + x)^2 = (v + x)^T N (v + x) over effective
+exceptional x.  N is a Stieltjes matrix (positive definite, off-diagonal
+entries <= 0), so the KKT conditions x >= 0, w = N(v + x) >= 0, x.w = 0
+are a linear complementarity problem with a Z-matrix.  Chandrasekaran's
+monotone method solves it with at most n principal solves: start from
+S = {}, add every j with w_j < 0, solve N_SS x_S = -(N v)_S and repeat
+until w >= 0 (R. Chandrasekaran, Opsearch 1970; Cottle-Pang-Stone, The
+Linear Complementarity Problem).  At the end x.w = 0, so the minimum is
+v.w.  `delta_min_exhaustive` instead scans all 2^n supports and compares
+objectives only, giving an independent route to the same answer.
 """
 
 from __future__ import annotations
@@ -21,22 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classify import GraphShape, ShapeKind, graph_shape, is_log_terminal
-from .cycles import (
-    BoundaryData,
-    EMPTY_BOUNDARY,
-    boundary_cycle,
-    canonical_cycle,
-    fundamental_cycle,
-)
-from .graph import DualGraph, ExcDivisor, intersection_matrix
-from .linalg import matvec, quadratic_form, solve
+from .classify import Classification, ShapeKind, classify
+from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle
+from .graph import DualGraph, ExcDivisor
+from .linalg import clear_denominators, matvec, quadratic_form, solve
 
 DEFAULT_EPSILON = Fraction(1, 1000)
 
-# Exact active-set search is exponential in the worst case; exceptional
-# configurations are tiny, so a hard cap documents the intended regime.
-ACTIVE_SET_LIMIT = 30
 EXHAUSTIVE_LIMIT = 16
 
 
@@ -72,29 +68,37 @@ class DeltaPrime:
     epsilon: Fraction | None = None  # display stand-in for ANY_POSITIVE
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Everything `analyze` derives from one graph and boundary."""
+
+    cycles: CycleSet
+    classification: Classification
+    delta_y: Fraction  # -(Z - Delta)^2
+    delta_by: Fraction  # -(Z - Delta_B)^2
+    delta_min: DeltaMinResult
+    mu: Fraction | None  # None when not log-terminal
+    delta: Fraction  # delta_min when log-terminal, 0 otherwise
+
+
+def _dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> Fraction:
+    """Exact a.b, summed in integers over common denominators."""
+    ia, da = clear_denominators(a)
+    ib, db = clear_denominators(b)
+    return Fraction(sum(x * y for x, y in zip(ia, ib)), da * db)
+
+
 def quadratic_norm(graph: DualGraph, v: ExcDivisor) -> Fraction:
     """-v^2 = v^T N v; zero exactly when v is."""
     if len(v) != graph.n:
         raise ValueError(
             f"dimension mismatch: graph has {graph.n} vertices, divisor has {len(v)}"
         )
-    return quadratic_form(intersection_matrix(graph).positive_form, v.coeffs)
-
-
-def delta_y(graph: DualGraph) -> Fraction:
-    """-(Z - Delta)^2."""
-    z = fundamental_cycle(graph)
-    return quadratic_norm(graph, z - canonical_cycle(graph))
-
-
-def delta_by(graph: DualGraph, boundary: BoundaryData | None = None) -> Fraction:
-    """-(Z - Delta_B)^2."""
-    cs = boundary_cycle(graph, boundary)
-    return quadratic_norm(graph, cs.fundamental - cs.boundary_canonical)
+    return quadratic_form(graph.positive_form, v.coeffs)
 
 
 def _stationary_on(
-    form: Sequence[Sequence[int]], nv: list[Fraction], subset: tuple[int, ...]
+    form: Sequence[Sequence[int]], nv: Sequence[Fraction | int], subset: Sequence[int]
 ) -> list[Fraction] | None:
     """Solve the stationarity equations on `subset`; None if some x_j < 0."""
     n = len(nv)
@@ -110,13 +114,6 @@ def _stationary_on(
     return x
 
 
-def _objective(
-    form: Sequence[Sequence[int]], v: ExcDivisor, x: list[Fraction]
-) -> Fraction:
-    shifted = [a + b for a, b in zip(v.coeffs, x)]
-    return quadratic_form(form, shifted)
-
-
 def _result(x: list[Fraction], value: Fraction) -> DeltaMinResult:
     return DeltaMinResult(
         value=value,
@@ -125,32 +122,70 @@ def _result(x: list[Fraction], value: Fraction) -> DeltaMinResult:
     )
 
 
+def _monotone_lcp(
+    form: Sequence[Sequence[int]], v: ExcDivisor, nv: Sequence[Fraction | int]
+) -> DeltaMinResult:
+    """min (v + x)^T N (v + x) over x >= 0 by Chandrasekaran's method; nv = N v."""
+    n = len(nv)
+    support: list[int] = []
+    x = [Fraction(0)] * n
+    w = nv
+    while True:
+        entering = [j for j in range(n) if w[j] < 0]
+        if not entering:
+            break
+        support = sorted(support + entering)
+        x = _stationary_on(form, nv, support)
+        if x is None:
+            raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
+        xs, d = clear_denominators([x[j] for j in support])
+        w = [
+            nv[i] + Fraction(sum(form[i][j] * xj for j, xj in zip(support, xs)), d)
+            for i in range(n)
+        ]
+    return _result(x, _dot(v, w))
+
+
+def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
+    """Cycles, classification and delta family of a validated graph, each once."""
+    boundary = EMPTY_BOUNDARY if boundary is None else boundary
+    cs = boundary_cycle(graph, boundary)
+    cls = classify(graph, boundary, cycles=cs)
+    u = cs.fundamental - cs.canonical
+    nu = [s - k for s, k in zip(cs.fundamental_image, cs.canonical_image)]
+    dy = _dot(u, nu)
+    if any(cs.boundary_image):
+        v = cs.fundamental - cs.boundary_canonical
+        nv = [a - q for a, q in zip(nu, cs.boundary_image)]
+        dby = _dot(v, nv)
+    else:  # b' = 0
+        v, nv, dby = u, nu, dy
+    dmin = _monotone_lcp(graph.positive_form, v, nv)
+    log_terminal = cls.log_terminal
+    return Analysis(
+        cycles=cs,
+        classification=cls,
+        delta_y=dy,
+        delta_by=dby,
+        delta_min=dmin,
+        mu=min(b / uj for b, uj in zip(cs.boundary_part, u)) if log_terminal else None,
+        delta=dmin.value if log_terminal else Fraction(0),
+    )
+
+
+def delta_y(graph: DualGraph) -> Fraction:
+    """-(Z - Delta)^2."""
+    return analyze(graph).delta_y
+
+
+def delta_by(graph: DualGraph, boundary: BoundaryData | None = None) -> Fraction:
+    """-(Z - Delta_B)^2."""
+    return analyze(graph, boundary).delta_by
+
+
 def delta_min(graph: DualGraph, boundary: BoundaryData | None = None) -> DeltaMinResult:
     """Exact minimum of -(Z - Delta_B + x)^2 over effective exceptional x."""
-    n = graph.n
-    if n > ACTIVE_SET_LIMIT:
-        raise ValueError(f"active-set search is capped at {ACTIVE_SET_LIMIT} vertices")
-    cs = boundary_cycle(graph, boundary)
-    v = cs.fundamental - cs.boundary_canonical
-    form = intersection_matrix(graph).positive_form
-    nv = matvec(form, v.coeffs)
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            x = _stationary_on(form, nv, subset)
-            if x is None:
-                continue
-            inside = set(subset)
-            gradient_ok = True
-            for j in range(n):
-                if j in inside:
-                    continue  # zero on the subset by construction
-                g = nv[j] + sum(form[j][k] * x[k] for k in subset)
-                if g < 0:
-                    gradient_ok = False
-                    break
-            if gradient_ok:
-                return _result(x, _objective(form, v, x))
-    raise RuntimeError("no KKT certificate found; is the form positive definite?")
+    return analyze(graph, boundary).delta_min
 
 
 def delta_min_exhaustive(
@@ -162,7 +197,7 @@ def delta_min_exhaustive(
         raise ValueError(f"exhaustive enumeration is capped at {EXHAUSTIVE_LIMIT} vertices")
     cs = boundary_cycle(graph, boundary)
     v = cs.fundamental - cs.boundary_canonical
-    form = intersection_matrix(graph).positive_form
+    form = graph.positive_form
     nv = matvec(form, v.coeffs)
     best: tuple[Fraction, list[Fraction]] | None = None
     for size in range(n + 1):
@@ -170,7 +205,7 @@ def delta_min_exhaustive(
             x = _stationary_on(form, nv, subset)
             if x is None:
                 continue
-            value = _objective(form, v, x)
+            value = quadratic_form(form, [a + b for a, b in zip(v, x)])
             if best is None or value < best[0]:
                 best = (value, x)
     assert best is not None  # the empty set always yields x = 0
@@ -184,34 +219,26 @@ def mu(graph: DualGraph, boundary: BoundaryData | None = None) -> Fraction:
     where z_j - a_j > 0 for every j.  Zero exactly when the boundary
     misses the point.
     """
-    boundary = EMPTY_BOUNDARY if boundary is None else boundary
-    cs = boundary_cycle(graph, boundary)
-    if not is_log_terminal(boundary, cs.boundary_canonical):
+    value = analyze(graph, boundary).mu
+    if value is None:
         raise NotLogTerminalError("mu is only defined for log-terminal inputs")
-    return min(
-        bp / (z - a)
-        for bp, z, a in zip(cs.boundary_part, cs.fundamental, cs.canonical)
-    )
+    return value
 
 
 def delta(graph: DualGraph, boundary: BoundaryData | None = None) -> Fraction:
     """delta_min when log-terminal, 0 otherwise."""
-    boundary = EMPTY_BOUNDARY if boundary is None else boundary
-    cs = boundary_cycle(graph, boundary)
-    if not is_log_terminal(boundary, cs.boundary_canonical):
-        return Fraction(0)
-    return delta_min(graph, boundary).value
+    return analyze(graph, boundary).delta
 
 
 def delta_prime_from(
-    shape: GraphShape,
-    log_terminal: bool,
-    e: ExcDivisor,
-    epsilon: Fraction = DEFAULT_EPSILON,
+    analysis: Analysis, epsilon: Fraction = DEFAULT_EPSILON
 ) -> DeltaPrime:
-    """delta' from an already-computed shape and boundary canonical cycle."""
+    """delta' from an already-computed analysis."""
+    log_terminal = analysis.classification.log_terminal
+    shape = analysis.classification.shape
     if log_terminal and shape.kind is ShapeKind.CHAIN:
         assert shape.ends is not None
+        e = analysis.cycles.boundary_canonical
         i, j = shape.ends
         return DeltaPrime(
             kind=DeltaPrimeKind.CHAIN_END_VALUE, value=1 - max(e[i], e[j])
@@ -230,12 +257,7 @@ def delta_prime(
 ) -> DeltaPrime:
     """Curve-degree threshold: 1 - max{e at the chain ends} for chains,
     "any positive number" for dihedral forks, 0 otherwise."""
-    boundary = EMPTY_BOUNDARY if boundary is None else boundary
-    cs = boundary_cycle(graph, boundary)
-    e = cs.boundary_canonical
-    return delta_prime_from(
-        graph_shape(graph), is_log_terminal(boundary, e), e, epsilon
-    )
+    return delta_prime_from(analyze(graph, boundary), epsilon)
 
 
 @dataclass(frozen=True)
@@ -297,6 +319,16 @@ def check_hypotheses(
     min_mc: Fraction | int,
     epsilon: Fraction = DEFAULT_EPSILON,
 ) -> HypothesisCheck:
+    """`check_hypotheses_from` on a fresh analysis."""
+    return check_hypotheses_from(analyze(graph, boundary), m2, min_mc, epsilon)
+
+
+def check_hypotheses_from(
+    analysis: Analysis,
+    m2: Fraction | int,
+    min_mc: Fraction | int,
+    epsilon: Fraction = DEFAULT_EPSILON,
+) -> HypothesisCheck:
     """Evaluate M^2 > delta and min M.C against delta'.
 
     The delta' requirement is: >= the exact value for a chain; strictly
@@ -311,12 +343,8 @@ def check_hypotheses(
         raise InvalidNefError("M^2 must be positive for nef and big M")
     if min_mc < 0:
         raise NegativeIntersectionError("min M.C must be nonnegative for nef M")
-    boundary = EMPTY_BOUNDARY if boundary is None else boundary
-    cs = boundary_cycle(graph, boundary)
-    e = cs.boundary_canonical
-    log_terminal = is_log_terminal(boundary, e)
-    d = delta_min(graph, boundary).value if log_terminal else Fraction(0)
-    dp = delta_prime_from(graph_shape(graph), log_terminal, e, epsilon)
+    d = analysis.delta
+    dp = delta_prime_from(analysis, epsilon)
     if dp.kind is DeltaPrimeKind.CHAIN_END_VALUE:
         assert dp.value is not None
         mc_ok = min_mc >= dp.value
@@ -325,12 +353,11 @@ def check_hypotheses(
     else:
         mc_ok = min_mc >= 0
     scaled = None
-    if log_terminal:
-        mu_value = mu(graph, boundary)
+    if analysis.mu is not None:
         scaled = ScaledCheck(
-            mu=mu_value,
-            delta_y_variant=_scaled_variant(delta_y(graph), mu_value, m2, min_mc),
-            delta_variant=_scaled_variant(d, mu_value, m2, min_mc),
+            mu=analysis.mu,
+            delta_y_variant=_scaled_variant(analysis.delta_y, analysis.mu, m2, min_mc),
+            delta_variant=_scaled_variant(d, analysis.mu, m2, min_mc),
         )
     return HypothesisCheck(
         m2=m2,

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-Elimination is fraction-free (Bareiss): rational right-hand sides are
-scaled to integers first, so every intermediate quantity is an integer
-and every division is exact.  Pivoting is deterministic (first nonzero
+One fraction-free (Bareiss) forward-elimination loop serves both
+Sylvester's criterion and `solve`.  Rational right-hand sides are scaled
+to integers first, so every intermediate quantity is an integer and
+every division is exact; back-substitution stays in integers too (by
+Cramer's rule det * x is integral), and only the n entries of the
+solution become fractions.  Pivoting is deterministic (first nonzero
 row below the diagonal), which keeps results bit-identical across runs.
-Matrices here are intersection forms of exceptional configurations, so
-n stays tiny and no attention is paid to asymptotics.
 """
 
 from __future__ import annotations
@@ -25,62 +26,43 @@ def _square_size(rows: IntMatrix) -> int:
     return n
 
 
-def determinant(rows: IntMatrix) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination."""
-    n = _square_size(rows)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in rows]
-    sign = 1
+def _eliminate(a: list[list[int]], n: int, *, exchange: bool) -> int | None:
+    """Bareiss forward elimination of the leading n columns of `a`, in place.
+
+    Extra (right-hand-side) columns are eliminated along.  Returns the
+    1-based step k that stopped, or None: with row exchanges, a column
+    with no nonzero pivot (singular); without them, a pivot <= 0, which
+    is then the k-th leading principal minor.
+    """
+    width = len(a[0]) if n else 0
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
+    for k in range(n):
+        if exchange and a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
-                    sign = -sign
                     break
-            else:
-                return 0
-        pivot = a[k][k]
+        row_k = a[k]
+        pivot = row_k[k]
+        if pivot == 0 or (pivot < 0 and not exchange):
+            return k + 1
         for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
+            row_i = a[i]
             factor = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def leading_principal_minors(rows: IntMatrix) -> list[int]:
-    """Determinants of the upper-left k-by-k blocks, k = 1..n."""
-    n = _square_size(rows)
-    return [determinant([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+    return None
 
 
 def first_nonpositive_leading_minor(rows: IntMatrix) -> int | None:
     """Size k of the first leading principal minor <= 0, or None if all > 0.
 
-    Single Bareiss pass: with no row exchanges the pivot reached at step
-    k equals the k-th leading principal minor, so Sylvester's criterion
-    costs one elimination.  A zero pivot stops elimination, but that
-    minor is already the answer.
+    One elimination without row exchanges: a zero or negative pivot stops
+    it, and that minor is already the answer.
     """
     n = _square_size(rows)
-    a = [[int(x) for x in row] for row in rows]
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            return k + 1
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
-    return None
+    return _eliminate([[int(x) for x in row] for row in rows], n, exchange=False)
 
 
 def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
@@ -88,80 +70,49 @@ def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
 
     Raises ValueError on dimension mismatch or a singular matrix.
     """
-    n = _square_size(rows)
-    if len(rhs) != n:
-        raise ValueError(
-            f"dimension mismatch: matrix is {n}x{n}, rhs has length {len(rhs)}"
-        )
+    b, scale = _cleared(rows, rhs)
+    n = len(b)
     if n == 0:
         return []
-    b = [Fraction(x) for x in rhs]
-    scale = lcm(*(x.denominator for x in b))
-    # Augmented integer matrix; Bareiss keeps all entries integral.
-    aug = [
-        [int(x) for x in row] + [int(v * scale)] for row, v in zip(rows, b)
-    ]
-    width = n + 1
-    prev = 1
-    for k in range(n - 1):
-        if aug[k][k] == 0:
-            for i in range(k + 1, n):
-                if aug[i][k] != 0:
-                    aug[k], aug[i] = aug[i], aug[k]
-                    break
-            else:
-                raise ValueError("matrix is singular")
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = aug[i], aug[k]
-            factor = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    x = [Fraction(0)] * n
+    aug = [[int(x) for x in row] + [v] for row, v in zip(rows, b)]
+    if _eliminate(aug, n, exchange=True) is not None:
+        raise ValueError("matrix is singular")
+    # The last pivot is +-det; y = det * x is integral, so every division
+    # below is exact.
+    det = aug[n - 1][n - 1]
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        if aug[i][i] == 0:
-            raise ValueError("matrix is singular")
-        acc = Fraction(aug[i][width - 1])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return [xi / scale for xi in x]
+        row = aug[i]
+        acc = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return [Fraction(yi, det * scale) for yi in y]
 
 
-def clear_denominators(v: Sequence[Fraction]) -> tuple[list[int], int]:
+def clear_denominators(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(d*v as integers, d) for the least common denominator d."""
-    if not v:
-        return [], 1
     d = lcm(*(x.denominator for x in v))
-    return [int(x * d) for x in v], d
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def int_matvec(rows: IntMatrix, v: Sequence[int]) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in rows]
 
 
-def int_quadratic(rows: IntMatrix, v: Sequence[int]) -> int:
-    return sum(vi * wi for vi, wi in zip(v, int_matvec(rows, v)))
-
-
-def matvec(rows: IntMatrix, v: Sequence[Fraction | int]) -> list[Fraction]:
+def _cleared(rows: IntMatrix, v: Sequence[Fraction | int]) -> tuple[list[int], int]:
     n = _square_size(rows)
     if len(v) != n:
         raise ValueError(
             f"dimension mismatch: matrix is {n}x{n}, vector has length {len(v)}"
         )
-    ints, d = clear_denominators([Fraction(x) for x in v])
+    return clear_denominators(v)
+
+
+def matvec(rows: IntMatrix, v: Sequence[Fraction | int]) -> list[Fraction]:
+    ints, d = _cleared(rows, v)
     return [Fraction(w, d) for w in int_matvec(rows, ints)]
 
 
 def quadratic_form(rows: IntMatrix, v: Sequence[Fraction | int]) -> Fraction:
     """v^T * rows * v, exactly."""
-    n = _square_size(rows)
-    if len(v) != n:
-        raise ValueError(
-            f"dimension mismatch: matrix is {n}x{n}, vector has length {len(v)}"
-        )
-    ints, d = clear_denominators([Fraction(x) for x in v])
-    return Fraction(int_quadratic(rows, ints), d * d)
+    ints, d = _cleared(rows, v)
+    return Fraction(sum(a * b for a, b in zip(ints, int_matvec(rows, ints))), d * d)

@@ -11,23 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import Classification, ShapeKind, classify
-from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle
+from .classify import ShapeKind
+from .cycles import BoundaryData, EMPTY_BOUNDARY
 from .graph import DualGraph, ExcDivisor, validate
 from .invariants import (
     DEFAULT_EPSILON,
+    Analysis,
     DeltaMinResult,
     DeltaPrime,
     DeltaPrimeKind,
     HypothesisCheck,
     ScaledVariant,
-    check_hypotheses,
-    delta_min,
+    analyze,
+    check_hypotheses_from,
     delta_min_exhaustive,
     delta_prime_from,
-    delta_y as compute_delta_y,
-    mu as compute_mu,
-    quadratic_norm,
 )
 
 REPORT_FORMAT = "singinv-report-1"
@@ -40,19 +38,14 @@ class NefData:
 
 
 @dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(Analysis):
+    """An analysis together with its input and the reporting options."""
+
     graph: DualGraph
     boundary: BoundaryData
     nef: NefData | None
     epsilon: Fraction
-    cycles: CycleSet
-    classification: Classification
-    delta_y: Fraction
-    delta_by: Fraction
-    delta_min: DeltaMinResult
     delta_min_oracle: DeltaMinResult | None
-    mu: Fraction | None  # None when not log-terminal
-    delta: Fraction
     delta_prime: DeltaPrime
     theorem: HypothesisCheck | None
 
@@ -76,33 +69,21 @@ def build_report(
 ) -> SingularityReport:
     boundary = EMPTY_BOUNDARY if boundary is None else boundary
     validate(graph)
-    cs = boundary_cycle(graph, boundary)
-    cls = classify(graph, boundary, cycles=cs)
-    dmin = delta_min(graph, boundary)
+    a = analyze(graph, boundary)
     oracle = delta_min_exhaustive(graph, boundary) if verify_delta_min else None
-    mu_value = compute_mu(graph, boundary) if cls.log_terminal else None
-    delta_value = dmin.value if cls.log_terminal else Fraction(0)
-    dprime = delta_prime_from(
-        cls.shape, cls.log_terminal, cs.boundary_canonical, epsilon
-    )
+    dprime = delta_prime_from(a, epsilon)
     theorem = (
-        check_hypotheses(graph, boundary, nef.m2, nef.min_mc, epsilon)
+        check_hypotheses_from(a, nef.m2, nef.min_mc, epsilon)
         if nef is not None
         else None
     )
     return SingularityReport(
+        **vars(a),
         graph=graph,
         boundary=boundary,
         nef=nef,
         epsilon=epsilon,
-        cycles=cs,
-        classification=cls,
-        delta_y=compute_delta_y(graph),
-        delta_by=quadratic_norm(graph, cs.fundamental - cs.boundary_canonical),
-        delta_min=dmin,
         delta_min_oracle=oracle,
-        mu=mu_value,
-        delta=delta_value,
         delta_prime=dprime,
         theorem=theorem,
     )

@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: seeded random chains, boundaries,
-and a small corpus of known-good graphs."""
+"""Shared helpers for the test suite: seeded random chains, graphs and
+boundaries, and a small corpus of known-good graphs."""
 
 from __future__ import annotations
 
@@ -14,6 +14,9 @@ from singinv.families import (
     rdp_family,
     smooth_graph,
 )
+from singinv.graph import build_graph, validate
+
+GRAPH_KINDS = ("tree", "cycle", "multi", "genus")
 
 
 def cofactor_determinant(rows):
@@ -83,3 +86,49 @@ def random_boundary(graph, rng: random.Random, *, strict: bool, max_components=2
     for c in comps:
         c[2] = [0] * n
     return BoundaryData(tuple(boundary_component(*c) for c in comps))
+
+
+def random_graph(rng: random.Random, kind: str, n: int):
+    """A validated random graph: a random tree, plus extra edges ("cycle"),
+    one multiple edge ("multi") or one vertex of positive genus ("genus").
+
+    Weights make the positive form weakly diagonally dominant with one
+    strictly dominant row, hence positive definite; validate() confirms.
+    """
+    mult = {(rng.randrange(k), k): 1 for k in range(1, n)}
+    if kind == "cycle" and n >= 3:
+        missing = [(i, j) for j in range(n) for i in range(j) if (i, j) not in mult]
+        for pair in rng.sample(missing, min(len(missing), rng.randint(1, 2))):
+            mult[pair] = 1
+    if kind == "multi" and mult:
+        mult[rng.choice(sorted(mult))] = rng.randint(2, 3)
+    degree = [0] * n
+    for (i, j), m in mult.items():
+        degree[i] += m
+        degree[j] += m
+    weights = [max(2, d) + rng.choice((0, 0, 1, 2)) for d in degree]
+    if all(w == d for w, d in zip(weights, degree)):
+        weights[rng.randrange(n)] += 1
+    genus = [0] * n
+    if kind == "genus":
+        genus[rng.randrange(n)] = rng.randint(1, 2)
+    graph = build_graph(
+        [(f"E{j + 1}", w, g) for j, (w, g) in enumerate(zip(weights, genus))],
+        [(f"E{i + 1}", f"E{j + 1}", m) for (i, j), m in sorted(mult.items())],
+    )
+    validate(graph)
+    return graph
+
+
+def any_boundary(graph, rng: random.Random, max_components=2):
+    """Random boundary with coefficients in [0, 1], log-canonical or not."""
+    return BoundaryData(
+        tuple(
+            boundary_component(
+                f"C{k + 1}",
+                Fraction(rng.randint(0, 4), 4),
+                [rng.choice((0, 0, 1, 1, 2)) for _ in range(graph.n)],
+            )
+            for k in range(rng.randint(0, max_components))
+        )
+    )

@@ -32,6 +32,8 @@ def test_parse_input_minimal():
     assert parsed.graph.vertices[0].weight == 2
     assert parsed.boundary.is_empty()
     assert parsed.nef is None
+    null = parse_input('{"vertices": [{"id": "E1", "weight": 2}], "boundary": null}')
+    assert null.boundary.is_empty()
 
 
 def test_parse_input_boundary_coefficient_is_exact():
@@ -78,11 +80,27 @@ def test_parse_input_nef():
             '{"vertices": [{"id": "E1", "weight": 2}], "nef": {"M2": 1}}',
             "required",
         ),
+        ('{"vertices": [{"id": "E1", "weight": 2}], "boundary": {}}', "must be a list"),
+        ('{"vertices": [{"id": "E1", "weight": 2}], "boundary": false}', "must be a list"),
+        ('{"vertices": [{"id": "E1", "weight": 2}], "boundary": 0}', "must be a list"),
+        ('{"vertices": [{"id": "E1", "weight": 2}], "boundary": ""}', "must be a list"),
     ],
 )
 def test_parse_input_errors(text, message):
     with pytest.raises(InputError, match=message):
         parse_input(text)
+
+
+def test_deeply_nested_json_is_validation_error(tmp_path, capsys):
+    depth = 200_000
+    with pytest.raises(InputError, match="nested too deeply"):
+        parse_input("[" * depth + "]" * depth)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"vertices": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = _run(capsys, ["analyze", str(deep)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: document is nested too deeply\n"
 
 
 def test_analyze_samples_exit_zero(capsys):
@@ -255,6 +273,13 @@ def test_enumerate_tiny_families(capsys):
     assert all(Fraction(row["delta_y"]) <= 4 for row in rows.values())
 
 
+def test_enumerate_long_rdp_chains(capsys):
+    # A_31 has far more vertices than a search over active sets can visit
+    code, out, _ = _run(capsys, ["enumerate", "--max-length", "31", "--max-weight", "2"])
+    assert code == 0
+    assert "total: 31 rows, 0 failures" in out
+
+
 def test_enumerate_row_limit(capsys):
     code, _, err = _run(
         capsys, ["enumerate", "--max-length", "6", "--max-weight", "6", "--limit", "10"]
@@ -264,10 +289,15 @@ def test_enumerate_row_limit(capsys):
 
 
 def test_enumerate_detects_violations(monkeypatch, capsys):
+    import dataclasses
+
     import singinv.cli as cli_module
 
+    real = cli_module.analyze
     monkeypatch.setattr(
-        cli_module, "quadratic_form", lambda form, v: Fraction(99)
+        cli_module,
+        "analyze",
+        lambda graph: dataclasses.replace(real(graph), delta_y=Fraction(99)),
     )
     code, _, err = _run(capsys, ["enumerate", "--max-length", "1", "--max-weight", "2"])
     assert code == 2

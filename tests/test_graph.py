@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import base_graphs, random_chain_weights
+from conftest import base_graphs, cofactor_determinant, random_chain_weights
 from singinv.families import chain_graph, rdp_family, smooth_graph
 from singinv.graph import (
     DisconnectedGraphError,
@@ -17,7 +17,7 @@ from singinv.graph import (
     solve_exceptional,
     validate,
 )
-from singinv.linalg import determinant, matvec
+from singinv.linalg import matvec
 
 
 def test_intersection_matrix_single_vertex():
@@ -30,7 +30,8 @@ def test_intersection_matrix_chain():
     m = intersection_matrix(g)
     assert m.entries == ((-2, 1), (1, -3))
     assert m.positive_form == ((2, -1), (-1, 3))
-    assert determinant(m.positive_form) == 5
+    assert cofactor_determinant(m.positive_form) == 5
+    assert g.positive_form == m.positive_form
 
 
 def test_intersection_matrix_edge_multiplicity():

@@ -3,17 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import base_graphs, random_boundary
+from conftest import GRAPH_KINDS, any_boundary, base_graphs, random_boundary, random_graph
 from singinv.classify import SingularityKind, is_log_terminal, singularity_kind
 from singinv.cycles import (
     BoundaryData,
     boundary_component,
     boundary_cycle,
 )
-from singinv.families import ade_graph, chain_graph, smooth_graph
-from singinv.graph import ExcDivisor, build_graph, intersection_matrix
+from singinv.families import ade_graph, chain_graph, fork_graph, smooth_graph
+from singinv.graph import (
+    ExcDivisor,
+    build_graph,
+    canonical_degrees,
+    intersection_matrix,
+)
 from singinv.invariants import (
     DEFAULT_EPSILON,
+    analyze,
     DeltaPrimeKind,
     InvalidNefError,
     NegativeIntersectionError,
@@ -29,6 +35,7 @@ from singinv.invariants import (
     quadratic_norm,
 )
 from singinv.linalg import matvec
+from singinv.report import NefData, build_report
 
 
 def _mid_boundary_252():
@@ -265,3 +272,94 @@ def test_section_2_2_equalities_on_anchor():
     assert delta_min(g, b).value == (1 - mu_value) ** 2 * delta_y(g)
     dp = delta_prime(g, b)
     assert dp.value == (1 - mu_value) * delta_y(g) / 2
+
+
+def _assert_kkt(graph, boundary, result):
+    """x >= 0, w = N(v + x) >= 0, x.w = 0, and the value is the objective."""
+    cs = boundary_cycle(graph, boundary)
+    v = cs.fundamental - cs.boundary_canonical
+    w = matvec(intersection_matrix(graph).positive_form, (v + result.minimizer).coeffs)
+    assert result.minimizer.is_effective()
+    assert all(wj >= 0 for wj in w)
+    assert all(xj * wj == 0 for xj, wj in zip(result.minimizer, w))
+    assert result.value == quadratic_norm(graph, v + result.minimizer)
+    assert result.active_set == {j for j, xj in enumerate(result.minimizer) if xj > 0}
+
+
+def test_delta_min_lcp_matches_exhaustive_on_random_graphs():
+    rng = random.Random(57)
+    iterated = 0
+    for trial in range(120):
+        kind = GRAPH_KINDS[trial % len(GRAPH_KINDS)]
+        g = random_graph(rng, kind, rng.randint(1, 9))
+        b = any_boundary(g, rng)
+        fast = delta_min(g, b)
+        slow = delta_min_exhaustive(g, b)
+        assert (fast.value, fast.minimizer) == (slow.value, slow.minimizer), (kind, g, b)
+        _assert_kkt(g, b, fast)
+        iterated += bool(fast.active_set)
+    assert iterated > 20  # the LCP loop itself, not only x = 0, was exercised
+
+
+def test_delta_min_beyond_exhaustive_range():
+    # 40 vertices: the adversarial weight-5 chain whose boundary meets
+    # every vertex, and a three-armed fork without boundary
+    chain = chain_graph((5,) * 40)
+    meets_all = BoundaryData((boundary_component("C", "1/2", [1] * 40),))
+    fork = fork_graph(3, [(2,) * 13, (3,) * 13, (2,) * 13])
+    for g, b in ((chain, meets_all), (fork, None)):
+        report = build_report(g, b)
+        assert len(report.delta_min.active_set) > 30
+        _assert_kkt(g, b, report.delta_min)
+        assert report.delta_min.value <= report.delta_by
+
+
+def test_build_report_runs_each_stage_once(monkeypatch):
+    import singinv.cycles as cycles_module
+    import singinv.graph as graph_module
+    import singinv.invariants as invariants_module
+
+    calls = {}
+
+    def count(label, module, name, when=lambda *args: True):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if when(*args):
+                calls[label] = calls.get(label, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count("matrix", graph_module, "intersection_matrix")
+    count("laufer", cycles_module, "_laufer")
+    count(
+        "canonical solve",
+        cycles_module,
+        "solve_exceptional",
+        lambda graph, rhs: list(rhs) == canonical_degrees(graph),
+    )
+    count("boundary pass", invariants_module, "boundary_cycle")
+    count("delta_min", invariants_module, "_monotone_lcp")
+    nef = NefData(m2=Fraction(2), min_mc=Fraction(1))
+    report = build_report(chain_graph((2, 5, 2)), _mid_boundary_252(), nef)
+    assert report.theorem is not None and report.delta_min.value == Fraction(81, 80)
+    assert calls == dict.fromkeys(
+        ("matrix", "laufer", "canonical solve", "boundary pass", "delta_min"), 1
+    )
+
+
+def test_public_helpers_read_the_analysis():
+    rng = random.Random(58)
+    for name, g in base_graphs():
+        b = random_boundary(g, rng, strict=True)
+        a = analyze(g, b)
+        assert delta_min(g, b) == a.delta_min
+        assert delta_by(g, b) == a.delta_by
+        assert delta_y(g) == a.delta_y == analyze(g).delta_y
+        assert mu(g, b) == a.mu
+        assert delta(g, b) == a.delta
+        assert a.delta_y == quadratic_norm(g, a.cycles.fundamental - a.cycles.canonical)
+        assert a.delta_by == quadratic_norm(
+            g, a.cycles.fundamental - a.cycles.boundary_canonical
+        )

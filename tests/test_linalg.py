@@ -6,9 +6,7 @@ import pytest
 from conftest import cofactor_determinant
 from singinv.linalg import (
     clear_denominators,
-    determinant,
     first_nonpositive_leading_minor,
-    leading_principal_minors,
     matvec,
     quadratic_form,
     solve,
@@ -16,29 +14,26 @@ from singinv.linalg import (
 
 
 def test_determinant_small_cases():
-    assert determinant([]) == 1
-    assert determinant([[5]]) == 5
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[2, -1], [-1, 3]]) == 5
-    assert determinant([[1, 2], [2, 4]]) == 0
+    # the cofactor oracle is the suite's only determinant
+    assert cofactor_determinant([]) == 1
+    assert cofactor_determinant([[5]]) == 5
+    assert cofactor_determinant([[1, 2], [3, 4]]) == -2
+    assert cofactor_determinant([[2, -1], [-1, 3]]) == 5
+    assert cofactor_determinant([[1, 2], [2, 4]]) == 0
 
 
-def test_determinant_rejects_non_square():
+def test_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
-        determinant([[1, 2, 3], [4, 5, 6]])
+        first_nonpositive_leading_minor([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="square"):
+        solve([[1, 2, 3], [4, 5, 6]], [1, 2])
 
 
-def test_determinant_matches_cofactor_oracle():
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert determinant(rows) == cofactor_determinant(rows)
-
-
-def test_leading_principal_minors():
-    assert leading_principal_minors([[2, -1], [-1, 3]]) == [2, 5]
-    assert leading_principal_minors([[1, 1], [1, 1]]) == [1, 0]
+def test_first_nonpositive_small_cases():
+    assert first_nonpositive_leading_minor([]) is None
+    assert first_nonpositive_leading_minor([[2, -1], [-1, 3]]) is None
+    assert first_nonpositive_leading_minor([[1, 1], [1, 1]]) == 2
+    assert first_nonpositive_leading_minor([[-1, 0], [0, 2]]) == 1
 
 
 def test_first_nonpositive_agrees_with_minor_scan():
@@ -50,7 +45,9 @@ def test_first_nonpositive_agrees_with_minor_scan():
             sym[i][i] = rng.randint(-3, 6)
             for j in range(i + 1, n):
                 sym[i][j] = sym[j][i] = rng.randint(-2, 2)
-        minors = leading_principal_minors(sym)
+        minors = [
+            cofactor_determinant([row[:k] for row in sym[:k]]) for k in range(1, n + 1)
+        ]
         expected = next((k for k, m in enumerate(minors, start=1) if m <= 0), None)
         assert first_nonpositive_leading_minor(sym) == expected
 
@@ -68,6 +65,21 @@ def test_solve_exact_roundtrip():
         rhs = [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(n)]
         x = solve(m, rhs)
         assert matvec(m, x) == rhs
+
+
+def test_solve_matches_cramer():
+    rng = random.Random(15)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        det = cofactor_determinant(rows)
+        if det == 0:
+            continue
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        x = solve(rows, rhs)
+        for j in range(n):
+            swapped = [row[:j] + [b] + row[j + 1 :] for row, b in zip(rows, rhs)]
+            assert x[j] == Fraction(cofactor_determinant(swapped), det)
 
 
 def test_solve_handles_zero_pivot():
