@@ -140,10 +140,12 @@ def classify(
     boundary = EMPTY_BOUNDARY if boundary is None else boundary
     if cycles is None:
         cycles = boundary_cycle(graph, boundary)
-    e = cycles.boundary_canonical
+    # e_j < 1 (<= 1) exactly when its numerator over det * dq is below it
+    d = cycles.det * cycles.dq
+    coeffs = [c.coeff for c in boundary.components]
     return Classification(
         kind=singularity_kind(graph),
         shape=graph_shape(graph),
-        log_terminal=is_log_terminal(boundary, e),
-        log_canonical=is_log_canonical(boundary, e),
+        log_terminal=all(c < 1 for c in coeffs) and all(e < d for e in cycles.ye),
+        log_canonical=all(c <= 1 for c in coeffs) and all(e <= d for e in cycles.ye),
     )

@@ -11,18 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .graph import (
     DualGraph,
     ExcDivisor,
     canonical_degrees,
+    definite_factor,
     solve_exceptional,
 )
 from .linalg import quadratic_form
 
-# The Laufer sequence terminates on every negative-definite graph; the cap
-# only guards against unvalidated input sending us into an endless loop.
+# The Laufer sequence terminates on every negative-definite graph, and
+# `_laufer` refuses any other; the cap is a last guard against a loop.
 _LAUFER_CAP = 100_000
 
 
@@ -55,21 +59,63 @@ def boundary_component(
 
 @dataclass(frozen=True)
 class CycleSet:
-    """Everything the boundary pass produces, in vertex order.
+    """Everything the boundary pass produces, in vertex order, in integers.
 
-    ``boundary_canonical`` always equals ``canonical + boundary_part``
-    componentwise (e_j = a_j + b'_j).  The ``*_image`` fields are N D =
-    (-D.E_j), which the Laufer sequence and the solves give for free.
+    N is eliminated once (``graph.factor``) and every vector is kept as
+    integer numerators over one denominator: ``det`` = det N and ``dq``,
+    a common denominator of the boundary counts.  ``s``, ``k`` and ``q``
+    are the images N Z, N Delta and dq * N b', which the Laufer sequence
+    and the input give for free.  The ExcDivisor views are built on
+    first read; ``boundary_canonical`` always equals ``canonical +
+    boundary_part`` componentwise (e_j = a_j + b'_j).
     """
 
-    fundamental: ExcDivisor  # Z, integral, >= 1 everywhere
-    canonical: ExcDivisor  # a_j
-    boundary_part: ExcDivisor  # b'_j
-    boundary_canonical: ExcDivisor  # e_j
-    fundamental_genus: Fraction  # p_a(Z)
-    fundamental_image: tuple[int, ...]  # s = N Z >= 0
-    canonical_image: tuple[int, ...]  # k = N Delta, the canonical degrees
-    boundary_image: tuple[Fraction, ...]  # q = N b', the weighted boundary counts
+    z: tuple[int, ...]  # Z, >= 1 everywhere
+    s: tuple[int, ...]  # N Z >= 0
+    k: tuple[int, ...]  # N Delta, the canonical degrees
+    q: tuple[int, ...]  # dq * N b', the weighted boundary counts
+    det: int
+    dq: int
+    yk: tuple[int, ...]  # det * Delta
+    yq: tuple[int, ...]  # det * dq * b'
+    ye: tuple[int, ...]  # det * dq * e
+
+    @cached_property
+    def fundamental(self) -> ExcDivisor:
+        return ExcDivisor(tuple(Fraction(v) for v in self.z))
+
+    @cached_property
+    def canonical(self) -> ExcDivisor:
+        return ExcDivisor(tuple(Fraction(v, self.det) for v in self.yk))
+
+    @cached_property
+    def boundary_part(self) -> ExcDivisor:
+        den = self.det * self.dq
+        return ExcDivisor(tuple(Fraction(v, den) for v in self.yq))
+
+    @cached_property
+    def boundary_canonical(self) -> ExcDivisor:
+        den = self.det * self.dq
+        return ExcDivisor(tuple(Fraction(v, den) for v in self.ye))
+
+    @cached_property
+    def fundamental_genus(self) -> Fraction:
+        """p_a(Z) = (Z.K + Z.Z)/2 + 1, with Z.Z = -Z.(N Z) = -Z.s."""
+        zk = sum(map(mul, self.z, self.k))
+        zz = -sum(map(mul, self.z, self.s))
+        return Fraction(zk + zz + 2, 2)
+
+    @property
+    def fundamental_image(self) -> tuple[int, ...]:
+        return self.s
+
+    @property
+    def canonical_image(self) -> tuple[int, ...]:
+        return self.k
+
+    @cached_property
+    def boundary_image(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.dq) for v in self.q)
 
 
 def check_boundary(graph: DualGraph, boundary: BoundaryData) -> None:
@@ -94,7 +140,12 @@ def check_boundary(graph: DualGraph, boundary: BoundaryData) -> None:
 def _laufer(
     graph: DualGraph, tie_break: Callable[[list[int]], int] | None = None
 ) -> tuple[list[int], list[int]]:
-    """The Laufer sequence: Z and s = N Z, both as integer lists."""
+    """The Laufer sequence: Z and s = N Z, both as integer lists.
+
+    Raises NotNegativeDefiniteError from the cached factor first, so an
+    indefinite form fails before any step.
+    """
+    definite_factor(graph)
     n = graph.n
     form = graph.positive_form
     z = [1] * n
@@ -168,32 +219,38 @@ def exceptional_pullback(
 
 
 def boundary_cycle(graph: DualGraph, boundary: BoundaryData | None = None) -> CycleSet:
-    """Fundamental cycle plus all canonical-cycle data for a boundary."""
+    """Fundamental cycle plus all canonical-cycle data for a boundary.
+
+    N must be positive definite; NotNegativeDefiniteError is raised from
+    the cached factor before any Laufer step.
+    """
     boundary = EMPTY_BOUNDARY if boundary is None else boundary
     check_boundary(graph, boundary)
+    factor = definite_factor(graph)
     n = graph.n
-    q = [Fraction(0)] * n
-    for comp in boundary.components:
-        for j, m in enumerate(comp.meets):
-            q[j] += comp.coeff * m
+    meeting = [c for c in boundary.components if c.coeff and any(c.meets)]
+    dq = lcm(*(c.coeff.denominator for c in meeting))
+    q = [0] * n
+    for c in meeting:
+        scaled = c.coeff.numerator * (dq // c.coeff.denominator)
+        for j, m in enumerate(c.meets):
+            q[j] += scaled * m
     z, s = _laufer(graph)
     k = canonical_degrees(graph)
-    delta = solve_exceptional(graph, k)
-    if any(q):
-        bprime = solve_exceptional(graph, q)
-        e = delta + bprime
+    yk = factor.scaled_solve(k)
+    if meeting:
+        yq = factor.scaled_solve(q)
+        ye = [dq * a + b for a, b in zip(yk, yq)]
     else:
-        bprime, e = ExcDivisor.zero(n), delta
-    # p_a(Z) = (Z.K + Z.Z)/2 + 1, and Z.Z = -Z.(N Z) = -Z.s
-    zk = sum(zj * kj for zj, kj in zip(z, k))
-    zz = -sum(zj * sj for zj, sj in zip(z, s))
+        yq, ye = [0] * n, yk
     return CycleSet(
-        fundamental=ExcDivisor(tuple(Fraction(v) for v in z)),
-        canonical=delta,
-        boundary_part=bprime,
-        boundary_canonical=e,
-        fundamental_genus=Fraction(zk + zz, 2) + 1,
-        fundamental_image=tuple(s),
-        canonical_image=tuple(k),
-        boundary_image=tuple(q),
+        z=tuple(z),
+        s=tuple(s),
+        k=tuple(k),
+        q=tuple(q),
+        det=factor.det,
+        dq=dq,
+        yk=tuple(yk),
+        yq=tuple(yq),
+        ye=tuple(ye),
     )

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import first_nonpositive_leading_minor, solve
+from .linalg import Factor, clear_denominators
 
 
 class GraphValidationError(ValueError):
@@ -166,6 +166,12 @@ class DualGraph:
         """N = -(E_i . E_j), built once per graph."""
         return intersection_matrix(self).positive_form
 
+    @cached_property
+    def factor(self) -> Factor:
+        """N eliminated once per graph: Sylvester's criterion and every
+        solve against N read it."""
+        return Factor(self.positive_form)
+
     def index_of(self, vid: str) -> int:
         try:
             return self.index[vid]
@@ -233,9 +239,7 @@ def validate(graph: DualGraph) -> None:
     """
     if not is_connected(graph):
         raise DisconnectedGraphError("graph is not connected")
-    bad = first_nonpositive_leading_minor(graph.positive_form)
-    if bad is not None:
-        raise NotNegativeDefiniteError(bad)
+    definite_factor(graph)
     smooth_convention = (
         graph.n == 1 and graph.vertices[0].weight == 1 and graph.vertices[0].genus == 0
     )
@@ -246,6 +250,14 @@ def validate(graph: DualGraph) -> None:
                     f"vertex {v.id!r} has weight 1; a (-1)-curve is only allowed "
                     "as the single-vertex smooth-point configuration"
                 )
+
+
+def definite_factor(graph: DualGraph) -> Factor:
+    """The cached factor of N; NotNegativeDefiniteError unless N > 0."""
+    bad = graph.factor.first_nonpositive
+    if bad is not None:
+        raise NotNegativeDefiniteError(bad)
+    return graph.factor
 
 
 def canonical_degree(graph: DualGraph, j: int) -> int:
@@ -265,7 +277,11 @@ def solve_exceptional(
 ) -> ExcDivisor:
     """The unique exact solution x of N x = rhs, N the positive form.
 
-    For a validated graph N is positive definite, so the solution exists
-    and is unique; if rhs >= 0 componentwise then so is x.
+    N must be positive definite (NotNegativeDefiniteError otherwise), so
+    the solution exists and is unique; if rhs >= 0 componentwise then so
+    is x.
     """
-    return ExcDivisor(tuple(solve(graph.positive_form, rhs)))
+    factor = definite_factor(graph)
+    ints, d = clear_denominators(rhs)
+    den = factor.det * d
+    return ExcDivisor(tuple(Fraction(y, den) for y in factor.scaled_solve(ints)))

@@ -1,10 +1,15 @@
 """The delta family of singularity invariants, computed in one pass.
 
 `analyze` derives everything from the positive form N and three vectors,
-Z, Delta and b', each computed once by `boundary_cycle` together with
-their images s = N Z, k = N Delta and q = N b'.  With v = Z - Delta_B,
-N v = s - k - q, so delta_y = (Z - Delta).(s - k) and
-delta_by = v.(s - k - q) need no further matrix product.
+Z, Delta and b', which `boundary_cycle` computes once each from one
+elimination of N, together with their images s = N Z, k = N Delta and
+q = N b'.  All of them are integer numerators over the denominators
+det N and dq, so the pass stays in integers and builds one fraction per
+reported scalar.  With u = Z - Delta and v = Z - Delta_B, N v =
+s - k - q, so delta_y = u.(s - k) and delta_by = v.(s - k - q) need no
+further matrix product, mu = min_j b'_j / u_j is found by
+cross-multiplication, and the log-terminal tests compare numerators
+with the denominator.
 
 delta_min minimizes -(v + x)^2 = (v + x)^T N (v + x) over effective
 exceptional x.  N is a Stieltjes matrix (positive definite, off-diagonal
@@ -13,9 +18,12 @@ are a linear complementarity problem with a Z-matrix.  Chandrasekaran's
 monotone method solves it with at most n principal solves: start from
 S = {}, add every j with w_j < 0, solve N_SS x_S = -(N v)_S and repeat
 until w >= 0 (R. Chandrasekaran, Opsearch 1970; Cottle-Pang-Stone, The
-Linear Complementarity Problem).  At the end x.w = 0, so the minimum is
-v.w.  `delta_min_exhaustive` instead scans all 2^n supports and compares
-objectives only, giving an independent route to the same answer.
+Linear Complementarity Problem).  Each principal block is positive
+definite, so it is eliminated once without row exchanges and w stays
+in integers.  At the end x.w = 0, so the minimum is v.w.
+`delta_min_exhaustive` instead scans all 2^n supports in fractions and
+compares objectives only, giving an independent route to the same
+answer.
 """
 
 from __future__ import annotations
@@ -24,12 +32,15 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .classify import Classification, ShapeKind, classify
 from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle
 from .graph import DualGraph, ExcDivisor
-from .linalg import clear_denominators, matvec, quadratic_form, solve
+from .linalg import Factor, clear_denominators, matvec, quadratic_form, solve
 
 DEFAULT_EPSILON = Fraction(1, 1000)
 
@@ -51,8 +62,22 @@ class NegativeIntersectionError(ValueError):
 @dataclass(frozen=True)
 class DeltaMinResult:
     value: Fraction
-    minimizer: ExcDivisor  # x0 >= 0
     active_set: frozenset[int]  # indices with x0_j > 0
+    x_num: tuple[int, ...]  # x0 = x_num / x_den, in lowest terms
+    x_den: int
+
+    @classmethod
+    def from_fractions(
+        cls, value: Fraction, x: Sequence[Fraction]
+    ) -> "DeltaMinResult":
+        nums, den = clear_denominators(x)
+        active = frozenset(j for j, a in enumerate(nums) if a > 0)
+        return cls(value, active, tuple(nums), den)
+
+    @cached_property
+    def minimizer(self) -> ExcDivisor:
+        """x0 >= 0."""
+        return ExcDivisor(tuple(Fraction(a, self.x_den) for a in self.x_num))
 
 
 class DeltaPrimeKind(enum.Enum):
@@ -81,13 +106,6 @@ class Analysis:
     delta: Fraction  # delta_min when log-terminal, 0 otherwise
 
 
-def _dot(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> Fraction:
-    """Exact a.b, summed in integers over common denominators."""
-    ia, da = clear_denominators(a)
-    ib, db = clear_denominators(b)
-    return Fraction(sum(x * y for x, y in zip(ia, ib)), da * db)
-
-
 def quadratic_norm(graph: DualGraph, v: ExcDivisor) -> Fraction:
     """-v^2 = v^T N v; zero exactly when v is."""
     if len(v) != graph.n:
@@ -114,36 +132,53 @@ def _stationary_on(
     return x
 
 
-def _result(x: list[Fraction], value: Fraction) -> DeltaMinResult:
-    return DeltaMinResult(
-        value=value,
-        minimizer=ExcDivisor(tuple(x)),
-        active_set=frozenset(j for j, xj in enumerate(x) if xj > 0),
-    )
-
-
 def _monotone_lcp(
-    form: Sequence[Sequence[int]], v: ExcDivisor, nv: Sequence[Fraction | int]
+    form: Sequence[Sequence[int]], v: Sequence[int], nv: Sequence[int], den: int
 ) -> DeltaMinResult:
-    """min (v + x)^T N (v + x) over x >= 0 by Chandrasekaran's method; nv = N v."""
+    """min (v + x)^T N (v + x) over x >= 0 by Chandrasekaran's method.
+
+    v and nv = N v are integer numerators over one denominator `den`.
+    On support S, y = det(N_SS) * den * x_S and w = N(v + x) has
+    numerators nv * det(N_SS) + N y over den * det(N_SS).
+    """
     n = len(nv)
     support: list[int] = []
-    x = [Fraction(0)] * n
+    y: list[int] = []
+    det_s = 1
     w = nv
     while True:
         entering = [j for j in range(n) if w[j] < 0]
         if not entering:
             break
         support = sorted(support + entering)
-        x = _stationary_on(form, nv, support)
-        if x is None:
+        block = Factor([[form[i][j] for j in support] for i in support])
+        y = block.scaled_solve([-nv[i] for i in support])
+        if any(t < 0 for t in y):
             raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
-        xs, d = clear_denominators([x[j] for j in support])
+        det_s = block.det
         w = [
-            nv[i] + Fraction(sum(form[i][j] * xj for j, xj in zip(support, xs)), d)
+            nv[i] * det_s + sum(form[i][j] * t for j, t in zip(support, y))
             for i in range(n)
         ]
-    return _result(x, _dot(v, w))
+    x_den = den * det_s
+    value = Fraction(sum(map(mul, v, w)), den * x_den)
+    x_num = [0] * n
+    g = gcd(x_den, *y)
+    for j, t in zip(support, y):
+        x_num[j] = t // g
+    active = frozenset(j for j, t in zip(support, y) if t > 0)
+    return DeltaMinResult(value, active, tuple(x_num), x_den // g)
+
+
+def _mu(cs: CycleSet, u: Sequence[int]) -> Fraction:
+    """min_j b'_j / (z_j - a_j) = min_j yq_j / (dq * u_j), by cross-multiplying;
+    u = det * (Z - Delta) > 0 on log-terminal inputs."""
+    yq = cs.yq
+    best = 0
+    for j in range(1, len(u)):
+        if yq[j] * u[best] < yq[best] * u[j]:
+            best = j
+    return Fraction(yq[best], cs.dq * u[best])
 
 
 def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
@@ -151,16 +186,15 @@ def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
     boundary = EMPTY_BOUNDARY if boundary is None else boundary
     cs = boundary_cycle(graph, boundary)
     cls = classify(graph, boundary, cycles=cs)
-    u = cs.fundamental - cs.canonical
-    nu = [s - k for s, k in zip(cs.fundamental_image, cs.canonical_image)]
-    dy = _dot(u, nu)
-    if any(cs.boundary_image):
-        v = cs.fundamental - cs.boundary_canonical
-        nv = [a - q for a, q in zip(nu, cs.boundary_image)]
-        dby = _dot(v, nv)
-    else:  # b' = 0
-        v, nv, dby = u, nu, dy
-    dmin = _monotone_lcp(graph.positive_form, v, nv)
+    det, dq = cs.det, cs.dq
+    u = [det * z - a for z, a in zip(cs.z, cs.yk)]  # det * (Z - Delta)
+    nu = [s - k for s, k in zip(cs.s, cs.k)]  # N (Z - Delta)
+    dy = Fraction(sum(map(mul, u, nu)), det)
+    den = det * dq
+    v = [den * z - e for z, e in zip(cs.z, cs.ye)]  # den * (Z - Delta_B)
+    nv = [det * (dq * a - q) for a, q in zip(nu, cs.q)]  # den * N (Z - Delta_B)
+    dby = Fraction(sum(map(mul, v, nv)), den * den) if any(cs.q) else dy
+    dmin = _monotone_lcp(graph.positive_form, v, nv, den)
     log_terminal = cls.log_terminal
     return Analysis(
         cycles=cs,
@@ -168,7 +202,7 @@ def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
         delta_y=dy,
         delta_by=dby,
         delta_min=dmin,
-        mu=min(b / uj for b, uj in zip(cs.boundary_part, u)) if log_terminal else None,
+        mu=_mu(cs, u) if log_terminal else None,
         delta=dmin.value if log_terminal else Fraction(0),
     )
 
@@ -209,7 +243,7 @@ def delta_min_exhaustive(
             if best is None or value < best[0]:
                 best = (value, x)
     assert best is not None  # the empty set always yields x = 0
-    return _result(best[1], best[0])
+    return DeltaMinResult.from_fractions(*best)
 
 
 def mu(graph: DualGraph, boundary: BoundaryData | None = None) -> Fraction:
@@ -238,10 +272,12 @@ def delta_prime_from(
     shape = analysis.classification.shape
     if log_terminal and shape.kind is ShapeKind.CHAIN:
         assert shape.ends is not None
-        e = analysis.cycles.boundary_canonical
+        cs = analysis.cycles
         i, j = shape.ends
+        d = cs.det * cs.dq
         return DeltaPrime(
-            kind=DeltaPrimeKind.CHAIN_END_VALUE, value=1 - max(e[i], e[j])
+            kind=DeltaPrimeKind.CHAIN_END_VALUE,
+            value=Fraction(d - max(cs.ye[i], cs.ye[j]), d),
         )
     if log_terminal and shape.kind is ShapeKind.FORK_D:
         if epsilon <= 0:

@@ -1,12 +1,21 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-One fraction-free (Bareiss) forward-elimination loop serves both
-Sylvester's criterion and `solve`.  Rational right-hand sides are scaled
-to integers first, so every intermediate quantity is an integer and
-every division is exact; back-substitution stays in integers too (by
-Cramer's rule det * x is integral), and only the n entries of the
-solution become fractions.  Pivoting is deterministic (first nonzero
-row below the diagonal), which keeps results bit-identical across runs.
+One fraction-free (Bareiss) forward-elimination loop serves everything.
+`Factor` runs it once over a square integer matrix without row
+exchanges and keeps the eliminated matrix: its first nonpositive pivot
+is Sylvester's answer (the first leading principal minor <= 0), and on
+a positive-definite matrix the Bareiss multipliers left in the lower
+triangle let any integer right-hand side replay the same steps in
+O(n^2).  By Cramer's rule det * N^-1 b is integral for integral b
+(Bareiss, Math. Comp. 1968), so `Factor.scaled_solve` returns integers
+and every division on the way is exact.  N is therefore eliminated once
+per graph, and callers carry numerators over one denominator, building
+fractions only for the values they report.
+
+`solve` is the general route for any invertible matrix: the same loop
+over the augmented matrix, with deterministic row exchanges (first
+nonzero row below the diagonal) so results are bit-identical across
+runs, and n fractions at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ def _eliminate(a: list[list[int]], n: int, *, exchange: bool) -> int | None:
     Extra (right-hand-side) columns are eliminated along.  Returns the
     1-based step k that stopped, or None: with row exchanges, a column
     with no nonzero pivot (singular); without them, a pivot <= 0, which
-    is then the k-th leading principal minor.
+    is then the k-th leading principal minor.  Entry (i, k) below the
+    diagonal is never rewritten after step k reads it as row i's
+    multiplier, so the lower triangle keeps every multiplier.
     """
     width = len(a[0]) if n else 0
     prev = 1
@@ -55,14 +66,54 @@ def _eliminate(a: list[list[int]], n: int, *, exchange: bool) -> int | None:
     return None
 
 
-def first_nonpositive_leading_minor(rows: IntMatrix) -> int | None:
-    """Size k of the first leading principal minor <= 0, or None if all > 0.
+class Factor:
+    """One elimination of a square integer matrix, kept for replay.
 
-    One elimination without row exchanges: a zero or negative pivot stops
-    it, and that minor is already the answer.
+    ``first_nonpositive`` is the size k of the first leading principal
+    minor <= 0, or None when the matrix is positive definite; only then
+    is ``det`` its determinant and `scaled_solve` usable.
     """
-    n = _square_size(rows)
-    return _eliminate([[int(x) for x in row] for row in rows], n, exchange=False)
+
+    __slots__ = ("_a", "det", "first_nonpositive")
+
+    def __init__(self, rows: IntMatrix):
+        n = _square_size(rows)
+        self._a = [list(map(int, row)) for row in rows]
+        self.first_nonpositive = _eliminate(self._a, n, exchange=False)
+        self.det = self._a[n - 1][n - 1] if n and self.first_nonpositive is None else 1
+
+    def scaled_solve(self, b: Sequence[int]) -> list[int]:
+        """The integer y with rows * y = det * b, for integral b."""
+        if self.first_nonpositive is not None:
+            raise ValueError("matrix is not positive definite")
+        a = self._a
+        n = len(a)
+        if len(b) != n:
+            raise ValueError(
+                f"dimension mismatch: matrix is {n}x{n}, vector has length {len(b)}"
+            )
+        y = list(b)
+        prev = 1
+        for k in range(n):
+            pivot, yk = a[k][k], y[k]
+            for i in range(k + 1, n):
+                y[i] = (y[i] * pivot - a[i][k] * yk) // prev
+            prev = pivot
+        return _back_substitute(a, y, self.det)
+
+
+def _back_substitute(a: list[list[int]], y: list[int], det: int) -> list[int]:
+    """Turn the eliminated right-hand side y into det * x, in place.
+
+    By Cramer's rule det * x is integral, so every division is exact.
+    """
+    for i in range(len(y) - 1, -1, -1):
+        row = a[i]
+        acc = det * y[i]
+        for j in range(i + 1, len(y)):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return y
 
 
 def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
@@ -77,14 +128,8 @@ def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
     aug = [[int(x) for x in row] + [v] for row, v in zip(rows, b)]
     if _eliminate(aug, n, exchange=True) is not None:
         raise ValueError("matrix is singular")
-    # The last pivot is +-det; y = det * x is integral, so every division
-    # below is exact.
-    det = aug[n - 1][n - 1]
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        acc = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
-        y[i] = acc // row[i]
+    det = aug[n - 1][n - 1]  # +-det after the row exchanges
+    y = _back_substitute(aug, [row[n] for row in aug], det)
     return [Fraction(yi, det * scale) for yi in y]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -337,6 +338,24 @@ def test_pullback_command(capsys):
     assert "needs 2 entries" in err
 
 
+def test_pullback_eliminates_n_once(monkeypatch, capsys):
+    from singinv.linalg import Factor
+
+    built = []
+    real = Factor.__init__
+
+    def counting(factor, rows):
+        built.append([list(r) for r in rows])
+        real(factor, rows)
+
+    monkeypatch.setattr(Factor, "__init__", counting)
+    code, out, _ = _run(
+        capsys, ["pullback", str(SAMPLES / "chain_2_3.json"), "--meets", "1,0"]
+    )
+    assert code == 0 and "3/5" in out
+    assert built == [[[2, -1], [-1, 3]]]
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, _ = _run(capsys, ["analyze"])  # missing file argument
     assert code == 1
@@ -348,3 +367,6 @@ def test_default_family_completes(capsys):
     code, out, _ = _run(capsys, ["enumerate", "--forks"])
     assert code == 0
     assert "0 failures" in out
+    # every row's bytes, pinned by the hash of the whole table
+    expected = (REPO_ROOT / "tests" / "golden" / "enumerate_forks.sha256").read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()

@@ -15,7 +15,15 @@ from singinv.cycles import (
     fundamental_cycle,
 )
 from singinv.families import ade_graph, chain_graph, fork_graph, smooth_graph
-from singinv.graph import ExcDivisor, build_graph, intersection_matrix
+from singinv.graph import (
+    ExcDivisor,
+    NotNegativeDefiniteError,
+    build_graph,
+    intersection_matrix,
+    solve_exceptional,
+    validate,
+)
+from singinv.invariants import analyze
 from singinv.linalg import int_matvec
 
 
@@ -199,3 +207,25 @@ def test_boundary_part_monotone_in_coefficients():
         assert all(
             new >= old for new, old in zip(cs2.boundary_part, cs.boundary_part)
         )
+
+
+def test_solves_refuse_indefinite_forms():
+    # the leading 2x2 minor of (1,1,1) and the full 3x3 minor of the
+    # weight-2 triangle vanish; no Laufer step or solve may run on them
+    triangle = build_graph(
+        [("a", 2), ("b", 2), ("c", 2)], [("a", "b"), ("b", "c"), ("c", "a")]
+    )
+    for g in (chain_graph((1, 1, 1)), triangle):
+        with pytest.raises(NotNegativeDefiniteError) as expected:
+            validate(g)
+        for call in (
+            lambda: solve_exceptional(g, [1, 0, 0]),
+            lambda: exceptional_pullback(g, [1, 0, 0]),
+            lambda: boundary_cycle(g),
+            lambda: fundamental_cycle(g),
+            lambda: canonical_cycle(g),
+            lambda: analyze(g),
+        ):
+            with pytest.raises(NotNegativeDefiniteError) as raised:
+                call()
+            assert raised.value.minor_index == expected.value.minor_index

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import GRAPH_KINDS, any_boundary, base_graphs, random_boundary, random_graph
-from singinv.classify import SingularityKind, is_log_terminal, singularity_kind
+from singinv.classify import (
+    SingularityKind,
+    is_log_canonical,
+    is_log_terminal,
+    singularity_kind,
+)
 from singinv.cycles import (
     BoundaryData,
     boundary_component,
@@ -16,6 +21,7 @@ from singinv.graph import (
     build_graph,
     canonical_degrees,
     intersection_matrix,
+    validate,
 )
 from singinv.invariants import (
     DEFAULT_EPSILON,
@@ -34,7 +40,7 @@ from singinv.invariants import (
     mu,
     quadratic_norm,
 )
-from singinv.linalg import matvec
+from singinv.linalg import Factor, matvec
 from singinv.report import NefData, build_report
 
 
@@ -286,6 +292,27 @@ def _assert_kkt(graph, boundary, result):
     assert result.active_set == {j for j, xj in enumerate(result.minimizer) if xj > 0}
 
 
+def _assert_matches_fraction_route(graph, boundary, a):
+    """Each integer result of the pass against the same quantity in fractions."""
+    cs = a.cycles
+    form = graph.positive_form
+    q = [sum(c.coeff * c.meets[j] for c in boundary.components) for j in range(graph.n)]
+    assert matvec(form, cs.canonical.coeffs) == canonical_degrees(graph)
+    assert matvec(form, cs.boundary_part.coeffs) == q
+    assert list(cs.boundary_image) == q
+    assert cs.boundary_canonical == cs.canonical + cs.boundary_part
+    e = cs.boundary_canonical
+    assert a.delta_y == quadratic_norm(graph, cs.fundamental - cs.canonical)
+    assert a.delta_by == quadratic_norm(graph, cs.fundamental - e)
+    assert a.classification.log_terminal == is_log_terminal(boundary, e)
+    assert a.classification.log_canonical == is_log_canonical(boundary, e)
+    if a.classification.log_terminal:
+        u = cs.fundamental - cs.canonical
+        assert a.mu == min(bj / uj for bj, uj in zip(cs.boundary_part, u))
+    else:
+        assert a.mu is None
+
+
 def test_delta_min_lcp_matches_exhaustive_on_random_graphs():
     rng = random.Random(57)
     iterated = 0
@@ -293,9 +320,13 @@ def test_delta_min_lcp_matches_exhaustive_on_random_graphs():
         kind = GRAPH_KINDS[trial % len(GRAPH_KINDS)]
         g = random_graph(rng, kind, rng.randint(1, 9))
         b = any_boundary(g, rng)
-        fast = delta_min(g, b)
+        a = analyze(g, b)
+        _assert_matches_fraction_route(g, b, a)
+        fast = a.delta_min
         slow = delta_min_exhaustive(g, b)
-        assert (fast.value, fast.minimizer) == (slow.value, slow.minimizer), (kind, g, b)
+        # equal results compare equal: x0 is kept in lowest terms
+        assert fast == slow, (kind, g, b)
+        assert fast.minimizer == slow.minimizer
         _assert_kkt(g, b, fast)
         iterated += bool(fast.active_set)
     assert iterated > 20  # the LCP loop itself, not only x = 0, was exercised
@@ -321,31 +352,48 @@ def test_build_report_runs_each_stage_once(monkeypatch):
 
     calls = {}
 
-    def count(label, module, name, when=lambda *args: True):
-        real = getattr(module, name)
+    def count(label, owner, name, when=lambda *args: True):
+        real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             if when(*args):
                 calls[label] = calls.get(label, 0) + 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
+    g = chain_graph((2, 5, 2))
+    n_rows = [[2, -1, 0], [-1, 5, -1], [0, -1, 2]]
     count("matrix", graph_module, "intersection_matrix")
+    count(
+        "N eliminated",
+        Factor,
+        "__init__",
+        lambda factor, rows: [list(r) for r in rows] == n_rows,
+    )
     count("laufer", cycles_module, "_laufer")
     count(
         "canonical solve",
-        cycles_module,
-        "solve_exceptional",
-        lambda graph, rhs: list(rhs) == canonical_degrees(graph),
+        Factor,
+        "scaled_solve",
+        lambda factor, b: list(b) == canonical_degrees(g),
     )
     count("boundary pass", invariants_module, "boundary_cycle")
     count("delta_min", invariants_module, "_monotone_lcp")
     nef = NefData(m2=Fraction(2), min_mc=Fraction(1))
-    report = build_report(chain_graph((2, 5, 2)), _mid_boundary_252(), nef)
+    validate(g)
+    report = build_report(g, _mid_boundary_252(), nef)
     assert report.theorem is not None and report.delta_min.value == Fraction(81, 80)
     assert calls == dict.fromkeys(
-        ("matrix", "laufer", "canonical solve", "boundary pass", "delta_min"), 1
+        (
+            "matrix",
+            "N eliminated",
+            "laufer",
+            "canonical solve",
+            "boundary pass",
+            "delta_min",
+        ),
+        1,
     )
 
 

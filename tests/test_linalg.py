@@ -5,8 +5,8 @@ import pytest
 
 from conftest import cofactor_determinant
 from singinv.linalg import (
+    Factor,
     clear_denominators,
-    first_nonpositive_leading_minor,
     matvec,
     quadratic_form,
     solve,
@@ -24,16 +24,16 @@ def test_determinant_small_cases():
 
 def test_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
-        first_nonpositive_leading_minor([[1, 2, 3], [4, 5, 6]])
+        Factor([[1, 2, 3], [4, 5, 6]]).first_nonpositive
     with pytest.raises(ValueError, match="square"):
         solve([[1, 2, 3], [4, 5, 6]], [1, 2])
 
 
 def test_first_nonpositive_small_cases():
-    assert first_nonpositive_leading_minor([]) is None
-    assert first_nonpositive_leading_minor([[2, -1], [-1, 3]]) is None
-    assert first_nonpositive_leading_minor([[1, 1], [1, 1]]) == 2
-    assert first_nonpositive_leading_minor([[-1, 0], [0, 2]]) == 1
+    assert Factor([]).first_nonpositive is None
+    assert Factor([[2, -1], [-1, 3]]).first_nonpositive is None
+    assert Factor([[1, 1], [1, 1]]).first_nonpositive == 2
+    assert Factor([[-1, 0], [0, 2]]).first_nonpositive == 1
 
 
 def test_first_nonpositive_agrees_with_minor_scan():
@@ -49,7 +49,7 @@ def test_first_nonpositive_agrees_with_minor_scan():
             cofactor_determinant([row[:k] for row in sym[:k]]) for k in range(1, n + 1)
         ]
         expected = next((k for k, m in enumerate(minors, start=1) if m <= 0), None)
-        assert first_nonpositive_leading_minor(sym) == expected
+        assert Factor(sym).first_nonpositive == expected
 
 
 def test_solve_exact_roundtrip():
@@ -119,3 +119,45 @@ def test_clear_denominators():
     ints, d = clear_denominators([Fraction(1, 2), Fraction(2, 3)])
     assert (ints, d) == ([3, 4], 6)
     assert clear_denominators([]) == ([], 1)
+
+
+def _random_stieltjes(rng, n):
+    """Symmetric, off-diagonal entries <= 0, strictly diagonally dominant."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                rows[i][j] = rows[j][i] = -rng.randint(1, 3)
+    for i in range(n):
+        rows[i][i] = -sum(rows[i]) + rng.randint(1, 3)
+    return rows
+
+
+def test_factor_replay_matches_cramer():
+    rng = random.Random(16)
+    for trial in range(54):
+        n = trial % 9
+        rows = _random_stieltjes(rng, n)
+        factor = Factor(rows)
+        assert factor.first_nonpositive is None
+        det = cofactor_determinant(rows)
+        assert factor.det == det
+        for rhs in (
+            [0] * n,
+            [rng.randint(-9, 9) for _ in range(n)],
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)],
+        ):
+            ints, d = clear_denominators(rhs)
+            y = factor.scaled_solve(ints)
+            assert all(isinstance(v, int) for v in y)
+            for j in range(n):
+                swapped = [row[:j] + [b] + row[j + 1 :] for row, b in zip(rows, rhs)]
+                cramer = Fraction(cofactor_determinant(swapped), det)
+                assert Fraction(y[j], det * d) == cramer
+
+
+def test_factor_refuses_to_solve_indefinite_or_mismatched():
+    with pytest.raises(ValueError, match="not positive definite"):
+        Factor([[1, 1], [1, 1]]).scaled_solve([1, 0])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Factor([[2, -1], [-1, 3]]).scaled_solve([1])
