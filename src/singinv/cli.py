@@ -60,14 +60,51 @@ class ParsedInput:
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
+# Input caps.  At MAX_VERTICES the worst known inputs take about a
+# second (README, "Limits").  Together they keep every reported number
+# within Python's 4300-digit string conversion limit: det N <= 10^600
+# (Hadamard) and the boundary denominator <= 10^192, so the largest
+# printed value, (1 - mu)^2 * delta, has a denominator of about 3,200
+# digits at most.
+MAX_VERTICES = 100
+MAX_COMPONENTS = 32  # boundary components
+MAX_INTEGER = 10**6  # |n| for every integer and for both parts of p/q
+
+
+def _int_literal(text: str) -> int:
+    """int(text) for a decimal literal; one too long to lie within
+    MAX_INTEGER becomes MAX_INTEGER + 1 (with its sign) unconverted, so
+    the field check can reject it by name."""
+    if len(text.lstrip("-").lstrip("0")) > len(str(MAX_INTEGER)):
+        return -MAX_INTEGER - 1 if text.startswith("-") else MAX_INTEGER + 1
+    return int(text)
+
+
+def _loads(text: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer literal past Python's own digit limit
+        return json.loads(text, parse_int=_int_literal)
+
+
+def _bounded(value: int, where: str) -> int:
+    if abs(value) > MAX_INTEGER:
+        raise InputError(f"{where}: integer exceeds the size cap {MAX_INTEGER}")
+    return value
+
 
 def parse_rational(value: object, where: str) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"{where}: non-rational literal {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(_bounded(value, where))
     if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
+        num, _, den = value.partition("/")
+        return Fraction(
+            _bounded(_int_literal(num), where), _bounded(_int_literal(den or "1"), where)
+        )
     raise InputError(
         f"{where}: non-rational literal {value!r} (use an integer or a 'p/q' string)"
     )
@@ -76,8 +113,14 @@ def parse_rational(value: object, where: str) -> Fraction:
 def _require_int(value: object, where: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{where}: expected an integer, got {value!r}")
-    if value < minimum:
+    if _bounded(value, where) < minimum:
         raise InputError(f"{where}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _capped_list(value: list, what: str, cap: int) -> list:
+    if len(value) > cap:
+        raise InputError(f"'{what}' has {len(value)} entries, more than the cap of {cap}")
     return value
 
 
@@ -90,7 +133,7 @@ def _require_str(value: object, where: str) -> str:
 def parse_input(text: str) -> ParsedInput:
     """Parse the JSON input document; see README for the format."""
     try:
-        doc = json.loads(text)
+        doc = _loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"syntax error: {exc}") from exc
     except RecursionError:
@@ -106,7 +149,7 @@ def parse_input(text: str) -> ParsedInput:
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise InputError("'vertices' must be a nonempty list")
     vertices = []
-    for k, item in enumerate(raw_vertices):
+    for k, item in enumerate(_capped_list(raw_vertices, "vertices", MAX_VERTICES)):
         where = f"vertices[{k}]"
         if not isinstance(item, dict):
             raise InputError(f"{where}: expected an object")
@@ -139,7 +182,7 @@ def parse_input(text: str) -> ParsedInput:
         raw_boundary = []
     elif not isinstance(raw_boundary, list):
         raise InputError("'boundary' must be a list")
-    for k, item in enumerate(raw_boundary):
+    for k, item in enumerate(_capped_list(raw_boundary, "boundary", MAX_COMPONENTS)):
         where = f"boundary[{k}]"
         if not isinstance(item, dict):
             raise InputError(f"{where}: expected an object")
@@ -233,13 +276,17 @@ def _enumerate_rows(args: argparse.Namespace):
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    total = chain_family_size(args.max_length, args.max_weight)
+    total = chain_family_size(args.max_length, args.max_weight, stop=args.limit)
     if args.forks:
         total += sum(1 for name, _ in rdp_family() if not name.startswith("A")) + 1
     if total > args.limit:
         raise InputError(
-            f"family has {total} rows, exceeding the row limit {args.limit} "
+            f"family has more than {args.limit} rows, the row limit "
             "(raise it with --limit)"
+        )
+    if args.max_length > MAX_VERTICES:
+        raise InputError(
+            f"--max-length {args.max_length} exceeds the vertex cap {MAX_VERTICES}"
         )
     rows = []
     failures = []

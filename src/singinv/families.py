@@ -97,6 +97,17 @@ def iter_chain_weights(
         yield from itertools.product(range(2, max_weight + 1), repeat=length)
 
 
-def chain_family_size(max_length: int, max_weight: int) -> int:
+def chain_family_size(max_length: int, max_weight: int, stop: int | None = None) -> int:
+    """How many tuples `iter_chain_weights` yields; with `stop`, counting
+    ends at the first partial sum above it, after about log(stop) steps
+    however long the chains."""
     span = max_weight - 1
-    return sum(span**k for k in range(1, max_length + 1))
+    if span < 2:
+        return max(max_length, 0) if span == 1 else 0
+    total, term = 0, 1
+    for _ in range(max_length):
+        term *= span
+        total += term
+        if stop is not None and total > stop:
+            break
+    return total

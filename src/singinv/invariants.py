@@ -18,9 +18,14 @@ are a linear complementarity problem with a Z-matrix.  Chandrasekaran's
 monotone method solves it with at most n principal solves: start from
 S = {}, add every j with w_j < 0, solve N_SS x_S = -(N v)_S and repeat
 until w >= 0 (R. Chandrasekaran, Opsearch 1970; Cottle-Pang-Stone, The
-Linear Complementarity Problem).  Each principal block is positive
-definite, so it is eliminated once without row exchanges and w stays
-in integers.  At the end x.w = 0, so the minimum is v.w.
+Linear Complementarity Problem).  S only grows and is kept in entry
+order, so each principal block N_SS is the previous one bordered by
+the entering rows and columns: one positive-definite `Factor`, built
+without row exchanges on the first iteration, is bordered on each
+later one, and over the whole LCP the block is eliminated once.  A symmetric permutation
+leaves det N_SS and the solution unchanged, so entry order gives the
+same exact answer as sorted order, and w stays in integers.  At the
+end x.w = 0, so the minimum is v.w.
 `delta_min_exhaustive` instead scans all 2^n supports in fractions and
 compares objectives only, giving an independent route to the same
 answer.
@@ -142,7 +147,8 @@ def _monotone_lcp(
     numerators nv * det(N_SS) + N y over den * det(N_SS).
     """
     n = len(nv)
-    support: list[int] = []
+    support: list[int] = []  # in entry order: each block borders the last
+    block: Factor | None = None
     y: list[int] = []
     det_s = 1
     w = nv
@@ -150,8 +156,13 @@ def _monotone_lcp(
         entering = [j for j in range(n) if w[j] < 0]
         if not entering:
             break
-        support = sorted(support + entering)
-        block = Factor([[form[i][j] for j in support] for i in support])
+        cols = [[form[i][j] for j in entering] for i in support]
+        support += entering
+        rows = [[form[i][j] for j in support] for i in entering]
+        if block is None:
+            block = Factor(rows)
+        else:
+            block.border(cols, rows)
         y = block.scaled_solve([-nv[i] for i in support])
         if any(t < 0 for t in y):
             raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")

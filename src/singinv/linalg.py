@@ -10,7 +10,11 @@ O(n^2).  By Cramer's rule det * N^-1 b is integral for integral b
 (Bareiss, Math. Comp. 1968), so `Factor.scaled_solve` returns integers
 and every division on the way is exact.  N is therefore eliminated once
 per graph, and callers carry numerators over one denominator, building
-fractions only for the values they report.
+fractions only for the values they report.  `Factor.border` appends
+rows and columns to a factored matrix and eliminates only the new
+entries, replaying the stored steps on them: a sequence of growing
+principal blocks, such as the supports of the delta_min LCP, costs one
+elimination of the largest block in all.
 
 `solve` is the general route for any invertible matrix: the same loop
 over the augmented matrix, with deterministic row exchanges (first
@@ -35,7 +39,9 @@ def _square_size(rows: IntMatrix) -> int:
     return n
 
 
-def _eliminate(a: list[list[int]], n: int, *, exchange: bool) -> int | None:
+def _eliminate(
+    a: list[list[int]], n: int, *, exchange: bool, done: int = 0
+) -> int | None:
     """Bareiss forward elimination of the leading n columns of `a`, in place.
 
     Extra (right-hand-side) columns are eliminated along.  Returns the
@@ -44,6 +50,10 @@ def _eliminate(a: list[list[int]], n: int, *, exchange: bool) -> int | None:
     is then the k-th leading principal minor.  Entry (i, k) below the
     diagonal is never rewritten after step k reads it as row i's
     multiplier, so the lower triangle keeps every multiplier.
+
+    With ``done`` = m (no exchanges), the leading m x m block of `a` is
+    already eliminated: only the new entries, columns >= m of the first
+    m rows and the rows below, are carried through the stored steps.
     """
     width = len(a[0]) if n else 0
     prev = 1
@@ -60,7 +70,7 @@ def _eliminate(a: list[list[int]], n: int, *, exchange: bool) -> int | None:
         for i in range(k + 1, n):
             row_i = a[i]
             factor = row_i[k]
-            for j in range(k + 1, width):
+            for j in range(done if i < done else k + 1, width):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
         prev = pivot
     return None
@@ -71,16 +81,42 @@ class Factor:
 
     ``first_nonpositive`` is the size k of the first leading principal
     minor <= 0, or None when the matrix is positive definite; only then
-    is ``det`` its determinant and `scaled_solve` usable.
+    is ``det`` its determinant and `scaled_solve` usable.  `border`
+    grows the matrix by new trailing rows and columns, eliminating only
+    the new entries.
     """
 
     __slots__ = ("_a", "det", "first_nonpositive")
 
     def __init__(self, rows: IntMatrix):
-        n = _square_size(rows)
+        _square_size(rows)
         self._a = [list(map(int, row)) for row in rows]
-        self.first_nonpositive = _eliminate(self._a, n, exchange=False)
-        self.det = self._a[n - 1][n - 1] if n and self.first_nonpositive is None else 1
+        self._eliminate_from(0)
+
+    def border(self, cols: IntMatrix, rows: IntMatrix) -> None:
+        """Extend the m x m matrix to (m + r) x (m + r): cols[i] holds the
+        r new entries of old row i, rows the r new rows at full width.
+
+        Leading minors up to m are unchanged, so the stored steps are
+        replayed on the new entries and elimination goes on from step m.
+        """
+        a = self._a
+        m = len(a)
+        n = m + len(rows)
+        if len(cols) != m or any(len(row) != n for row in rows) or any(
+            len(c) + m != n for c in cols
+        ):
+            raise ValueError("matrix is not square")
+        for row, c in zip(a, cols):
+            row.extend(map(int, c))
+        a += [list(map(int, row)) for row in rows]
+        self._eliminate_from(m)
+
+    def _eliminate_from(self, done: int) -> None:
+        a = self._a
+        n = len(a)
+        self.first_nonpositive = _eliminate(a, n, exchange=False, done=done)
+        self.det = a[n - 1][n - 1] if n and self.first_nonpositive is None else 1
 
     def scaled_solve(self, b: Sequence[int]) -> list[int]:
         """The integer y with rows * y = det * b, for integral b."""

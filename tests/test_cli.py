@@ -1,11 +1,22 @@
 import hashlib
 import json
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from singinv.cli import InputError, main, parse_input, parse_rational
+from singinv.cli import (
+    MAX_COMPONENTS,
+    MAX_INTEGER,
+    MAX_VERTICES,
+    InputError,
+    main,
+    parse_input,
+    parse_rational,
+)
+from singinv.families import chain_family_size, iter_chain_weights
 from singinv.report import NefData
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +101,86 @@ def test_parse_input_nef():
 def test_parse_input_errors(text, message):
     with pytest.raises(InputError, match=message):
         parse_input(text)
+
+
+def _chain_doc(n, weight=3, **extra):
+    ids = [f"E{k + 1}" for k in range(n)]
+    doc = {
+        "vertices": [{"id": v, "weight": weight} for v in ids],
+        "edges": [[a, b] for a, b in zip(ids, ids[1:])],
+    }
+    return json.dumps(doc | extra)
+
+
+def test_vertex_and_component_caps():
+    assert parse_input(_chain_doc(MAX_VERTICES)).graph.n == MAX_VERTICES == 100
+    with pytest.raises(InputError, match="'vertices' has 101 entries, more than the cap of 100"):
+        parse_input(_chain_doc(MAX_VERTICES + 1))
+    comps = [
+        {"name": f"C{k}", "coeff": "1/2", "meets": {"E1": 1}}
+        for k in range(MAX_COMPONENTS + 1)
+    ]
+    capped = parse_input(_chain_doc(2, boundary=comps[:-1]))
+    assert len(capped.boundary.components) == MAX_COMPONENTS == 32
+    with pytest.raises(InputError, match="'boundary' has 33 entries, more than the cap of 32"):
+        parse_input(_chain_doc(2, boundary=comps))
+
+
+_INTEGER_FIELDS = {
+    # field -> document with the integer literal X in that field
+    "vertices[0].weight": '{"vertices": [{"id": "E1", "weight": X}]}',
+    "vertices[0].genus": '{"vertices": [{"id": "E1", "weight": 2, "genus": X}]}',
+    "edges[0][2]": (
+        '{"vertices": [{"id": "E1", "weight": 2}, {"id": "E2", "weight": 2}],'
+        ' "edges": [["E1", "E2", X]]}'
+    ),
+    "boundary[0].meets['E1']": (
+        '{"vertices": [{"id": "E1", "weight": 2}],'
+        ' "boundary": [{"name": "C", "coeff": "1/2", "meets": {"E1": X}}]}'
+    ),
+    "boundary[0].coeff": (
+        '{"vertices": [{"id": "E1", "weight": 2}],'
+        ' "boundary": [{"name": "C", "coeff": "1/X", "meets": {"E1": 1}}]}'
+    ),
+    "nef.M2": '{"vertices": [{"id": "E1", "weight": 2}], "nef": {"M2": X, "minMC": 0}}',
+    "nef.minMC": (
+        '{"vertices": [{"id": "E1", "weight": 2}], "nef": {"M2": 1, "minMC": "1/X"}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_integer_cap(field):
+    template = _INTEGER_FIELDS[field]
+    parse_input(template.replace("X", str(MAX_INTEGER)))
+    message = rf"^{re.escape(field)}: integer exceeds the size cap 1000000$"
+    for too_big in (MAX_INTEGER + 1, 10**7, "9" * 5000):
+        with pytest.raises(InputError, match=message):
+            parse_input(template.replace("X", str(too_big)))
+
+
+def test_integer_cap_on_negative_and_rational_parts():
+    assert parse_rational("-1000000/1000000", "x") == -1
+    assert parse_rational("0001/2", "x") == Fraction(1, 2)
+    for bad in ("-1000001", "1000001/2", "1/1000001", -(10**6) - 1, "-" + "9" * 5000):
+        with pytest.raises(InputError, match="^x: integer exceeds the size cap"):
+            parse_rational(bad, "x")
+    with pytest.raises(InputError, match=r"vertices\[0\].weight: integer exceeds"):
+        parse_input('{"vertices": [{"id": "E1", "weight": -' + "9" * 5000 + "}]}")
+
+
+def test_oversized_literal_names_the_field(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(_chain_doc(2, weight=0).replace('"weight": 0', '"weight": ' + "9" * 5000, 1))
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: vertices[0].weight: integer exceeds the size cap 1000000\n"
+    # faults after an oversized literal are still reported as such
+    big = "9" * 5000
+    with pytest.raises(InputError, match="syntax error"):
+        parse_input('{"vertices": [{"id": "E1", "weight": ' + big + "}] oops")
+    with pytest.raises(InputError, match="nested too deeply"):
+        parse_input('{"weight": ' + big + ', "x": ' + "[" * 200_000 + "]" * 200_000 + "}")
 
 
 def test_deeply_nested_json_is_validation_error(tmp_path, capsys):
@@ -287,6 +378,36 @@ def test_enumerate_row_limit(capsys):
     )
     assert code == 1
     assert "row limit" in err
+
+
+def test_enumerate_huge_family_fails_fast(capsys):
+    # counting stops once the family passes --limit, so no 5**k with
+    # thousands of digits is summed or printed
+    for length in ("20000", "200000"):
+        started = time.perf_counter()
+        code, out, err = _run(capsys, ["enumerate", "--max-length", length])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: family has more than 100000 rows, the row limit "
+            "(raise it with --limit)\n"
+        )
+        assert time.perf_counter() - started < 2
+    # a family within the row limit still may not outgrow the vertex cap
+    code, out, err = _run(capsys, ["enumerate", "--max-length", "101", "--max-weight", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: --max-length 101 exceeds the vertex cap 100\n"
+
+
+def test_chain_family_size_counts_the_sweep():
+    for length in range(5):
+        for weight in range(2, 6):
+            size = sum(1 for _ in iter_chain_weights(length, weight))
+            assert chain_family_size(length, weight) == size
+            for stop in range(size + 2):
+                early = chain_family_size(length, weight, stop=stop)
+                assert (early > stop) == (size > stop) and early <= size
+    assert chain_family_size(10**12, 2, stop=5) == 10**12  # closed form, no loop
+    assert chain_family_size(3, 1) == 0
 
 
 def test_enumerate_detects_violations(monkeypatch, capsys):

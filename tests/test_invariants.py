@@ -313,14 +313,30 @@ def _assert_matches_fraction_route(graph, boundary, a):
         assert a.mu is None
 
 
-def test_delta_min_lcp_matches_exhaustive_on_random_graphs():
+def _count_borders(monkeypatch):
+    """Record the number of rows of every `Factor.border` call."""
+    sizes = []
+    real = Factor.border
+
+    def border(factor, cols, rows):
+        sizes.append(len(rows))
+        return real(factor, cols, rows)
+
+    monkeypatch.setattr(Factor, "border", border)
+    return sizes
+
+
+def test_delta_min_lcp_matches_exhaustive_on_random_graphs(monkeypatch):
     rng = random.Random(57)
-    iterated = 0
+    iterated = bordered = 0
+    borders = _count_borders(monkeypatch)
     for trial in range(120):
         kind = GRAPH_KINDS[trial % len(GRAPH_KINDS)]
         g = random_graph(rng, kind, rng.randint(1, 9))
         b = any_boundary(g, rng)
+        borders.clear()
         a = analyze(g, b)
+        bordered += bool(borders)  # LCP iterations after the first block
         _assert_matches_fraction_route(g, b, a)
         fast = a.delta_min
         slow = delta_min_exhaustive(g, b)
@@ -330,6 +346,7 @@ def test_delta_min_lcp_matches_exhaustive_on_random_graphs():
         _assert_kkt(g, b, fast)
         iterated += bool(fast.active_set)
     assert iterated > 20  # the LCP loop itself, not only x = 0, was exercised
+    assert bordered >= 60  # and so was extending its factor by later rows
 
 
 def test_delta_min_beyond_exhaustive_range():
@@ -343,6 +360,34 @@ def test_delta_min_beyond_exhaustive_range():
         assert len(report.delta_min.active_set) > 30
         _assert_kkt(g, b, report.delta_min)
         assert report.delta_min.value <= report.delta_by
+
+
+def test_lcp_borders_one_factor_on_the_long_arm_fork(monkeypatch):
+    # the 64-vertex long-arm fork of the benchmark's hard ladder: center
+    # weight 3, arms of 21 twos, 21 threes and 21 twos, no boundary
+    g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
+    validate(g)  # N's own factor is built here, before counting
+    built = []
+    real_init = Factor.__init__
+
+    def init(factor, rows):
+        built.append((factor, len(rows)))
+        real_init(factor, rows)
+
+    monkeypatch.setattr(Factor, "__init__", init)
+    borders = _count_borders(monkeypatch)
+    solved = []
+    real_solve = Factor.scaled_solve
+    monkeypatch.setattr(
+        Factor, "scaled_solve", lambda f, b: solved.append((f, len(b))) or real_solve(f, b)
+    )
+    result = analyze(g).delta_min
+    assert len(built) == 1
+    block, first = built[0]
+    lcp_solves = [size for f, size in solved if f is block]
+    assert len(borders) + 1 == len(lcp_solves) >= 3
+    assert first + sum(borders) == lcp_solves[-1] == len(result.active_set) > 30
+    _assert_kkt(g, None, result)
 
 
 def test_build_report_runs_each_stage_once(monkeypatch):

@@ -161,3 +161,84 @@ def test_factor_refuses_to_solve_indefinite_or_mismatched():
         Factor([[1, 1], [1, 1]]).scaled_solve([1, 0])
     with pytest.raises(ValueError, match="dimension mismatch"):
         Factor([[2, -1], [-1, 3]]).scaled_solve([1])
+
+
+def _random_symmetric(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randint(-2, 6)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+    return rows
+
+
+def _bordered(rows, splits):
+    """Factor the leading block of size splits[0], then border it by each
+    later split in turn."""
+    factor = Factor([row[: splits[0]] for row in rows[: splits[0]]])
+    for m, n in zip(splits, splits[1:]):
+        factor.border(
+            [row[m:n] for row in rows[:m]], [row[:n] for row in rows[m:n]]
+        )
+    return factor
+
+
+def _oracle(rows):
+    """(first nonpositive leading minor, det, det * N^-1 b) by cofactors."""
+    n = len(rows)
+    minors = [cofactor_determinant([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+    bad = next((k for k, m in enumerate(minors, start=1) if m <= 0), None)
+    if bad is not None:
+        return bad, None, None
+    b = [(3 * j + 1) % 7 - 3 for j in range(n)]
+    cramer = [
+        cofactor_determinant([row[:j] + [v] + row[j + 1 :] for row, v in zip(rows, b)])
+        for j in range(n)
+    ]
+    return None, cofactor_determinant(rows), cramer
+
+
+def _assert_same_factor(bordered, rows, oracle):
+    assert bordered._a == Factor(rows)._a
+    bad, det, cramer = oracle
+    assert bordered.first_nonpositive == bad
+    if bad is None:
+        assert bordered.det == det
+        assert bordered.scaled_solve([(3 * j + 1) % 7 - 3 for j in range(len(rows))]) == cramer
+
+
+def test_border_matches_fresh_factor_at_every_split():
+    rng = random.Random(17)
+    for trial in range(60):
+        n = 1 + trial % 7
+        rows = (_random_stieltjes if trial % 2 else _random_symmetric)(rng, n)
+        oracle = _oracle(rows)
+        for m in range(n + 1):
+            _assert_same_factor(_bordered(rows, [m, n]), rows, oracle)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        _assert_same_factor(_bordered(rows, [0, *cuts, n]), rows, oracle)
+
+
+def test_border_finds_a_bad_minor_in_the_new_rows():
+    # [[2, -1], [-1, 2]] is positive definite; the border makes the
+    # leading 3x3 minor zero and the 4x4 one negative
+    rows = [[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, -1]]
+    factor = Factor([row[:2] for row in rows[:2]])
+    assert factor.first_nonpositive is None and factor.det == 3
+    factor.border([row[2:] for row in rows[:2]], rows[2:])
+    assert factor.first_nonpositive == 3
+    _assert_same_factor(factor, rows, _oracle(rows))
+    with pytest.raises(ValueError, match="not positive definite"):
+        factor.scaled_solve([0, 0, 0, 0])
+    # an indefinite factor stays indefinite under further borders
+    factor = Factor([[1, 2], [2, 1]])
+    factor.border([[0], [0]], [[0, 0, 5]])
+    assert factor.first_nonpositive == 2
+
+
+def test_border_rejects_ragged_blocks():
+    factor = Factor([[2]])
+    with pytest.raises(ValueError, match="square"):
+        factor.border([[1, 0]], [[1, 3]])
+    with pytest.raises(ValueError, match="square"):
+        factor.border([], [[1, 3]])
