@@ -60,8 +60,8 @@ class ParsedInput:
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
-# Input caps.  At MAX_VERTICES the worst known inputs take about a
-# second (README, "Limits").  Together they keep every reported number
+# Input caps.  At MAX_VERTICES the worst known inputs take well under
+# a second (README, "Limits").  Together they keep every reported number
 # within Python's 4300-digit string conversion limit: det N <= 10^600
 # (Hadamard) and the boundary denominator <= 10^192, so the largest
 # printed value, (1 - mu)^2 * delta, has a denominator of about 3,200
@@ -339,11 +339,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
-    try:
-        weights = tuple(int(part) for part in text.split(","))
-    except ValueError:
+    parts = [part.strip() for part in text.split(",")]
+    _capped_list(parts, "weights", MAX_VERTICES)
+    if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
         raise InputError(f"weights must be a comma-separated integer list, got {text!r}")
-    return weights
+    return tuple(
+        _bounded(_int_literal(part), f"weights[{k}]") for k, part in enumerate(parts)
+    )
 
 
 def _cmd_continuant(args: argparse.Namespace) -> int:
@@ -391,9 +393,14 @@ def _cmd_pullback(args: argparse.Namespace) -> int:
 
 
 def _epsilon_arg(text: str) -> Fraction:
-    value = parse_rational(text, "--epsilon")
+    # argparse shows the text of an ArgumentTypeError, but replaces any
+    # other error with "invalid _epsilon_arg value"
+    try:
+        value = parse_rational(text, repr(text))
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value <= 0:
-        raise InputError(f"--epsilon must be positive, got {text}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 

@@ -24,8 +24,9 @@ the entering rows and columns: one positive-definite `Factor`, built
 without row exchanges on the first iteration, is bordered on each
 later one, and over the whole LCP the block is eliminated once.  A symmetric permutation
 leaves det N_SS and the solution unchanged, so entry order gives the
-same exact answer as sorted order, and w stays in integers.  At the
-end x.w = 0, so the minimum is v.w.
+same exact answer as sorted order, and w stays in integers, updated
+through the nonzeros of N (a tree has fewer than 3n).  At the end
+x.w = 0, so the minimum is v.w.
 `delta_min_exhaustive` instead scans all 2^n supports in fractions and
 compares objectives only, giving an independent route to the same
 answer.
@@ -152,10 +153,13 @@ def _monotone_lcp(
     y: list[int] = []
     det_s = 1
     w = nv
+    nonzeros: list[list[tuple[int, int]]] = []  # (i, N_ij) for N_ij != 0, by j
     while True:
         entering = [j for j in range(n) if w[j] < 0]
         if not entering:
             break
+        if not nonzeros:
+            nonzeros = [[(i, c) for i, c in enumerate(row) if c] for row in form]
         cols = [[form[i][j] for j in entering] for i in support]
         support += entering
         rows = [[form[i][j] for j in support] for i in entering]
@@ -167,10 +171,11 @@ def _monotone_lcp(
         if any(t < 0 for t in y):
             raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
         det_s = block.det
-        w = [
-            nv[i] * det_s + sum(form[i][j] * t for j, t in zip(support, y))
-            for i in range(n)
-        ]
+        w = [t * det_s for t in nv]
+        for j, t in zip(support, y):
+            if t:
+                for i, c in nonzeros[j]:
+                    w[i] += c * t
     x_den = den * det_s
     value = Fraction(sum(map(mul, v, w)), den * x_den)
     x_num = [0] * n

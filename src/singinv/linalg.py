@@ -16,6 +16,18 @@ entries, replaying the stored steps on them: a sequence of growing
 principal blocks, such as the supports of the delta_min LCP, costs one
 elimination of the largest block in all.
 
+The loop skips zero multipliers.  Step k of Bareiss maps row i to
+(M_{k+1} row_i - a_ik row_k) / M_k, where M_k is the leading principal
+minor of size k (M_0 = 1; the recurrence is Sylvester's identity).  When
+a_ik = 0 this is row_i * M_{k+1} / M_k, so a row skipped from step t up
+to step k is its stored value times M_k / M_t, an exact division.  Each
+row keeps the step it has reached (a row exchange moves it along) and
+is rescaled only when it is next read.  Eliminated in vertex order, a
+tree makes little fill-in (Parter, SIAM Review 1961), so most rows skip
+most steps, and the eliminated array is bit for bit the dense one.  The
+replay of a right-hand side y skips zero multipliers, and whole steps
+with y_k = 0, the same way; back substitution skips zero entries.
+
 `solve` is the general route for any invertible matrix: the same loop
 over the augmented matrix, with deterministic row exchanges (first
 nonzero row below the diagonal) so results are bit-identical across
@@ -51,29 +63,58 @@ def _eliminate(
     diagonal is never rewritten after step k reads it as row i's
     multiplier, so the lower triangle keeps every multiplier.
 
+    A row whose multiplier is zero skips the step: row i holds its
+    values after lag[i] steps and is rescaled to step k (module
+    docstring) when it is next read, as the pivot row, for a nonzero
+    multiplier, or on an early exit.  The result is the dense one.
+
     With ``done`` = m (no exchanges), the leading m x m block of `a` is
     already eliminated: only the new entries, columns >= m of the first
     m rows and the rows below, are carried through the stored steps.
     """
     width = len(a[0]) if n else 0
+    lag = [0] * n
     prev = 1
     for k in range(n):
         if exchange and a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
+                    lag[k], lag[i] = lag[i], lag[k]
                     break
+        if lag[k] < k:
+            _catch_up(a, k, lag[k], k, done)
         row_k = a[k]
         pivot = row_k[k]
         if pivot == 0 or (pivot < 0 and not exchange):
+            for i in range(k + 1, n):
+                if lag[i] < k:
+                    _catch_up(a, i, lag[i], k, done)
             return k + 1
         for i in range(k + 1, n):
             row_i = a[i]
-            factor = row_i[k]
-            for j in range(done if i < done else k + 1, width):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+            if row_i[k]:
+                if lag[i] < k:
+                    _catch_up(a, i, lag[i], k, done)
+                lag[i] = k + 1
+                factor = row_i[k]
+                for j in range(done if i < done else k + 1, width):
+                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
         prev = pivot
     return None
+
+
+def _catch_up(a: list[list[int]], i: int, t: int, k: int, done: int) -> None:
+    """Take row i of `a` from its values after t steps to those after k:
+    times M_k / M_t, exactly, where M_s = a[s - 1][s - 1] is the pivot of
+    step s - 1, which no later step rewrites (M_0 = 1).  Only the columns
+    the skipped steps would update change; before them lie the frozen
+    multipliers and the zeros that made the row skip."""
+    new = a[k - 1][k - 1] if k else 1
+    old = a[t - 1][t - 1] if t else 1
+    row = a[i]
+    for j in range(done if i < done else k, len(row)):
+        row[j] = row[j] * new // old
 
 
 class Factor:
@@ -129,11 +170,22 @@ class Factor:
                 f"dimension mismatch: matrix is {n}x{n}, vector has length {len(b)}"
             )
         y = list(b)
+        lag = [0] * n  # y[i] holds its value after lag[i] steps
         prev = 1
         for k in range(n):
-            pivot, yk = a[k][k], y[k]
-            for i in range(k + 1, n):
-                y[i] = (y[i] * pivot - a[i][k] * yk) // prev
+            yk, t = y[k], lag[k]
+            if t < k:
+                yk = y[k] = yk * prev // (a[t - 1][t - 1] if t else 1)
+            pivot = a[k][k]
+            if yk:  # otherwise step k only rescales y
+                for i in range(k + 1, n):
+                    factor = a[i][k]
+                    if factor:
+                        yi, t = y[i], lag[i]
+                        if t < k:
+                            yi = yi * prev // (a[t - 1][t - 1] if t else 1)
+                        y[i] = (yi * pivot - factor * yk) // prev
+                        lag[i] = k + 1
             prev = pivot
         return _back_substitute(a, y, self.det)
 
@@ -147,7 +199,8 @@ def _back_substitute(a: list[list[int]], y: list[int], det: int) -> list[int]:
         row = a[i]
         acc = det * y[i]
         for j in range(i + 1, len(y)):
-            acc -= row[j] * y[j]
+            if row[j]:
+                acc -= row[j] * y[j]
         y[i] = acc // row[i]
     return y
 

@@ -41,6 +41,50 @@ def cofactor_determinant(rows):
     return total
 
 
+def dense_eliminate(a, n, *, exchange, done=0):
+    """Reference Bareiss loop: every row below the pivot is rescaled at
+    every step, whether or not its multiplier is zero.  Same contract as
+    `singinv.linalg._eliminate`, whose result must equal this one."""
+    width = len(a[0]) if n else 0
+    prev = 1
+    for k in range(n):
+        if exchange and a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    break
+        row_k = a[k]
+        pivot = row_k[k]
+        if pivot == 0 or (pivot < 0 and not exchange):
+            return k + 1
+        for i in range(k + 1, n):
+            row_i = a[i]
+            factor = row_i[k]
+            for j in range(done if i < done else k + 1, width):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+        prev = pivot
+    return None
+
+
+def dense_scaled_solve(a, b):
+    """det * a^-1 b from a dense-eliminated positive-definite array `a`:
+    the right-hand side replayed through every step, then substituted
+    back over every entry."""
+    n = len(a)
+    y = list(b)
+    prev = 1
+    for k in range(n):
+        pivot, yk = a[k][k], y[k]
+        for i in range(k + 1, n):
+            y[i] = (y[i] * pivot - a[i][k] * yk) // prev
+        prev = pivot
+    det = a[n - 1][n - 1] if n else 1
+    for i in range(n - 1, -1, -1):
+        acc = det * y[i] - sum(a[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // a[i][i]
+    return y
+
+
 def random_chain_weights(rng: random.Random, max_length=10, max_weight=9):
     length = rng.randint(1, max_length)
     return tuple(rng.randint(2, max_weight) for _ in range(length))

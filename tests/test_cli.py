@@ -338,6 +338,22 @@ def test_analyze_epsilon_flag_reaches_dihedral_delta_prime(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_rejected_epsilon_names_the_problem(capsys, command):
+    sample = str(SAMPLES / "chain_2_3.json")
+    for value, message in (
+        ("1/10000000", f"'1/10000000': integer exceeds the size cap {MAX_INTEGER}"),
+        ("0", "must be positive, got 0"),
+        ("-1/2", "must be positive, got -1/2"),
+        ("x", "'x': non-rational literal 'x'"),
+    ):
+        code, out, err = _run(capsys, [command, sample, f"--epsilon={value}"])
+        assert code == 1
+        assert out == ""
+        assert f"argument --epsilon: {message}" in err
+        assert "_epsilon_arg" not in err and "invalid" not in err
+
+
 def test_check_dihedral_needs_positive_mc(tmp_path, capsys):
     zero_mc = tmp_path / "d4_zero.json"
     zero_mc.write_text(json.dumps(_d4_doc({"M2": "3", "minMC": 0})))
@@ -443,6 +459,31 @@ def test_continuant_command(capsys):
     code, _, err = _run(capsys, ["continuant", "2,3", "--inverse", "1", "5"])
     assert code == 1
     assert "out of range" in err
+
+
+def test_continuant_caps(capsys):
+    at_cap = ",".join([str(MAX_INTEGER)] * MAX_VERTICES)
+    code, out, _ = _run(
+        capsys, ["continuant", at_cap, "--inverse", "1", str(MAX_VERTICES), "--json"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["weights"]) == MAX_VERTICES
+    assert doc["inverse"]["value"] == "1/" + doc["continuant"]  # end entry of a chain
+    over = [
+        (at_cap + ",2", f"'weights' has {MAX_VERTICES + 1} entries, more than the cap"),
+        (f"2,{MAX_INTEGER + 1}", f"weights[1]: integer exceeds the size cap {MAX_INTEGER}"),
+        (f"2,-{MAX_INTEGER + 1}", "weights[1]: integer exceeds the size cap"),
+        ("9" * 5000, "weights[0]: integer exceeds the size cap"),
+        (",".join(["999999"] * 800), "'weights' has 800 entries, more than the cap"),
+    ]
+    for weights, message in over:
+        for extra in ([], ["--inverse", "1", "800"]):
+            code, out, err = _run(capsys, ["continuant", weights, *extra])
+            assert code == 1
+            assert out == ""
+            assert f"error: {message}" in err
+            assert "Exceeds the limit" not in err
 
 
 def test_pullback_command(capsys):

@@ -362,6 +362,21 @@ def test_delta_min_beyond_exhaustive_range():
         assert report.delta_min.value <= report.delta_by
 
 
+def test_lcp_kkt_on_graphs_beyond_exhaustive_range():
+    # w is updated through the nonzeros of N: the certificate, recomputed
+    # here with a dense product in fractions, checks every neighbour
+    rng = random.Random(58)
+    iterated = 0
+    for trial in range(24):
+        kind = GRAPH_KINDS[trial % len(GRAPH_KINDS)]
+        g = random_graph(rng, kind, rng.randint(17, 40))
+        b = any_boundary(g, rng, max_components=3)
+        result = analyze(g, b).delta_min
+        _assert_kkt(g, b, result)
+        iterated += len(result.active_set) > 1
+    assert iterated > 12
+
+
 def test_lcp_borders_one_factor_on_the_long_arm_fork(monkeypatch):
     # the 64-vertex long-arm fork of the benchmark's hard ladder: center
     # weight 3, arms of 21 twos, 21 threes and 21 twos, no boundary

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cofactor_determinant
+from conftest import cofactor_determinant, dense_eliminate, dense_scaled_solve
 from singinv.linalg import (
     Factor,
+    _eliminate,
     clear_denominators,
     matvec,
     quadratic_form,
@@ -242,3 +243,139 @@ def test_border_rejects_ragged_blocks():
         factor.border([[1, 0]], [[1, 3]])
     with pytest.raises(ValueError, match="square"):
         factor.border([], [[1, 3]])
+
+
+def _tree_form(rng, n, shape, *, definite=True):
+    """Positive form of a weighted tree (chain, three-armed fork or random
+    tree) in vertex order; weights at least the degree, one strictly
+    above, so N is positive definite.  With `definite` False, random
+    weights are lowered to at most the degree, which usually breaks it."""
+    if shape == "chain":
+        edges = [(k - 1, k) for k in range(1, n)]
+    elif shape == "fork":
+        edges = [(0 if k <= 3 else k - 3, k) for k in range(1, n)]  # three arms
+    else:
+        edges = [(rng.randrange(k), k) for k in range(1, n)]
+    degree = [0] * n
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+    big = rng.random() < 0.3
+    weights = [
+        d + (rng.randint(0, 10**6) if big else rng.choice((0, 0, 1, 2))) for d in degree
+    ]
+    weights[rng.randrange(n)] += 1
+    if not definite:
+        for j in rng.sample(range(n), rng.randint(1, max(1, n // 3))):
+            weights[j] = rng.randint(0, degree[j])
+    rows = [[0] * n for _ in range(n)]
+    for j, w in enumerate(weights):
+        rows[j][j] = w
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    return rows
+
+
+def _principal(rows, order):
+    return [[rows[i][j] for j in order] for i in order]
+
+
+def _sparse_kernel_cases(rng):
+    """(label, symmetric matrix) for the sparse-kernel property test."""
+    for trial in range(240):
+        n = 1 + trial % 14
+        kind = trial % 8
+        if kind == 0:
+            yield "chain", _tree_form(rng, n, "chain")
+        elif kind == 1:
+            order = rng.sample(range(n), n)
+            yield "fork", _principal(_tree_form(rng, n, "fork"), order)
+        elif kind == 2:
+            order = rng.sample(range(n), n)
+            yield "tree", _principal(_tree_form(rng, n, "tree"), order)
+        elif kind == 3:
+            big = _tree_form(rng, n + 4, rng.choice(("chain", "fork", "tree")))
+            yield "forest", _principal(big, rng.sample(range(n + 4), n))
+        elif kind == 4:
+            yield "stieltjes", _random_stieltjes(rng, n)
+        elif kind == 5:
+            rows = [[-rng.randint(1, 3) for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    rows[i][j] = rows[j][i]
+                rows[i][i] = 0
+                rows[i][i] = -sum(rows[i]) + rng.randint(1, 3)
+            yield "dense", rows
+        elif kind == 6:
+            shape = rng.choice(("chain", "fork", "tree"))
+            order = rng.sample(range(n), n) if shape != "chain" else range(n)
+            yield "indefinite tree", _principal(_tree_form(rng, n, shape, definite=False), order)
+        else:
+            yield "indefinite", _random_symmetric(rng, n)
+
+
+def _dense_reference(rows):
+    ref = [list(row) for row in rows]
+    bad = dense_eliminate(ref, len(ref), exchange=False)
+    return ref, bad
+
+
+def _assert_dense(factor, ref, bad, rhs):
+    assert factor._a == ref
+    assert factor.first_nonpositive == bad
+    if bad is None:
+        assert factor.det == (ref[-1][-1] if ref else 1)
+        for b in rhs:
+            assert factor.scaled_solve(b) == dense_scaled_solve(ref, b)
+
+
+def test_sparse_kernel_matches_dense_reference():
+    # chains, forks, random trees and forests in shuffled vertex order,
+    # cyclic and dense Stieltjes matrices, and indefinite matrices that
+    # stop early: the eliminated array, Sylvester's answer, det and the
+    # replay are those of the dense loop, bit for bit, at every border
+    rng = random.Random(18)
+    seen = set()
+    for label, rows in _sparse_kernel_cases(rng):
+        n = len(rows)
+        ref, bad = _dense_reference(rows)
+        seen.add((label, bad is None))
+        rhs = [
+            [rng.randint(-9, 9) for _ in range(n)],
+            [rng.choice((0, 0, 0, rng.randint(-10**6, 10**6))) for _ in range(n)],
+        ]
+        _assert_dense(Factor(rows), ref, bad, rhs)
+        for m in range(n + 1):
+            _assert_dense(_bordered(rows, [m, n]), ref, bad, rhs)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        _assert_dense(_bordered(rows, [0, *cuts, n]), ref, bad, rhs)
+    assert {("indefinite tree", False), ("indefinite", False), ("tree", True)} <= seen
+
+
+def test_sparse_kernel_row_exchanges_match_dense_and_cramer():
+    # rows of sparse and dense matrices shuffled, so zero pivots force
+    # exchanges between rows that skipped different numbers of steps
+    rng = random.Random(19)
+    exchanged = 0
+    for trial in range(200):
+        n = 1 + trial % 7
+        shape = ("chain", "fork", "tree")[trial % 3]
+        rows = _tree_form(rng, n, shape) if trial % 4 else _random_symmetric(rng, n)
+        rows = [rows[i] for i in rng.sample(range(n), n)]
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        aug = [row + [b] for row, b in zip(rows, rhs)]
+        ref = [list(row) for row in aug]
+        expected = dense_eliminate(ref, n, exchange=True)
+        assert _eliminate(aug, n, exchange=True) == expected
+        assert aug == ref
+        det = cofactor_determinant(rows)
+        exchanged += any(rows[k][k] == 0 for k in range(n)) and det != 0
+        if det == 0:
+            with pytest.raises(ValueError, match="singular"):
+                solve(rows, rhs)
+            continue
+        x = solve(rows, rhs)
+        for j in range(n):
+            swapped = [row[:j] + [b] + row[j + 1 :] for row, b in zip(rows, rhs)]
+            assert x[j] == Fraction(cofactor_determinant(swapped), det)
+    assert exchanged > 50
