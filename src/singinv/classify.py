@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .continuant import continuant
-from .cycles import BoundaryData, boundary_cycle, CycleSet
+from .cycles import EMPTY_BOUNDARY, BoundaryData, CycleSet, boundary_cycle
 from .graph import DualGraph, ExcDivisor
 
 
@@ -79,25 +79,16 @@ def singularity_kind(graph: DualGraph) -> SingularityKind:
     return SingularityKind.SINGULAR
 
 
-def _pair_multiplicities(graph: DualGraph) -> dict[tuple[int, int], int]:
-    pairs: dict[tuple[int, int], int] = {}
-    for e in graph.edges:
-        i, j = sorted((graph.index[e.a], graph.index[e.b]))
-        pairs[(i, j)] = pairs.get((i, j), 0) + e.multiplicity
-    return pairs
-
-
 def graph_shape(graph: DualGraph) -> GraphShape:
     """Classify a validated graph by shape; see the module docstring."""
     if any(v.genus != 0 for v in graph.vertices):
         return GraphShape(ShapeKind.UNSUPPORTED)
-    pairs = _pair_multiplicities(graph)
-    if any(m > 1 for m in pairs.values()):
-        return GraphShape(ShapeKind.UNSUPPORTED)
+    if any(c < -1 for row in graph.positive_form for c in row):
+        return GraphShape(ShapeKind.UNSUPPORTED)  # N_ij = -(total multiplicity)
     n = graph.n
-    if len(pairs) != n - 1:
-        return GraphShape(ShapeKind.OTHER)  # connected with a cycle
     degrees = [len(graph.adjacency[i]) for i in range(n)]
+    if sum(degrees) != 2 * (n - 1):
+        return GraphShape(ShapeKind.OTHER)  # connected with a cycle
     if max(degrees) > 3:
         return GraphShape(ShapeKind.OTHER)
     centers = [i for i, d in enumerate(degrees) if d == 3]
@@ -135,8 +126,6 @@ def classify(
     *,
     cycles: CycleSet | None = None,
 ) -> Classification:
-    from .cycles import EMPTY_BOUNDARY
-
     boundary = EMPTY_BOUNDARY if boundary is None else boundary
     if cycles is None:
         cycles = boundary_cycle(graph, boundary)

@@ -60,14 +60,16 @@ class ParsedInput:
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
-# Input caps.  At MAX_VERTICES the worst known inputs take well under
-# a second (README, "Limits").  Together they keep every reported number
-# within Python's 4300-digit string conversion limit: det N <= 10^600
-# (Hadamard) and the boundary denominator <= 10^192, so the largest
-# printed value, (1 - mu)^2 * delta, has a denominator of about 3,200
-# digits at most.
+# Input caps.  At MAX_VERTICES the worst known inputs take about a
+# second and a half (README, "Limits").  Together they keep every
+# reported number within Python's 4300-digit string conversion limit:
+# det N <= 10^600 (Hadamard) and the boundary denominator <= 10^192, so
+# the largest printed value, (1 - mu)^2 * delta, has a denominator of
+# about 3,200 digits at most.
 MAX_VERTICES = 100
 MAX_COMPONENTS = 32  # boundary components
+# one edge per vertex pair; parallel edges are written as one multiplicity
+MAX_EDGES = MAX_VERTICES * (MAX_VERTICES - 1) // 2
 MAX_INTEGER = 10**6  # |n| for every integer and for both parts of p/q
 
 
@@ -165,7 +167,7 @@ def parse_input(text: str) -> ParsedInput:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise InputError("'edges' must be a list")
-    for k, item in enumerate(raw_edges):
+    for k, item in enumerate(_capped_list(raw_edges, "edges", MAX_EDGES)):
         where = f"edges[{k}]"
         if not isinstance(item, list) or len(item) not in (2, 3):
             raise InputError(f"{where}: expected [a, b] or [a, b, multiplicity]")

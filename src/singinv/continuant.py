@@ -36,34 +36,19 @@ def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     return ws
 
 
-def continuant(weights: Sequence[int]) -> int:
-    """a(w_1, ..., w_n); the empty chain gives 1."""
-    ws = _check_weights(weights)
+def _prefix_continuants(ws: Sequence[int]) -> list[int]:
+    """[a(), a(w_1), a(w_1 w_2), ..., a(w_1..w_n)], length n+1."""
+    out = [1]
     prev2, prev1 = 0, 1  # a of the (-1)- and 0-length prefixes
     for w in ws:
         prev2, prev1 = prev1, w * prev1 - prev2
-    return prev1
-
-
-def _prefix_continuants(ws: tuple[int, ...]) -> list[int]:
-    """[a(), a(w_1), a(w_1 w_2), ...], length n+1."""
-    out = [1]
-    prev2, prev1 = 0, 1
-    for w in ws:
-        prev2, prev1 = prev1, w * prev1 - prev2
         out.append(prev1)
     return out
 
 
-def _suffix_continuants(ws: tuple[int, ...]) -> list[int]:
-    """[a(w_1..w_n), a(w_2..w_n), ..., a(w_n), a()], length n+1."""
-    out = [1]
-    prev2, prev1 = 0, 1
-    for w in reversed(ws):
-        prev2, prev1 = prev1, w * prev1 - prev2
-        out.append(prev1)
-    out.reverse()
-    return out
+def continuant(weights: Sequence[int]) -> int:
+    """a(w_1, ..., w_n); the empty chain gives 1."""
+    return _prefix_continuants(_check_weights(weights))[-1]
 
 
 def _check_position(n: int, i: int) -> None:
@@ -89,7 +74,8 @@ def inverse_matrix(weights: Sequence[int]) -> tuple[tuple[Fraction, ...], ...]:
     ws = _check_weights(weights)
     n = len(ws)
     pre = _prefix_continuants(ws)
-    suf = _suffix_continuants(ws)
+    # a(w_i..w_n) = a(w_n..w_i): the suffixes are the reversed prefixes
+    suf = _prefix_continuants(ws[::-1])[::-1]
     total = pre[n]
     rows = []
     for i in range(1, n + 1):

@@ -25,8 +25,11 @@ from .graph import (
 )
 from .linalg import quadratic_form
 
-# The Laufer sequence terminates on every negative-definite graph, and
-# `_laufer` refuses any other; the cap is a last guard against a loop.
+# The Laufer sequence terminates on every negative-definite graph (and
+# `_laufer` refuses any other), after sum(Z) - n steps of O(n) each.
+# Within the input caps that count still reaches the hundreds of
+# thousands (large weights joined by multiple edges make Z large), so
+# the cap bounds the running time: a valid input past it is refused.
 _LAUFER_CAP = 100_000
 
 
@@ -105,14 +108,6 @@ class CycleSet:
         zz = -sum(map(mul, self.z, self.s))
         return Fraction(zk + zz + 2, 2)
 
-    @property
-    def fundamental_image(self) -> tuple[int, ...]:
-        return self.s
-
-    @property
-    def canonical_image(self) -> tuple[int, ...]:
-        return self.k
-
     @cached_property
     def boundary_image(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.dq) for v in self.q)
@@ -143,7 +138,8 @@ def _laufer(
     """The Laufer sequence: Z and s = N Z, both as integer lists.
 
     Raises NotNegativeDefiniteError from the cached factor first, so an
-    indefinite form fails before any step.
+    indefinite form fails before any step, and ValueError when Z needs
+    more than _LAUFER_CAP steps.
     """
     definite_factor(graph)
     n = graph.n
@@ -151,7 +147,7 @@ def _laufer(
     z = [1] * n
     # s = N z; anti-nef means s >= 0 componentwise.
     s = [sum(row) for row in form]
-    for _ in range(_LAUFER_CAP):
+    for _ in range(_LAUFER_CAP + 1):
         violations = [j for j in range(n) if s[j] < 0]
         if not violations:
             return z, s
@@ -161,8 +157,9 @@ def _laufer(
         z[j] += 1
         for i in range(n):
             s[i] += form[i][j]
-    raise RuntimeError(
-        "fundamental cycle did not stabilize; is the graph negative definite?"
+    raise ValueError(
+        "the Laufer sequence for the fundamental cycle needs more than the "
+        f"cap of {_LAUFER_CAP:,} steps (steps = sum(Z) - n)"
     )
 
 
@@ -175,7 +172,8 @@ def fundamental_cycle(
     coordinate whose curve still meets Z positively.  The result is
     independent of the increment order; the default picks the lowest
     index so runs are reproducible.  ``tie_break`` receives the list of
-    violating indices and must return one of them.
+    violating indices and must return one of them.  A graph whose Z
+    needs more than 100,000 steps (sum(Z) - n) raises ValueError.
     """
     z, _ = _laufer(graph, tie_break)
     return ExcDivisor(tuple(Fraction(v) for v in z))

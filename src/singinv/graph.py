@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Factor, clear_denominators
+from .linalg import Factor
 
 
 class GraphValidationError(ValueError):
@@ -153,18 +153,27 @@ class DualGraph:
         return {v.id: j for j, v in enumerate(self.vertices)}
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in self.vertices]
+    def positive_form(self) -> tuple[tuple[int, ...], ...]:
+        """N = -(E_i . E_j), built once per graph: diagonal w_j,
+        off-diagonal minus the total multiplicity of the edges joining
+        the pair.  Nothing else sums edge multiplicities."""
+        n = self.n
+        m = [[0] * n for _ in range(n)]
+        for j, v in enumerate(self.vertices):
+            m[j][j] = v.weight
         for e in self.edges:
             i, j = self.index[e.a], self.index[e.b]
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return tuple(frozenset(s) for s in nbrs)
+            m[i][j] -= e.multiplicity
+            m[j][i] -= e.multiplicity
+        return tuple(map(tuple, m))
 
     @cached_property
-    def positive_form(self) -> tuple[tuple[int, ...], ...]:
-        """N = -(E_i . E_j), built once per graph."""
-        return intersection_matrix(self).positive_form
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """The neighbours of each vertex: the nonzero off-diagonal entries of N."""
+        return tuple(
+            frozenset(j for j, c in enumerate(row) if c and j != i)
+            for i, row in enumerate(self.positive_form)
+        )
 
     @cached_property
     def factor(self) -> Factor:
@@ -205,16 +214,10 @@ class IntersectionMatrix:
 
 
 def intersection_matrix(graph: DualGraph) -> IntersectionMatrix:
-    """E_i . E_j: diagonal -w_j, off-diagonal the total edge multiplicity."""
-    n = graph.n
-    m = [[0] * n for _ in range(n)]
-    for j, v in enumerate(graph.vertices):
-        m[j][j] = -v.weight
-    for e in graph.edges:
-        i, j = graph.index[e.a], graph.index[e.b]
-        m[i][j] += e.multiplicity
-        m[j][i] += e.multiplicity
-    return IntersectionMatrix(tuple(tuple(row) for row in m))
+    """E_i . E_j = -N_ij: diagonal -w_j, off-diagonal the total edge multiplicity."""
+    return IntersectionMatrix(
+        tuple(tuple(-x for x in row) for row in graph.positive_form)
+    )
 
 
 def is_connected(graph: DualGraph) -> bool:
@@ -281,7 +284,4 @@ def solve_exceptional(
     the solution exists and is unique; if rhs >= 0 componentwise then so
     is x.
     """
-    factor = definite_factor(graph)
-    ints, d = clear_denominators(rhs)
-    den = factor.det * d
-    return ExcDivisor(tuple(Fraction(y, den) for y in factor.scaled_solve(ints)))
+    return ExcDivisor(tuple(definite_factor(graph).solve(rhs)))

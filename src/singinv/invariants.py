@@ -21,8 +21,8 @@ until w >= 0 (R. Chandrasekaran, Opsearch 1970; Cottle-Pang-Stone, The
 Linear Complementarity Problem).  S only grows and is kept in entry
 order, so each principal block N_SS is the previous one bordered by
 the entering rows and columns: one positive-definite `Factor`, built
-without row exchanges on the first iteration, is bordered on each
-later one, and over the whole LCP the block is eliminated once.  A symmetric permutation
+on the first iteration, is bordered on each later one, and over the
+whole LCP the block is eliminated once.  A symmetric permutation
 leaves det N_SS and the solution unchanged, so entry order gives the
 same exact answer as sorted order, and w stays in integers, updated
 through the nonzeros of N (a tree has fewer than 3n).  At the end

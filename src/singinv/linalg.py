@@ -21,17 +21,12 @@ The loop skips zero multipliers.  Step k of Bareiss maps row i to
 minor of size k (M_0 = 1; the recurrence is Sylvester's identity).  When
 a_ik = 0 this is row_i * M_{k+1} / M_k, so a row skipped from step t up
 to step k is its stored value times M_k / M_t, an exact division.  Each
-row keeps the step it has reached (a row exchange moves it along) and
-is rescaled only when it is next read.  Eliminated in vertex order, a
-tree makes little fill-in (Parter, SIAM Review 1961), so most rows skip
-most steps, and the eliminated array is bit for bit the dense one.  The
-replay of a right-hand side y skips zero multipliers, and whole steps
-with y_k = 0, the same way; back substitution skips zero entries.
-
-`solve` is the general route for any invertible matrix: the same loop
-over the augmented matrix, with deterministic row exchanges (first
-nonzero row below the diagonal) so results are bit-identical across
-runs, and n fractions at the end.
+row keeps the step it has reached and is rescaled only when it is next
+read.  Eliminated in vertex order, a tree makes little fill-in (Parter,
+SIAM Review 1961), so most rows skip most steps, and the eliminated
+array is bit for bit the dense one.  The replay of a right-hand side y
+skips zero multipliers, and whole steps with y_k = 0, the same way;
+back substitution skips zero entries.
 """
 
 from __future__ import annotations
@@ -51,42 +46,32 @@ def _square_size(rows: IntMatrix) -> int:
     return n
 
 
-def _eliminate(
-    a: list[list[int]], n: int, *, exchange: bool, done: int = 0
-) -> int | None:
-    """Bareiss forward elimination of the leading n columns of `a`, in place.
+def _eliminate(a: list[list[int]], done: int = 0) -> int | None:
+    """Bareiss forward elimination of the square matrix `a`, in place.
 
-    Extra (right-hand-side) columns are eliminated along.  Returns the
-    1-based step k that stopped, or None: with row exchanges, a column
-    with no nonzero pivot (singular); without them, a pivot <= 0, which
-    is then the k-th leading principal minor.  Entry (i, k) below the
-    diagonal is never rewritten after step k reads it as row i's
-    multiplier, so the lower triangle keeps every multiplier.
+    Returns None, or the 1-based step k whose pivot, the k-th leading
+    principal minor, is <= 0.  Entry (i, k) below the diagonal is never
+    rewritten after step k reads it as row i's multiplier, so the lower
+    triangle keeps every multiplier.
 
     A row whose multiplier is zero skips the step: row i holds its
     values after lag[i] steps and is rescaled to step k (module
     docstring) when it is next read, as the pivot row, for a nonzero
     multiplier, or on an early exit.  The result is the dense one.
 
-    With ``done`` = m (no exchanges), the leading m x m block of `a` is
-    already eliminated: only the new entries, columns >= m of the first
-    m rows and the rows below, are carried through the stored steps.
+    With ``done`` = m, the leading m x m block of `a` is already
+    eliminated: only the new entries, columns >= m of the first m rows
+    and the rows below, are carried through the stored steps.
     """
-    width = len(a[0]) if n else 0
+    n = len(a)
     lag = [0] * n
     prev = 1
     for k in range(n):
-        if exchange and a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    lag[k], lag[i] = lag[i], lag[k]
-                    break
         if lag[k] < k:
             _catch_up(a, k, lag[k], k, done)
         row_k = a[k]
         pivot = row_k[k]
-        if pivot == 0 or (pivot < 0 and not exchange):
+        if pivot <= 0:
             for i in range(k + 1, n):
                 if lag[i] < k:
                     _catch_up(a, i, lag[i], k, done)
@@ -98,7 +83,7 @@ def _eliminate(
                     _catch_up(a, i, lag[i], k, done)
                 lag[i] = k + 1
                 factor = row_i[k]
-                for j in range(done if i < done else k + 1, width):
+                for j in range(done if i < done else k + 1, n):
                     row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
         prev = pivot
     return None
@@ -122,9 +107,9 @@ class Factor:
 
     ``first_nonpositive`` is the size k of the first leading principal
     minor <= 0, or None when the matrix is positive definite; only then
-    is ``det`` its determinant and `scaled_solve` usable.  `border`
-    grows the matrix by new trailing rows and columns, eliminating only
-    the new entries.
+    is ``det`` its determinant and `scaled_solve` and `solve` usable.
+    `border` grows the matrix by new trailing rows and columns,
+    eliminating only the new entries.
     """
 
     __slots__ = ("_a", "det", "first_nonpositive")
@@ -156,7 +141,7 @@ class Factor:
     def _eliminate_from(self, done: int) -> None:
         a = self._a
         n = len(a)
-        self.first_nonpositive = _eliminate(a, n, exchange=False, done=done)
+        self.first_nonpositive = _eliminate(a, done)
         self.det = a[n - 1][n - 1] if n and self.first_nonpositive is None else 1
 
     def scaled_solve(self, b: Sequence[int]) -> list[int]:
@@ -187,39 +172,32 @@ class Factor:
                         y[i] = (yi * pivot - factor * yk) // prev
                         lag[i] = k + 1
             prev = pivot
-        return _back_substitute(a, y, self.det)
+        # back substitution: by Cramer's rule det * x is integral, so
+        # every division is exact
+        det = self.det
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            acc = det * y[i]
+            for j in range(i + 1, n):
+                if row[j]:
+                    acc -= row[j] * y[j]
+            y[i] = acc // row[i]
+        return y
 
-
-def _back_substitute(a: list[list[int]], y: list[int], det: int) -> list[int]:
-    """Turn the eliminated right-hand side y into det * x, in place.
-
-    By Cramer's rule det * x is integral, so every division is exact.
-    """
-    for i in range(len(y) - 1, -1, -1):
-        row = a[i]
-        acc = det * y[i]
-        for j in range(i + 1, len(y)):
-            if row[j]:
-                acc -= row[j] * y[j]
-        y[i] = acc // row[i]
-    return y
+    def solve(self, rhs: Sequence[Fraction | int]) -> list[Fraction]:
+        """The exact x with rows * x = rhs, as fractions."""
+        b, d = clear_denominators(rhs)
+        den = self.det * d
+        return [Fraction(y, den) for y in self.scaled_solve(b)]
 
 
 def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
-    """Solve rows * x = rhs exactly; the matrix must be invertible over Q.
+    """Solve rows * x = rhs exactly for a positive-definite matrix.
 
-    Raises ValueError on dimension mismatch or a singular matrix.
+    Raises ValueError on a dimension mismatch or a matrix that is not
+    positive definite.
     """
-    b, scale = _cleared(rows, rhs)
-    n = len(b)
-    if n == 0:
-        return []
-    aug = [[int(x) for x in row] + [v] for row, v in zip(rows, b)]
-    if _eliminate(aug, n, exchange=True) is not None:
-        raise ValueError("matrix is singular")
-    det = aug[n - 1][n - 1]  # +-det after the row exchanges
-    y = _back_substitute(aug, [row[n] for row in aug], det)
-    return [Fraction(yi, det * scale) for yi in y]
+    return Factor(rows).solve(rhs)
 
 
 def clear_denominators(v: Sequence[Fraction | int]) -> tuple[list[int], int]:

@@ -41,26 +41,21 @@ def cofactor_determinant(rows):
     return total
 
 
-def dense_eliminate(a, n, *, exchange, done=0):
+def dense_eliminate(a):
     """Reference Bareiss loop: every row below the pivot is rescaled at
     every step, whether or not its multiplier is zero.  Same contract as
     `singinv.linalg._eliminate`, whose result must equal this one."""
-    width = len(a[0]) if n else 0
+    n = len(a)
     prev = 1
     for k in range(n):
-        if exchange and a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
         row_k = a[k]
         pivot = row_k[k]
-        if pivot == 0 or (pivot < 0 and not exchange):
+        if pivot <= 0:
             return k + 1
         for i in range(k + 1, n):
             row_i = a[i]
             factor = row_i[k]
-            for j in range(done if i < done else k + 1, width):
+            for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
         prev = pivot
     return None
@@ -162,6 +157,20 @@ def random_graph(rng: random.Random, kind: str, n: int):
     )
     validate(graph)
     return graph
+
+
+def star_with_tail(center, leaves, tail):
+    """(vertices, edges) of a vertex of weight `center` joined to one leaf
+    per (weight, multiplicity) in `leaves`, with a chain of `tail`
+    weight-2 vertices hanging off the center.  Near the definiteness
+    bound its fundamental cycle is large, so the Laufer sequence takes
+    many steps."""
+    chain = ["c"] + [f"t{k}" for k in range(tail)]
+    vertices = [("c", center)] + [(f"l{k}", w) for k, (w, _) in enumerate(leaves)]
+    vertices += [(v, 2) for v in chain[1:]]
+    edges = [("c", f"l{k}", m) for k, (_, m) in enumerate(leaves)]
+    edges += [(a, b, 1) for a, b in zip(chain, chain[1:])]
+    return vertices, edges
 
 
 def any_boundary(graph, rng: random.Random, max_components=2):

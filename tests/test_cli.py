@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import star_with_tail
 from singinv.cli import (
     MAX_COMPONENTS,
+    MAX_EDGES,
     MAX_INTEGER,
     MAX_VERTICES,
     InputError,
@@ -124,6 +126,17 @@ def test_vertex_and_component_caps():
     assert len(capped.boundary.components) == MAX_COMPONENTS == 32
     with pytest.raises(InputError, match="'boundary' has 33 entries, more than the cap of 32"):
         parse_input(_chain_doc(2, boundary=comps))
+
+
+def test_edge_cap():
+    # one entry per vertex pair at 100 vertices; parallel edges between
+    # two vertices count one entry each
+    doc = json.loads(_chain_doc(2))
+    doc["edges"] = [["E1", "E2"]] * MAX_EDGES
+    assert parse_input(json.dumps(doc)).graph.positive_form[0][1] == -MAX_EDGES == -4950
+    doc["edges"].append(["E1", "E2"])
+    with pytest.raises(InputError, match="'edges' has 4951 entries, more than the cap of 4950"):
+        parse_input(json.dumps(doc))
 
 
 _INTEGER_FIELDS = {
@@ -258,6 +271,28 @@ def test_analyze_invalid_graph_is_validation_error(tmp_path, capsys):
     code, _, err = _run(capsys, ["analyze", str(bad)])
     assert code == 1
     assert "not connected" in err
+
+
+def test_laufer_step_cap_is_validation_error(tmp_path, capsys):
+    # a valid 100-vertex graph whose fundamental cycle is past the
+    # 100,000-step cap of the Laufer sequence: a weight-2 center, 16
+    # leaves of weight 10^6 joined by edges of multiplicity 251, and a
+    # tail of 83
+    vertices, edges = star_with_tail(2, [(MAX_INTEGER, 251)] * 16, 83)
+    path = tmp_path / "heavy.json"
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": [{"id": v, "weight": w} for v, w in vertices],
+                "edges": [list(e) for e in edges],
+            }
+        )
+    )
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "100,000 steps (steps = sum(Z) - n)" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_malformed_json_is_validation_error(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import base_graphs, random_boundary, random_chain_weights
+from conftest import base_graphs, random_boundary, random_chain_weights, star_with_tail
 from singinv.cycles import (
     BoundaryData,
     arithmetic_genus,
@@ -19,7 +20,6 @@ from singinv.graph import (
     ExcDivisor,
     NotNegativeDefiniteError,
     build_graph,
-    intersection_matrix,
     solve_exceptional,
     validate,
 )
@@ -28,8 +28,7 @@ from singinv.linalg import int_matvec
 
 
 def _anti_nef(graph, z):
-    form = intersection_matrix(graph).positive_form
-    return all(s >= 0 for s in int_matvec(form, list(z)))
+    return all(s >= 0 for s in int_matvec(graph.positive_form, list(z)))
 
 
 def test_fundamental_cycle_single_vertex():
@@ -84,6 +83,59 @@ def test_fundamental_cycle_order_independent():
         for _ in range(4):
             got = fundamental_cycle(g, tie_break=rng.choice)
             assert got == expected
+
+
+def _multi_edge_star(rng):
+    """2-4 leaves joined to the center by multiple edges, and a tail of
+    weight-2 vertices, with the center just heavy enough for N > 0."""
+    mult = [rng.randint(2, 4) for _ in range(rng.randint(2, 4))]
+    leaves = [rng.randint(2, m * m) for m in mult]
+    tail = rng.randint(0, 3)
+    # N > 0 iff the center's weight exceeds the sum over its arms of the
+    # corner entry of the arm's inverse: m^2 / w for a leaf, and
+    # t / (t + 1) for a chain of t weight-2 vertices
+    load = sum(Fraction(m * m, w) for m, w in zip(mult, leaves))
+    load += Fraction(tail, tail + 1)
+    center = math.floor(load) + 1 + rng.choice((0, 0, 1))
+    graph = build_graph(*star_with_tail(center, list(zip(leaves, mult)), tail))
+    validate(graph)
+    return graph
+
+
+def test_laufer_sequence_with_steps():
+    # multi-edge stars and a heavy-leaf graph, where Z is far above
+    # (1, ..., 1): Z does not depend on the order of the steps, is
+    # anti-nef, stops being so when any coefficient above 1 drops, and
+    # is the only anti-nef cycle in the box [1, Z] where that is small
+    rng = random.Random(41)
+    heavy = build_graph(*star_with_tail(2, [(600, 12)] * 4, 12))
+    validate(heavy)
+    searched = 0
+    for g in [_multi_edge_star(rng) for _ in range(40)] + [heavy]:
+        z = [int(c) for c in fundamental_cycle(g)]
+        for tie_break in (lambda v: v[0], lambda v: v[-1], rng.choice):
+            assert [int(c) for c in fundamental_cycle(g, tie_break=tie_break)] == z
+        assert min(z) >= 1 and _anti_nef(g, z)
+        for j in range(g.n):
+            if z[j] > 1:
+                assert not _anti_nef(g, z[:j] + [z[j] - 1] + z[j + 1 :])
+        if math.prod(z) <= 10_000:
+            box = itertools.product(*(range(1, zj + 1) for zj in z))
+            assert [list(x) for x in box if _anti_nef(g, x)] == [z]
+            searched += sum(z) > g.n
+    assert sum(z) - g.n == 323  # the heavy-leaf graph's steps
+    assert searched >= 20
+
+
+def test_laufer_step_cap(monkeypatch):
+    import singinv.cycles as cycles_module
+
+    g = ade_graph("D", 4)  # Z = (2, 1, 1, 1): one step
+    monkeypatch.setattr(cycles_module, "_LAUFER_CAP", 1)
+    assert fundamental_cycle(g).coeffs == (2, 1, 1, 1)
+    monkeypatch.setattr(cycles_module, "_LAUFER_CAP", 0)
+    with pytest.raises(ValueError, match=r"cap of 0 steps \(steps = sum\(Z\) - n\)"):
+        fundamental_cycle(g)
 
 
 def test_arithmetic_genus_examples():

@@ -424,6 +424,8 @@ def test_build_report_runs_each_stage_once(monkeypatch):
 
     g = chain_graph((2, 5, 2))
     n_rows = [[2, -1, 0], [-1, 5, -1], [0, -1, 2]]
+    # N is summed from the edges once, by the cached DualGraph.positive_form
+    count("N built", graph_module.DualGraph.__dict__["positive_form"], "func")
     count("matrix", graph_module, "intersection_matrix")
     count(
         "N eliminated",
@@ -446,7 +448,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     assert report.theorem is not None and report.delta_min.value == Fraction(81, 80)
     assert calls == dict.fromkeys(
         (
-            "matrix",
+            "N built",
             "N eliminated",
             "laufer",
             "canonical solve",
