@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .continuant import continuant
 from .cycles import EMPTY_BOUNDARY, BoundaryData, CycleSet, boundary_cycle
-from .graph import DualGraph, ExcDivisor
+from .graph import DualGraph, ExcDivisor, is_connected
 
 
 class SingularityKind(enum.Enum):
@@ -80,15 +80,19 @@ def singularity_kind(graph: DualGraph) -> SingularityKind:
 
 
 def graph_shape(graph: DualGraph) -> GraphShape:
-    """Classify a validated graph by shape; see the module docstring."""
+    """Classify a graph by shape; see the module docstring.  A
+    disconnected graph, which `validate` rejects, is Other."""
     if any(v.genus != 0 for v in graph.vertices):
         return GraphShape(ShapeKind.UNSUPPORTED)
-    if any(c < -1 for row in graph.positive_form for c in row):
-        return GraphShape(ShapeKind.UNSUPPORTED)  # N_ij = -(total multiplicity)
     n = graph.n
-    degrees = [len(graph.adjacency[i]) for i in range(n)]
-    if sum(degrees) != 2 * (n - 1):
-        return GraphShape(ShapeKind.OTHER)  # connected with a cycle
+    edges = graph.edges
+    degrees = [len(nbrs) for nbrs in graph.adjacency]
+    # a pair joined more than once (N_ij < -1): an edge of multiplicity
+    # above 1, or more edges than joined pairs
+    if 2 * len(edges) != sum(degrees) or any(e.multiplicity > 1 for e in edges):
+        return GraphShape(ShapeKind.UNSUPPORTED)
+    if len(edges) != n - 1 or not is_connected(graph):
+        return GraphShape(ShapeKind.OTHER)  # not a tree
     if max(degrees) > 3:
         return GraphShape(ShapeKind.OTHER)
     centers = [i for i, d in enumerate(degrees) if d == 3]

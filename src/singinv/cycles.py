@@ -9,6 +9,7 @@ with each exceptional curve.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +27,9 @@ from .graph import (
 from .linalg import quadratic_form
 
 # The Laufer sequence terminates on every negative-definite graph (and
-# `_laufer` refuses any other), after sum(Z) - n steps of O(n) each.
+# `_laufer` refuses any other), after sum(Z) - n steps.  A step at j
+# touches the deg(j) + 1 nonzeros of column j of N and the sorted list
+# of the k violating indices, O(k) to add one or to clear j.
 # Within the input caps that count still reaches the hundreds of
 # thousands (large weights joined by multiple edges make Z large), so
 # the cap bounds the running time: a valid input past it is refused.
@@ -140,23 +143,38 @@ def _laufer(
     Raises NotNegativeDefiniteError from the cached factor first, so an
     indefinite form fails before any step, and ValueError when Z needs
     more than _LAUFER_CAP steps.
+
+    The violating indices are kept in a sorted list.  A step at j adds
+    column j of N to s: the diagonal w_j > 0 can only clear j, and the
+    off-diagonal entries, all <= 0, can only add neighbours of j, so a
+    step visits deg(j) + 1 entries.  With no tie_break the lowest
+    violating index is taken, as a rescan from index 0 would.
     """
     definite_factor(graph)
-    n = graph.n
-    form = graph.positive_form
-    z = [1] * n
+    z = [1] * graph.n
     # s = N z; anti-nef means s >= 0 componentwise.
-    s = [sum(row) for row in form]
-    for _ in range(_LAUFER_CAP + 1):
-        violations = [j for j in range(n) if s[j] < 0]
-        if not violations:
-            return z, s
-        j = violations[0] if tie_break is None else tie_break(violations)
-        if j not in violations:
-            raise ValueError("tie_break returned a non-violating index")
+    s = [sum(row) for row in graph.positive_form]
+    violating = [j for j, t in enumerate(s) if t < 0]  # kept increasing
+    if not violating:
+        return z, s
+    columns = graph.columns
+    for _ in range(_LAUFER_CAP):
+        if tie_break is None:
+            j = violating[0]
+        else:
+            j = tie_break(violating[:])
+            if j not in violating:
+                raise ValueError("tie_break returned a non-violating index")
         z[j] += 1
-        for i in range(n):
-            s[i] += form[i][j]
+        for i, c in columns[j]:
+            t = s[i]
+            s[i] = t + c
+            if t >= 0 > t + c:
+                insort(violating, i)
+        if s[j] >= 0:
+            violating.remove(j)
+            if not violating:
+                return z, s
     raise ValueError(
         "the Laufer sequence for the fundamental cycle needs more than the "
         f"cap of {_LAUFER_CAP:,} steps (steps = sum(Z) - n)"

@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .graph import DualGraph, build_graph
+from .graph import DualGraph, Edge, Vertex, build_graph
+
+
+@lru_cache(maxsize=128)
+def _chain_skeleton(length: int, prefix: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+    """The ids and edges of a path: they depend only on its length."""
+    ids = tuple(f"{prefix}{k + 1}" for k in range(length))
+    return ids, tuple(map(Edge, ids, ids[1:]))
 
 
 def chain_graph(weights: Sequence[int], prefix: str = "E") -> DualGraph:
     """Path graph with the given weights, vertices E1-E2-...-En."""
-    ids = [f"{prefix}{k + 1}" for k in range(len(weights))]
-    vertices = [(vid, int(w)) for vid, w in zip(ids, weights)]
-    edges = [(ids[k], ids[k + 1]) for k in range(len(weights) - 1)]
-    return build_graph(vertices, edges)
+    ids, edges = _chain_skeleton(len(weights), prefix)
+    return DualGraph(tuple(map(Vertex, ids, map(int, weights))), edges)
 
 
 def smooth_graph() -> DualGraph:

@@ -169,10 +169,24 @@ class DualGraph:
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        """The neighbours of each vertex: the nonzero off-diagonal entries of N."""
+        """The neighbours of each vertex, read off the edge list in O(n + m):
+        the nonzero off-diagonal entries of N."""
+        index = self.index
+        neighbours: list[set[int]] = [set() for _ in self.vertices]
+        for e in self.edges:
+            i, j = index[e.a], index[e.b]
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+        return tuple(map(frozenset, neighbours))
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzeros (i, N_ij) of each column j of N, diagonal first:
+        w_j and the neighbours, so a sparse update costs deg(j) + 1."""
+        form = self.positive_form
         return tuple(
-            frozenset(j for j, c in enumerate(row) if c and j != i)
-            for i, row in enumerate(self.positive_form)
+            ((j, form[j][j]), *((i, form[i][j]) for i in nbrs))
+            for j, nbrs in enumerate(self.adjacency)
         )
 
     @cached_property
@@ -221,15 +235,19 @@ def intersection_matrix(graph: DualGraph) -> IntersectionMatrix:
 
 
 def is_connected(graph: DualGraph) -> bool:
-    seen = {0}
+    """A walk over the adjacency lists from vertex 0 reaches every vertex."""
+    adjacency = graph.adjacency
+    seen = [False] * graph.n
+    seen[0] = True
     stack = [0]
+    reached = 1
     while stack:
-        i = stack.pop()
-        for j in graph.adjacency[i]:
-            if j not in seen:
-                seen.add(j)
+        for j in adjacency[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                reached += 1
                 stack.append(j)
-    return len(seen) == graph.n
+    return reached == graph.n
 
 
 def validate(graph: DualGraph) -> None:

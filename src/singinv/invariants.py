@@ -139,7 +139,7 @@ def _stationary_on(
 
 
 def _monotone_lcp(
-    form: Sequence[Sequence[int]], v: Sequence[int], nv: Sequence[int], den: int
+    graph: DualGraph, v: Sequence[int], nv: Sequence[int], den: int
 ) -> DeltaMinResult:
     """min (v + x)^T N (v + x) over x >= 0 by Chandrasekaran's method.
 
@@ -148,18 +148,16 @@ def _monotone_lcp(
     numerators nv * det(N_SS) + N y over den * det(N_SS).
     """
     n = len(nv)
+    form = graph.positive_form
     support: list[int] = []  # in entry order: each block borders the last
     block: Factor | None = None
     y: list[int] = []
     det_s = 1
     w = nv
-    nonzeros: list[list[tuple[int, int]]] = []  # (i, N_ij) for N_ij != 0, by j
     while True:
         entering = [j for j in range(n) if w[j] < 0]
         if not entering:
             break
-        if not nonzeros:
-            nonzeros = [[(i, c) for i, c in enumerate(row) if c] for row in form]
         cols = [[form[i][j] for j in entering] for i in support]
         support += entering
         rows = [[form[i][j] for j in support] for i in entering]
@@ -172,9 +170,10 @@ def _monotone_lcp(
             raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
         det_s = block.det
         w = [t * det_s for t in nv]
+        columns = graph.columns
         for j, t in zip(support, y):
             if t:
-                for i, c in nonzeros[j]:
+                for i, c in columns[j]:
                     w[i] += c * t
     x_den = den * det_s
     value = Fraction(sum(map(mul, v, w)), den * x_den)
@@ -210,7 +209,7 @@ def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
     v = [den * z - e for z, e in zip(cs.z, cs.ye)]  # den * (Z - Delta_B)
     nv = [det * (dq * a - q) for a, q in zip(nu, cs.q)]  # den * N (Z - Delta_B)
     dby = Fraction(sum(map(mul, v, nv)), den * den) if any(cs.q) else dy
-    dmin = _monotone_lcp(graph.positive_form, v, nv, den)
+    dmin = _monotone_lcp(graph, v, nv, den)
     log_terminal = cls.log_terminal
     return Analysis(
         cycles=cs,

@@ -6,7 +6,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from singinv.classify import is_log_canonical, is_log_terminal
+from singinv.classify import GraphShape, ShapeKind, is_log_canonical, is_log_terminal
+from singinv.continuant import continuant
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
 from singinv.families import (
     chain_graph,
@@ -78,6 +79,79 @@ def dense_scaled_solve(a, b):
         acc = det * y[i] - sum(a[i][j] * y[j] for j in range(i + 1, n))
         y[i] = acc // a[i][i]
     return y
+
+
+def dense_laufer(graph, tie_break=None):
+    """Reference Laufer loop: every step rescans all n entries of s for
+    the violating indices and adds the whole dense column of N.  Same
+    contract as `singinv.cycles._laufer`, without its step cap: Z and
+    s = N Z, and `tie_break` gets every violating index in increasing
+    order."""
+    n = graph.n
+    form = graph.positive_form
+    z = [1] * n
+    s = [sum(row) for row in form]
+    while True:
+        violations = [j for j in range(n) if s[j] < 0]
+        if not violations:
+            return z, s
+        j = violations[0] if tie_break is None else tie_break(violations)
+        if j not in violations:
+            raise ValueError("tie_break returned a non-violating index")
+        z[j] += 1
+        for i in range(n):
+            s[i] += form[i][j]
+
+
+def dense_adjacency(graph):
+    """The neighbours of each vertex, read off the dense form N."""
+    return tuple(
+        frozenset(j for j, c in enumerate(row) if c and j != i)
+        for i, row in enumerate(graph.positive_form)
+    )
+
+
+def dense_graph_shape(graph):
+    """Reference `singinv.classify.graph_shape`: adjacency and the
+    multiple-edge test read off all n^2 entries of N."""
+    if any(v.genus != 0 for v in graph.vertices):
+        return GraphShape(ShapeKind.UNSUPPORTED)
+    if any(c < -1 for row in graph.positive_form for c in row):
+        return GraphShape(ShapeKind.UNSUPPORTED)  # N_ij = -(total multiplicity)
+    n = graph.n
+    adjacency = dense_adjacency(graph)
+    degrees = [len(adjacency[i]) for i in range(n)]
+    if sum(degrees) != 2 * (n - 1):
+        return GraphShape(ShapeKind.OTHER)  # connected with a cycle
+    if max(degrees) > 3:
+        return GraphShape(ShapeKind.OTHER)
+    centers = [i for i, d in enumerate(degrees) if d == 3]
+    if not centers:
+        ends = [i for i, d in enumerate(degrees) if d <= 1]
+        if n == 1:
+            return GraphShape(ShapeKind.CHAIN, length=1, ends=(0, 0))
+        return GraphShape(ShapeKind.CHAIN, length=n, ends=(ends[0], ends[1]))
+    if len(centers) > 1:
+        return GraphShape(ShapeKind.OTHER)
+    center = centers[0]
+    arms = []
+    for start in sorted(adjacency[center]):
+        arm = []
+        prev, cur = center, start
+        while True:
+            arm.append(graph.vertices[cur].weight)
+            nxt = [k for k in adjacency[cur] if k != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+        arms.append(tuple(arm))
+    short_rdp_arms = sum(1 for arm in arms if arm == (2,))
+    if short_rdp_arms >= 2:
+        return GraphShape(ShapeKind.FORK_D)
+    dets = sorted(continuant(arm) for arm in arms)
+    if dets in ([2, 3, 3], [2, 3, 4], [2, 3, 5]):
+        return GraphShape(ShapeKind.FORK_E)
+    return GraphShape(ShapeKind.OTHER)
 
 
 def random_chain_weights(rng: random.Random, max_length=10, max_weight=9):

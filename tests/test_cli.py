@@ -567,3 +567,16 @@ def test_default_family_completes(capsys):
     # every row's bytes, pinned by the hash of the whole table
     expected = (REPO_ROOT / "tests" / "golden" / "enumerate_forks.sha256").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()
+
+
+def test_enumerate_json_is_pinned(capsys):
+    # the JSON rows, pinned like the table above, and the small family
+    # that CI also diffs through the installed console script
+    golden = REPO_ROOT / "tests" / "golden"
+    code, out, _ = _run(capsys, ["enumerate", "--max-length", "4", "--forks", "--json"])
+    assert code == 0
+    expected = (golden / "enumerate_json.sha256").read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()
+    argv = ["enumerate", "--max-length", "2", "--max-weight", "3", "--json"]
+    code, out, _ = _run(capsys, argv)
+    assert (code, out) == (0, (golden / "enumerate_l2_w3.json").read_text())

@@ -5,9 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import base_graphs, random_boundary, random_chain_weights, star_with_tail
+from conftest import (
+    base_graphs,
+    dense_laufer,
+    random_boundary,
+    random_chain_weights,
+    star_with_tail,
+)
 from singinv.cycles import (
     BoundaryData,
+    _laufer,
     arithmetic_genus,
     boundary_component,
     boundary_cycle,
@@ -125,6 +132,60 @@ def test_laufer_sequence_with_steps():
             searched += sum(z) > g.n
     assert sum(z) - g.n == 323  # the heavy-leaf graph's steps
     assert searched >= 20
+
+
+def _recording(seed):
+    """A seeded random tie_break and the list of every choice set it saw."""
+    rng = random.Random(seed)
+    seen = []
+
+    def pick(violations):
+        seen.append(list(violations))
+        return rng.choice(violations)
+
+    return pick, seen
+
+
+def test_laufer_worklist_matches_dense_reference():
+    # the graphs of test_laufer_sequence_with_steps, and the 4-leaf
+    # heavy-leaf graph at the input caps (97,274 steps)
+    rng = random.Random(41)
+    graphs = [_multi_edge_star(rng) for _ in range(40)]
+    graphs.append(build_graph(*star_with_tail(2, [(600, 12)] * 4, 12)))
+    for k, g in enumerate(graphs):
+        validate(g)
+        assert _laufer(g) == dense_laufer(g)
+        # same choice sets, in increasing order, step by step
+        pick, seen = _recording(k)
+        ref_pick, ref_seen = _recording(k)
+        assert _laufer(g, pick) == dense_laufer(g, ref_pick)
+        assert seen == ref_seen and all(v == sorted(v) for v in seen)
+    heavy = build_graph(*star_with_tail(2, [(10**6, 502)] * 4, 95))
+    validate(heavy)
+    z, s = _laufer(heavy)
+    assert sum(z) - heavy.n == 97_274
+    assert (z, s) == dense_laufer(heavy)
+
+
+def test_laufer_rejects_a_non_violating_choice():
+    g = ade_graph("D", 4)  # only the center violates at the start
+    with pytest.raises(ValueError, match="tie_break returned a non-violating index"):
+        fundamental_cycle(g, tie_break=lambda violations: 1)
+    with pytest.raises(ValueError, match="non-violating"):
+        dense_laufer(g, tie_break=lambda violations: 1)
+
+
+def test_laufer_without_steps_builds_no_columns():
+    # when (1, ..., 1) is already anti-nef, as on every chain, no column
+    # list of N is built, by the Laufer sequence or by delta_min's LCP
+    for weights in [(2,), (2, 3), (7, 2, 2, 2, 5), (6,) * 6]:
+        g = chain_graph(weights)
+        analyze(g)
+        assert "columns" not in vars(g)
+    g = ade_graph("D", 4)
+    fundamental_cycle(g)
+    diagonal, *neighbours = g.columns[0]
+    assert diagonal == (0, 2) and sorted(neighbours) == [(1, -1), (2, -1), (3, -1)]
 
 
 def test_laufer_step_cap(monkeypatch):

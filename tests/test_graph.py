@@ -3,17 +3,29 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import base_graphs, cofactor_determinant, random_chain_weights
+from conftest import (
+    GRAPH_KINDS,
+    base_graphs,
+    cofactor_determinant,
+    dense_graph_shape,
+    random_chain_weights,
+    random_graph,
+)
+from singinv.classify import ShapeKind, graph_shape
 from singinv.families import chain_graph, rdp_family, smooth_graph
 from singinv.graph import (
     DisconnectedGraphError,
+    DualGraph,
+    Edge,
     ExcDivisor,
     GraphValidationError,
     IllegalWeightError,
     NotNegativeDefiniteError,
+    Vertex,
     build_graph,
     canonical_degree,
     intersection_matrix,
+    is_connected,
     solve_exceptional,
     validate,
 )
@@ -62,6 +74,89 @@ def test_validate_rejects_disconnected():
     g = build_graph([("E1", 2), ("E2", 2)])
     with pytest.raises(DisconnectedGraphError):
         validate(g)
+
+
+def _connected_by_union_find(graph):
+    parent = list(range(graph.n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for e in graph.edges:
+        parent[root(graph.index[e.a])] = root(graph.index[e.b])
+    return len({root(i) for i in range(graph.n)}) == 1
+
+
+def _rewritten(graph, rng, prefix=""):
+    """The same curves under renamed ids, in shuffled vertex and edge
+    order, with some edges split into unit entries (either way round)
+    and some doubled by an extra parallel entry, which changes N."""
+    name = {v.id: prefix + v.id for v in graph.vertices}
+    vertices = [Vertex(name[v.id], v.weight, v.genus) for v in graph.vertices]
+    edges = []
+    for e in graph.edges:
+        a, b = name[e.a], name[e.b]
+        roll = rng.random()
+        if roll < 0.3:
+            edges += [Edge(*rng.sample((a, b), 2)) for _ in range(e.multiplicity)]
+        else:
+            edges.append(Edge(a, b, e.multiplicity))
+            if roll > 0.9:
+                edges.append(Edge(b, a))
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return vertices, edges
+
+
+def _edge_structure_inputs():
+    rng = random.Random(71)
+    for kind in GRAPH_KINDS:
+        for n in range(1, 13):
+            g = random_graph(rng, kind, n)
+            yield g
+            yield DualGraph(*map(tuple, _rewritten(g, rng)))
+    # disconnected: two or three components, built but never validated
+    for _ in range(60):
+        vertices, edges = [], []
+        for k in range(rng.randint(2, 3)):
+            part = random_graph(rng, rng.choice(GRAPH_KINDS), rng.randint(1, 6))
+            vs, es = _rewritten(part, rng, prefix=f"c{k}.")
+            vertices += vs
+            edges += es
+        rng.shuffle(vertices)
+        yield build_graph(vertices, edges)
+
+
+def test_edge_derived_structure_matches_dense_form():
+    # adjacency and column lists read off the edge list, connectivity by
+    # a walk over them, and graph_shape's multiple-edge test, each
+    # against a route that reads N or the edges independently
+    disconnected = 0
+    for g in _edge_structure_inputs():
+        form = g.positive_form
+        for i in range(g.n):
+            assert set(g.adjacency[i]) == {j for j, c in enumerate(form[i]) if c and j != i}
+            diagonal, *rest = g.columns[i]
+            assert diagonal == (i, form[i][i])
+            assert set(rest) == {(j, form[j][i]) for j in g.adjacency[i]}
+            assert len(rest) == len(g.adjacency[i])
+        connected = _connected_by_union_find(g)
+        assert is_connected(g) is connected
+        if connected:
+            assert graph_shape(g) == dense_graph_shape(g)
+            continue
+        # the reference assumes a connected graph: it can pass a path
+        # plus a cycle as a chain, or fail to find a second chain end
+        disconnected += 1
+        with pytest.raises(DisconnectedGraphError):
+            validate(g)
+        unsupported = any(v.genus for v in g.vertices) or min(map(min, form)) < -1
+        expected = ShapeKind.UNSUPPORTED if unsupported else ShapeKind.OTHER
+        assert graph_shape(g).kind is expected
+    assert disconnected == 60
 
 
 def test_validate_rejects_degenerate_pair():
