@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .continuant import continuant
 from .cycles import EMPTY_BOUNDARY, BoundaryData, CycleSet, boundary_cycle
-from .graph import DualGraph, ExcDivisor, is_connected
+from .graph import DualGraph, ExcDivisor
 
 
 class SingularityKind(enum.Enum):
@@ -91,7 +91,7 @@ def graph_shape(graph: DualGraph) -> GraphShape:
     # above 1, or more edges than joined pairs
     if 2 * len(edges) != sum(degrees) or any(e.multiplicity > 1 for e in edges):
         return GraphShape(ShapeKind.UNSUPPORTED)
-    if len(edges) != n - 1 or not is_connected(graph):
+    if len(edges) != n - 1 or not graph.connected:
         return GraphShape(ShapeKind.OTHER)  # not a tree
     if max(degrees) > 3:
         return GraphShape(ShapeKind.OTHER)

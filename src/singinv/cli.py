@@ -47,10 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class EnumerationFailure(Exception):
-    """A family row violated an asserted invariant."""
-
-
 @dataclass(frozen=True)
 class ParsedInput:
     graph: DualGraph
@@ -60,8 +56,8 @@ class ParsedInput:
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
-# Input caps.  At MAX_VERTICES the worst known inputs take about a
-# second and a half (README, "Limits").  Together they keep every
+# Input caps.  At MAX_VERTICES the worst known inputs take under half
+# a second (README, "Limits").  Together they keep every
 # reported number within Python's 4300-digit string conversion limit:
 # det N <= 10^600 (Hadamard) and the boundary denominator <= 10^192, so
 # the largest printed value, (1 - mu)^2 * delta, has a denominator of
@@ -318,11 +314,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     f"{label}: log-terminal point must have 0 < delta_y < 2, got {dy}"
                 )
     if args.json:
-        print(
-            json.dumps(
-                {"rows": rows, "count": len(rows), "failures": failures}, indent=2
-            )
+        # indent=2 runs the pure-Python encoder; the C one, row by row with
+        # these separators, writes the same bytes
+        sep = (",\n      ", ": ")
+        body = ",\n    ".join(
+            "{\n      " + json.dumps(row, separators=sep)[1:-1] + "\n    }" for row in rows
         )
+        text = json.dumps({"rows": [], "count": len(rows), "failures": failures}, indent=2)
+        print(text.replace('"rows": []', f'"rows": [\n    {body}\n  ]', 1) if rows else text)
     else:
         header = f"{'label':<28} {'shape':<12} {'kind':<9} {'lt':<3} {'delta_y':<10} delta_min"
         print(header)

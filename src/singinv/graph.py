@@ -190,6 +190,22 @@ class DualGraph:
         )
 
     @cached_property
+    def connected(self) -> bool:
+        """A walk over the adjacency lists from vertex 0 reaches every vertex."""
+        adjacency = self.adjacency
+        seen = [False] * self.n
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            for j in adjacency[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    reached += 1
+                    stack.append(j)
+        return reached == self.n
+
+    @cached_property
     def factor(self) -> Factor:
         """N eliminated once per graph: Sylvester's criterion and every
         solve against N read it."""
@@ -234,22 +250,6 @@ def intersection_matrix(graph: DualGraph) -> IntersectionMatrix:
     )
 
 
-def is_connected(graph: DualGraph) -> bool:
-    """A walk over the adjacency lists from vertex 0 reaches every vertex."""
-    adjacency = graph.adjacency
-    seen = [False] * graph.n
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        for j in adjacency[stack.pop()]:
-            if not seen[j]:
-                seen[j] = True
-                reached += 1
-                stack.append(j)
-    return reached == graph.n
-
-
 def validate(graph: DualGraph) -> None:
     """Reject graphs that cannot arise from a resolution of a normal germ.
 
@@ -258,7 +258,7 @@ def validate(graph: DualGraph) -> None:
     exact), and the weight-1 convention (only the single-vertex genus-0
     smooth-point graph may carry weight 1).
     """
-    if not is_connected(graph):
+    if not graph.connected:
         raise DisconnectedGraphError("graph is not connected")
     definite_factor(graph)
     smooth_convention = (

@@ -20,9 +20,11 @@ S = {}, add every j with w_j < 0, solve N_SS x_S = -(N v)_S and repeat
 until w >= 0 (R. Chandrasekaran, Opsearch 1970; Cottle-Pang-Stone, The
 Linear Complementarity Problem).  S only grows and is kept in entry
 order, so each principal block N_SS is the previous one bordered by
-the entering rows and columns: one positive-definite `Factor`, built
-on the first iteration, is bordered on each later one, and over the
-whole LCP the block is eliminated once.  A symmetric permutation
+the entering rows and columns: one `Factor`, built on the first
+iteration and bordered on each later one, is eliminated once over the
+whole LCP.  The right-hand side -(N v)_S grows the same way, so each
+iteration forward-eliminates only its entering entries and then
+back-substitutes over the block's nonzeros.  A symmetric permutation
 leaves det N_SS and the solution unchanged, so entry order gives the
 same exact answer as sorted order, and w stays in integers, updated
 through the nonzeros of N (a tree has fewer than 3n).  At the end
@@ -151,6 +153,7 @@ def _monotone_lcp(
     form = graph.positive_form
     support: list[int] = []  # in entry order: each block borders the last
     block: Factor | None = None
+    forward: list[int] = []  # -(N v)_S forward-eliminated, kept across borders
     y: list[int] = []
     det_s = 1
     w = nv
@@ -158,14 +161,14 @@ def _monotone_lcp(
         entering = [j for j in range(n) if w[j] < 0]
         if not entering:
             break
-        cols = [[form[i][j] for j in entering] for i in support]
+        m = len(support)
         support += entering
         rows = [[form[i][j] for j in support] for i in entering]
         if block is None:
             block = Factor(rows)
-        else:
-            block.border(cols, rows)
-        y = block.scaled_solve([-nv[i] for i in support])
+        else:  # N is symmetric: the new columns are the new rows' first m entries
+            block.border(list(zip(*[row[:m] for row in rows])), rows)
+        y = block.carried_solve(forward, [-nv[i] for i in entering])
         if any(t < 0 for t in y):
             raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
         det_s = block.det

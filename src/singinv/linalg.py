@@ -1,32 +1,31 @@
-"""Exact linear algebra over the rationals for small dense systems.
+"""Exact linear algebra over the rationals for small integer systems.
 
-One fraction-free (Bareiss) forward-elimination loop serves everything.
-`Factor` runs it once over a square integer matrix without row
-exchanges and keeps the eliminated matrix: its first nonpositive pivot
-is Sylvester's answer (the first leading principal minor <= 0), and on
-a positive-definite matrix the Bareiss multipliers left in the lower
-triangle let any integer right-hand side replay the same steps in
-O(n^2).  By Cramer's rule det * N^-1 b is integral for integral b
-(Bareiss, Math. Comp. 1968), so `Factor.scaled_solve` returns integers
-and every division on the way is exact.  N is therefore eliminated once
-per graph, and callers carry numerators over one denominator, building
-fractions only for the values they report.  `Factor.border` appends
-rows and columns to a factored matrix and eliminates only the new
-entries, replaying the stored steps on them: a sequence of growing
-principal blocks, such as the supports of the delta_min LCP, costs one
-elimination of the largest block in all.
+One fraction-free (Bareiss) elimination kernel serves everything.
+`Factor` eliminates a symmetric integer matrix without row exchanges:
+its first nonpositive pivot is Sylvester's answer (the first leading
+principal minor <= 0), and on a positive-definite matrix the
+multipliers left in the lower triangle forward-eliminate any integer
+right-hand side.  By Cramer's rule det * N^-1 b is integral for
+integral b (Bareiss, Math. Comp. 1968), so `Factor.scaled_solve`
+returns integers, every division is exact, and callers carry
+numerators over det.
 
-The loop skips zero multipliers.  Step k of Bareiss maps row i to
-(M_{k+1} row_i - a_ik row_k) / M_k, where M_k is the leading principal
-minor of size k (M_0 = 1; the recurrence is Sylvester's identity).  When
-a_ik = 0 this is row_i * M_{k+1} / M_k, so a row skipped from step t up
-to step k is its stored value times M_k / M_t, an exact division.  Each
-row keeps the step it has reached and is rescaled only when it is next
-read.  Eliminated in vertex order, a tree makes little fill-in (Parter,
-SIAM Review 1961), so most rows skip most steps, and the eliminated
-array is bit for bit the dense one.  The replay of a right-hand side y
-skips zero multipliers, and whole steps with y_k = 0, the same way;
-back substitution skips zero entries.
+The kernel works row by row, reading the final rows above.  Step k maps
+row i to (M_{k+1} row_i - a_ik row_k) / M_k, M_k the leading principal
+minor of size k (M_0 = 1; Sylvester's identity); where a_ik or row k is
+zero it only scales by M_{k+1} / M_k.  So each row keeps its nonzero
+multiplier steps and upper columns, runs only the steps with a nonzero
+multiplier, on the pivot row's nonzero columns, and rescales an entry
+last changed by step t by M_k / M_t, exactly, when step k next reads
+it.  After a nonpositive pivot at step k the later rows stop at step k.
+The array is bit for bit the dense one; a tree in vertex order makes
+little fill-in (Parter, SIAM Review 1961).
+
+`Factor(rows)` borders the empty factor.  A border keeps the old
+multipliers, so it re-reduces old rows only where their new columns can
+be nonzero, and `carried_solve` keeps the forward values of a
+right-hand side's old entries: the growing blocks of the delta_min LCP
+cost one elimination in all and a back substitution each.
 """
 
 from __future__ import annotations
@@ -46,141 +45,143 @@ def _square_size(rows: IntMatrix) -> int:
     return n
 
 
-def _eliminate(a: list[list[int]], done: int = 0) -> int | None:
-    """Bareiss forward elimination of the square matrix `a`, in place.
-
-    Returns None, or the 1-based step k whose pivot, the k-th leading
-    principal minor, is <= 0.  Entry (i, k) below the diagonal is never
-    rewritten after step k reads it as row i's multiplier, so the lower
-    triangle keeps every multiplier.
-
-    A row whose multiplier is zero skips the step: row i holds its
-    values after lag[i] steps and is rescaled to step k (module
-    docstring) when it is next read, as the pivot row, for a nonzero
-    multiplier, or on an early exit.  The result is the dense one.
-
-    With ``done`` = m, the leading m x m block of `a` is already
-    eliminated: only the new entries, columns >= m of the first m rows
-    and the rows below, are carried through the stored steps.
-    """
-    n = len(a)
-    lag = [0] * n
-    prev = 1
-    for k in range(n):
-        if lag[k] < k:
-            _catch_up(a, k, lag[k], k, done)
-        row_k = a[k]
-        pivot = row_k[k]
-        if pivot <= 0:
-            for i in range(k + 1, n):
-                if lag[i] < k:
-                    _catch_up(a, i, lag[i], k, done)
-            return k + 1
-        for i in range(k + 1, n):
-            row_i = a[i]
-            if row_i[k]:
-                if lag[i] < k:
-                    _catch_up(a, i, lag[i], k, done)
-                lag[i] = k + 1
-                factor = row_i[k]
-                for j in range(done if i < done else k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
-    return None
-
-
-def _catch_up(a: list[list[int]], i: int, t: int, k: int, done: int) -> None:
-    """Take row i of `a` from its values after t steps to those after k:
-    times M_k / M_t, exactly, where M_s = a[s - 1][s - 1] is the pivot of
-    step s - 1, which no later step rewrites (M_0 = 1).  Only the columns
-    the skipped steps would update change; before them lie the frozen
-    multipliers and the zeros that made the row skip."""
-    new = a[k - 1][k - 1] if k else 1
-    old = a[t - 1][t - 1] if t else 1
-    row = a[i]
-    for j in range(done if i < done else k, len(row)):
-        row[j] = row[j] * new // old
-
-
 class Factor:
-    """One elimination of a square integer matrix, kept for replay.
+    """One elimination of a symmetric integer matrix, kept for replay.
 
     ``first_nonpositive`` is the size k of the first leading principal
     minor <= 0, or None when the matrix is positive definite; only then
-    is ``det`` its determinant and `scaled_solve` and `solve` usable.
-    `border` grows the matrix by new trailing rows and columns,
-    eliminating only the new entries.
+    is ``det`` its determinant and the solves usable.
     """
 
-    __slots__ = ("_a", "det", "first_nonpositive")
+    __slots__ = ("_a", "_lower", "_upper", "_piv", "det", "first_nonpositive")
 
     def __init__(self, rows: IntMatrix):
         _square_size(rows)
-        self._a = [list(map(int, row)) for row in rows]
-        self._eliminate_from(0)
+        self._a: list[list[int]] = []
+        self._lower: list[list[int]] = []  # of row i: steps k < i with a[i][k] != 0
+        self._upper: list[list[int]] = []  # of row i: columns j > i with a[i][j] != 0
+        self._piv = [1]  # M_0 and the positive pivots M_1, M_2, ...
+        self.first_nonpositive: int | None = None
+        self._extend((), rows)
 
     def border(self, cols: IntMatrix, rows: IntMatrix) -> None:
         """Extend the m x m matrix to (m + r) x (m + r): cols[i] holds the
-        r new entries of old row i, rows the r new rows at full width.
-
-        Leading minors up to m are unchanged, so the stored steps are
-        replayed on the new entries and elimination goes on from step m.
-        """
-        a = self._a
-        m = len(a)
+        r new entries of old row i, rows the r new rows at full width."""
+        m = len(self._a)
         n = m + len(rows)
         if len(cols) != m or any(len(row) != n for row in rows) or any(
             len(c) + m != n for c in cols
         ):
             raise ValueError("matrix is not square")
-        for row, c in zip(a, cols):
-            row.extend(map(int, c))
-        a += [list(map(int, row)) for row in rows]
-        self._eliminate_from(m)
+        self._extend(cols, rows)
 
-    def _eliminate_from(self, done: int) -> None:
-        a = self._a
-        n = len(a)
-        self.first_nonpositive = _eliminate(a, done)
-        self.det = a[n - 1][n - 1] if n and self.first_nonpositive is None else 1
+    def _extend(self, cols: IntMatrix, rows: IntMatrix) -> None:
+        """Re-reduce old rows on their new columns (lo = m), reusing their
+        multipliers and reading the new columns `fresh[k]` of pivot row k;
+        then reduce the new rows (lo = 0), finding their multipliers."""
+        a, piv, lower, upper = self._a, self._piv, self._lower, self._upper
+        m = len(a)
+        n = m + len(rows)
+        done = m if self.first_nonpositive is None else self.first_nonpositive - 1
+        fresh: list[list[int]] = [[]] * m  # of an old row: its nonzero new columns
+        order = range(n)
+        if m:
+            for row, c in zip(a, cols):
+                row += c
+            order = [*self._reached(cols), *range(m, n)]
+        for i in order:
+            if i < m:
+                row, steps, lo, cols_of = a[i], lower[i], m, fresh
+            else:
+                row, steps, lo, cols_of = [*rows[i - m]], [], 0, upper
+                a.append(row)
+                lower.append(steps)
+            stop = i if i < done else done
+            lag = [0] * n  # row[j] holds its value after lag[j] steps
+            for k in steps if lo else range(stop):
+                f = row[k]
+                if not f:
+                    continue
+                if not lo:
+                    if lag[k] < k:
+                        f = row[k] = f * piv[k] // piv[lag[k]]
+                    steps.append(k)
+                prev, pivot, row_k = piv[k], piv[k + 1], a[k]
+                for j in cols_of[k]:
+                    v, t = row[j], lag[j]
+                    if t < k and v:
+                        v = v * prev // piv[t]
+                    row[j] = (v * pivot - f * row_k[j]) // prev
+                    lag[j] = k + 1
+            new = []  # the nonzero upper columns >= lo
+            for j in range(lo or stop, n):
+                if row[j]:
+                    if lag[j] < stop:
+                        row[j] = row[j] * piv[stop] // piv[lag[j]]
+                    if j > i:
+                        new.append(j)
+            if lo:
+                upper[i] += new
+                fresh[i] = new
+                continue
+            upper.append(new)
+            if done == i:  # no nonpositive pivot yet
+                if row[i] > 0:
+                    piv.append(row[i])
+                    done += 1
+                else:
+                    self.first_nonpositive = i + 1
+        self.det = a[-1][-1] if a and self.first_nonpositive is None else 1
+
+    def _reached(self, cols: IntMatrix) -> list[int]:
+        """The old rows whose new columns can be nonzero, in order: those
+        given nonzero ones and the rows with a multiplier at a reached row,
+        which by symmetry are the upper columns of that row."""
+        todo = [i for i, c in enumerate(cols) if any(c)]
+        reached = set(todo)
+        while todo:
+            for i in self._upper[todo.pop()]:
+                if i not in reached:
+                    reached.add(i)
+                    todo.append(i)
+        return sorted(reached)
 
     def scaled_solve(self, b: Sequence[int]) -> list[int]:
         """The integer y with rows * y = det * b, for integral b."""
+        return self.carried_solve([], b)
+
+    def carried_solve(self, forward: list[int], b: Sequence[int]) -> list[int]:
+        """`scaled_solve` of a right-hand side whose leading entries an
+        earlier call, before the latest borders, left forward-eliminated
+        in `forward`; b holds the entries of the rows added since, and
+        their forward values are appended to `forward`."""
         if self.first_nonpositive is not None:
             raise ValueError("matrix is not positive definite")
-        a = self._a
-        n = len(a)
-        if len(b) != n:
+        a, piv, upper = self._a, self._piv, self._upper
+        n, m = len(a), len(forward)
+        if m + len(b) != n:
             raise ValueError(
-                f"dimension mismatch: matrix is {n}x{n}, vector has length {len(b)}"
+                f"dimension mismatch: matrix is {n}x{n}, vector has length {m + len(b)}"
             )
-        y = list(b)
-        lag = [0] * n  # y[i] holds its value after lag[i] steps
-        prev = 1
-        for k in range(n):
-            yk, t = y[k], lag[k]
-            if t < k:
-                yk = y[k] = yk * prev // (a[t - 1][t - 1] if t else 1)
-            pivot = a[k][k]
-            if yk:  # otherwise step k only rescales y
-                for i in range(k + 1, n):
-                    factor = a[i][k]
-                    if factor:
-                        yi, t = y[i], lag[i]
-                        if t < k:
-                            yi = yi * prev // (a[t - 1][t - 1] if t else 1)
-                        y[i] = (yi * pivot - factor * yk) // prev
-                        lag[i] = k + 1
-            prev = pivot
+        for i, v in enumerate(b, m):
+            row, t = a[i], 0
+            for k in self._lower[i]:
+                yk = forward[k]
+                if yk:
+                    if t < k and v:
+                        v = v * piv[k] // piv[t]
+                    v = (v * piv[k + 1] - row[k] * yk) // piv[k]
+                    t = k + 1
+            forward.append(v * piv[i] // piv[t] if t < i and v else v)
         # back substitution: by Cramer's rule det * x is integral, so
         # every division is exact
         det = self.det
+        y = [0] * n
         for i in range(n - 1, -1, -1):
             row = a[i]
-            acc = det * y[i]
-            for j in range(i + 1, n):
-                if row[j]:
-                    acc -= row[j] * y[j]
+            acc = det * forward[i]
+            for j in upper[i]:
+                acc -= row[j] * y[j]
             y[i] = acc // row[i]
         return y
 
@@ -192,11 +193,8 @@ class Factor:
 
 
 def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
-    """Solve rows * x = rhs exactly for a positive-definite matrix.
-
-    Raises ValueError on a dimension mismatch or a matrix that is not
-    positive definite.
-    """
+    """Solve rows * x = rhs exactly for a positive-definite matrix;
+    ValueError on a dimension mismatch or any other matrix."""
     return Factor(rows).solve(rhs)
 
 

@@ -44,8 +44,8 @@ def cofactor_determinant(rows):
 
 def dense_eliminate(a):
     """Reference Bareiss loop: every row below the pivot is rescaled at
-    every step, whether or not its multiplier is zero.  Same contract as
-    `singinv.linalg._eliminate`, whose result must equal this one."""
+    every step, whether or not its multiplier is zero.  The array of
+    `singinv.linalg.Factor`, however it was bordered, must equal this one."""
     n = len(a)
     prev = 1
     for k in range(n):

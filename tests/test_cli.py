@@ -569,6 +569,27 @@ def test_default_family_completes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()
 
 
+def test_limits_chain_check_is_pinned(capsys):
+    # the slowest known input of README "Limits": a chain of 100 vertices
+    # of weight 10**6 with 32 boundary components of coefficient 1/p, p the
+    # 32 largest primes below 10**6, each meeting one of the first 32
+    # vertices; CI diffs the installed console script against it too
+    golden = REPO_ROOT / "tests" / "golden"
+    source = golden / "limits_chain32_input.json"
+    doc = json.loads(source.read_text())
+    ids = [f"E{k + 1}" for k in range(100)]
+    below = range(10**6 - 1, 999_000, -1)
+    primes = [p for p in below if all(p % f for f in range(2, 1000))]
+    assert doc["vertices"] == [{"id": v, "weight": 10**6} for v in ids]
+    assert doc["edges"] == [list(pair) for pair in zip(ids, ids[1:])]
+    assert doc["boundary"] == [
+        {"name": f"C{k + 1}", "coeff": f"1/{p}", "meets": {ids[k]: 1}}
+        for k, p in enumerate(primes[:32])
+    ]
+    code, out, _ = _run(capsys, ["check", str(source), "--json"])
+    assert (code, out) == (0, (golden / "limits_chain32_check.json").read_text())
+
+
 def test_enumerate_json_is_pinned(capsys):
     # the JSON rows, pinned like the table above, and the small family
     # that CI also diffs through the installed console script

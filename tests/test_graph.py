@@ -25,7 +25,6 @@ from singinv.graph import (
     build_graph,
     canonical_degree,
     intersection_matrix,
-    is_connected,
     solve_exceptional,
     validate,
 )
@@ -144,7 +143,7 @@ def test_edge_derived_structure_matches_dense_form():
             assert set(rest) == {(j, form[j][i]) for j in g.adjacency[i]}
             assert len(rest) == len(g.adjacency[i])
         connected = _connected_by_union_find(g)
-        assert is_connected(g) is connected
+        assert g.connected is connected
         if connected:
             assert graph_shape(g) == dense_graph_shape(g)
             continue

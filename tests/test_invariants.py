@@ -392,10 +392,13 @@ def test_lcp_borders_one_factor_on_the_long_arm_fork(monkeypatch):
     monkeypatch.setattr(Factor, "__init__", init)
     borders = _count_borders(monkeypatch)
     solved = []
-    real_solve = Factor.scaled_solve
-    monkeypatch.setattr(
-        Factor, "scaled_solve", lambda f, b: solved.append((f, len(b))) or real_solve(f, b)
-    )
+    real_solve = Factor.carried_solve
+
+    def carried_solve(factor, forward, b):
+        solved.append((factor, len(forward) + len(b)))
+        return real_solve(factor, forward, b)
+
+    monkeypatch.setattr(Factor, "carried_solve", carried_solve)
     result = analyze(g).delta_min
     assert len(built) == 1
     block, first = built[0]
@@ -403,6 +406,31 @@ def test_lcp_borders_one_factor_on_the_long_arm_fork(monkeypatch):
     assert len(borders) + 1 == len(lcp_solves) >= 3
     assert first + sum(borders) == lcp_solves[-1] == len(result.active_set) > 30
     _assert_kkt(g, None, result)
+
+
+def test_lcp_borders_re_reduce_only_the_rows_they_reach(monkeypatch):
+    # on the same fork, a border re-reduces only the old rows whose new
+    # columns can be nonzero, here the last few, not the whole block
+    g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
+    validate(g)
+    borders = []  # [old rows, new rows, old rows re-reduced]
+    real_border, real_reached = Factor.border, Factor._reached
+
+    def border(factor, cols, rows):
+        borders.append([len(cols), len(rows), 0])
+        return real_border(factor, cols, rows)
+
+    def reached(factor, cols):
+        redone = real_reached(factor, cols)
+        borders[-1][2] = len(redone)
+        return redone
+
+    monkeypatch.setattr(Factor, "border", border)
+    monkeypatch.setattr(Factor, "_reached", reached)
+    analyze(g)
+    assert len(borders) >= 20
+    assert all(0 < redone <= new for _, new, redone in borders)
+    assert 10 * sum(redone for *_, redone in borders) < sum(old for old, *_ in borders)
 
 
 def test_build_report_runs_each_stage_once(monkeypatch):

@@ -330,11 +330,30 @@ def _assert_dense(factor, ref, bad, rhs):
             assert factor.scaled_solve(b) == dense_scaled_solve(ref, b)
 
 
+def _carried(rows, splits, b):
+    """Border the empty factor along `splits`, carrying the forward values
+    of b across the borders: at every split the array, Sylvester's
+    answer, det and the solution are the dense loop's on the leading
+    block."""
+    factor, forward = Factor([]), []
+    for m, k in zip(splits, splits[1:]):
+        factor.border([row[m:k] for row in rows[:m]], [row[:k] for row in rows[m:k]])
+        ref, bad = _dense_reference([row[:k] for row in rows[:k]])
+        _assert_dense(factor, ref, bad, [])
+        if bad is None:
+            assert factor.carried_solve(forward, b[m:k]) == dense_scaled_solve(ref, b[:k])
+        else:
+            with pytest.raises(ValueError, match="not positive definite"):
+                factor.carried_solve(forward, b[m:k])
+    return factor
+
+
 def test_sparse_kernel_matches_dense_reference():
     # chains, forks, random trees and forests in shuffled vertex order,
     # cyclic and dense Stieltjes matrices, and indefinite matrices that
     # stop early: the eliminated array, Sylvester's answer, det and the
-    # replay are those of the dense loop, bit for bit, at every border
+    # solve are those of the dense loop, bit for bit, at every border and,
+    # with a right-hand side carried across them, at every split
     rng = random.Random(18)
     seen = set()
     for label, rows in _sparse_kernel_cases(rng):
@@ -349,5 +368,15 @@ def test_sparse_kernel_matches_dense_reference():
         for m in range(n + 1):
             _assert_dense(_bordered(rows, [m, n]), ref, bad, rhs)
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
-        _assert_dense(_bordered(rows, [0, *cuts, n]), ref, bad, rhs)
+        _assert_dense(_carried(rows, [0, *cuts, n], rhs[1]), ref, bad, rhs)
     assert {("indefinite tree", False), ("indefinite", False), ("tree", True)} <= seen
+
+
+def test_carried_solve_checks_the_carried_length():
+    factor = Factor([[2, -1], [-1, 3]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        factor.carried_solve([1], [1, 0])
+    forward = []
+    assert factor.carried_solve(forward, [1, 0]) == factor.scaled_solve([1, 0])
+    factor.border([[0], [-1]], [[0, -1, 2]])
+    assert factor.carried_solve(forward, [0]) == factor.scaled_solve([1, 0, 0])
