@@ -11,7 +11,7 @@ classification and report Unsupported.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .continuant import continuant
 from .cycles import EMPTY_BOUNDARY, BoundaryData, CycleSet, boundary_cycle
@@ -32,15 +32,13 @@ class ShapeKind(enum.Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class GraphShape:
+class GraphShape(NamedTuple):
     kind: ShapeKind
     length: int | None = None  # chain only
     ends: tuple[int, int] | None = None  # chain only; equal indices when n = 1
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: SingularityKind
     shape: GraphShape
     log_terminal: bool
@@ -73,7 +71,7 @@ def singularity_kind(graph: DualGraph) -> SingularityKind:
     first = graph.vertices[0]
     if graph.n == 1 and first.weight == 1 and first.genus == 0:
         return SingularityKind.SMOOTH
-    if all(v.weight == 2 and v.genus == 0 for v in graph.vertices):
+    if all(weight == 2 and genus == 0 for _, weight, genus in graph.vertices):
         # equivalent to a vanishing canonical cycle
         return SingularityKind.RDP
     return SingularityKind.SINGULAR
@@ -82,14 +80,15 @@ def singularity_kind(graph: DualGraph) -> SingularityKind:
 def graph_shape(graph: DualGraph) -> GraphShape:
     """Classify a graph by shape; see the module docstring.  A
     disconnected graph, which `validate` rejects, is Other."""
-    if any(v.genus != 0 for v in graph.vertices):
+    if any(genus for _, _, genus in graph.vertices):
         return GraphShape(ShapeKind.UNSUPPORTED)
     n = graph.n
     edges = graph.edges
-    degrees = [len(nbrs) for nbrs in graph.adjacency]
+    adjacency = graph.adjacency
+    degrees = [len(nbrs) for nbrs in adjacency]
     # a pair joined more than once (N_ij < -1): an edge of multiplicity
     # above 1, or more edges than joined pairs
-    if 2 * len(edges) != sum(degrees) or any(e.multiplicity > 1 for e in edges):
+    if 2 * len(edges) != sum(degrees) or any(m > 1 for _, _, m in edges):
         return GraphShape(ShapeKind.UNSUPPORTED)
     if len(edges) != n - 1 or not graph.connected:
         return GraphShape(ShapeKind.OTHER)  # not a tree
@@ -104,13 +103,14 @@ def graph_shape(graph: DualGraph) -> GraphShape:
     if len(centers) > 1:
         return GraphShape(ShapeKind.OTHER)
     center = centers[0]
+    vertices = graph.vertices
     arms = []
-    for start in sorted(graph.adjacency[center]):
+    for start in sorted(adjacency[center]):
         arm = []
         prev, cur = center, start
         while True:
-            arm.append(graph.vertices[cur].weight)
-            nxt = [k for k in graph.adjacency[cur] if k != prev]
+            arm.append(vertices[cur].weight)
+            nxt = [k for k in adjacency[cur] if k != prev]
             if not nxt:
                 break
             prev, cur = cur, nxt[0]

@@ -11,8 +11,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import SingularityKind
 from .continuant import continuant, inverse_entry
@@ -47,8 +47,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(NamedTuple):
     graph: DualGraph
     boundary: BoundaryData
     nef: NefData | None
@@ -274,6 +273,9 @@ def _enumerate_rows(args: argparse.Namespace):
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    for flag, value in (("--limit", args.limit), ("--max-length", args.max_length)):
+        if value < 0:
+            raise InputError(f"{flag} {value} is negative")
     total = chain_family_size(args.max_length, args.max_weight, stop=args.limit)
     if args.forks:
         total += sum(1 for name, _ in rdp_family() if not name.startswith("A")) + 1

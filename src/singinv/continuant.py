@@ -24,9 +24,8 @@ the end-coefficient bound relies on) needs w_j >= 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
@@ -110,8 +109,7 @@ def chain_delta_y(weights: Sequence[int]) -> Fraction:
     return discrepancy_complement(ws, 1) + discrepancy_complement(ws, n)
 
 
-@dataclass(frozen=True)
-class EndBound:
+class EndBound(NamedTuple):
     """Outcome of the chain-end coefficient bound p_n <= a(w_1..w_{n-1}) * p_1."""
 
     holds: bool

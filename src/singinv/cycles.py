@@ -10,16 +10,16 @@ with each exceptional curve.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
     DualGraph,
     ExcDivisor,
+    Record,
     canonical_degrees,
     definite_factor,
     solve_exceptional,
@@ -36,8 +36,7 @@ from .linalg import quadratic_form
 _LAUFER_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     """One boundary curve: coefficient b in [0, 1] and the per-vertex
     intersection counts of its strict transform."""
 
@@ -46,8 +45,7 @@ class BoundaryComponent:
     meets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(NamedTuple):
     components: tuple[BoundaryComponent, ...] = ()
 
     def is_empty(self) -> bool:
@@ -63,8 +61,7 @@ def boundary_component(
     return BoundaryComponent(name, Fraction(coeff), tuple(int(m) for m in meets))
 
 
-@dataclass(frozen=True)
-class CycleSet:
+class CycleSet(Record):
     """Everything the boundary pass produces, in vertex order, in integers.
 
     N is eliminated once (``graph.factor``) and every vector is kept as
@@ -76,6 +73,7 @@ class CycleSet:
     boundary_part`` componentwise (e_j = a_j + b'_j).
     """
 
+    _fields = ("z", "s", "k", "q", "det", "dq", "yk", "yq", "ye")
     z: tuple[int, ...]  # Z, >= 1 everywhere
     s: tuple[int, ...]  # N Z >= 0
     k: tuple[int, ...]  # N Delta, the canonical degrees
@@ -85,6 +83,9 @@ class CycleSet:
     yk: tuple[int, ...]  # det * Delta
     yq: tuple[int, ...]  # det * dq * b'
     ye: tuple[int, ...]  # det * dq * e
+
+    def __init__(self, z, s, k, q, det, dq, yk, yq, ye) -> None:
+        self.__dict__.update(z=z, s=s, k=k, q=q, det=det, dq=dq, yk=yk, yq=yq, ye=ye)
 
     @cached_property
     def fundamental(self) -> ExcDivisor:

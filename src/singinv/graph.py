@@ -14,10 +14,9 @@ functions, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import Factor
 
@@ -49,25 +48,60 @@ class IllegalWeightError(GraphValidationError):
     """Weight 1 outside the single-vertex smooth-point configuration."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Record:
+    """An immutable record with an instance ``__dict__``, for the few that
+    need more than a NamedTuple: cached views (``cached_property`` writes
+    the instance dict directly) or a container protocol of their own.
+
+    A subclass names its fields in ``_fields`` and stores them in
+    ``__init__`` through ``self.__dict__``.  Equality, hashing and the
+    repr read the fields, as a frozen dataclass's do.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Vertex(NamedTuple):
     id: str
     weight: int
     genus: int = 0
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     a: str
     b: str
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
-class ExcDivisor:
+class ExcDivisor(Record):
     """Exceptional Q-divisor: exact coefficients in vertex order."""
 
+    _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs) -> None:
+        self.__dict__["coeffs"] = coeffs
 
     @classmethod
     def from_values(cls, values: Iterable[Fraction | int | str]) -> "ExcDivisor":
@@ -110,39 +144,43 @@ class ExcDivisor:
             )
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(Record):
+    """The vertices and edges, checked on construction; the views below
+    are computed on first read and cached."""
+
+    _fields = ("vertices", "edges")
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(self, vertices, edges) -> None:
+        if not vertices:
             raise GraphValidationError("graph has no vertices")
         seen: set[str] = set()
-        for v in self.vertices:
-            if v.id in seen:
-                raise GraphValidationError(f"duplicate vertex id {v.id!r}")
-            seen.add(v.id)
-            if v.weight < 1:
+        for vid, weight, genus in vertices:
+            if vid in seen:
+                raise GraphValidationError(f"duplicate vertex id {vid!r}")
+            seen.add(vid)
+            if weight < 1:
                 raise GraphValidationError(
-                    f"vertex {v.id!r}: weight must be a positive integer"
+                    f"vertex {vid!r}: weight must be a positive integer"
                 )
-            if v.genus < 0:
+            if genus < 0:
                 raise GraphValidationError(
-                    f"vertex {v.id!r}: genus must be nonnegative"
+                    f"vertex {vid!r}: genus must be nonnegative"
                 )
-        for e in self.edges:
-            if e.a == e.b:
-                raise GraphValidationError(f"self-loop at vertex {e.a!r}")
-            for end in (e.a, e.b):
+        for a, b, multiplicity in edges:
+            if a == b:
+                raise GraphValidationError(f"self-loop at vertex {a!r}")
+            for end in (a, b):
                 if end not in seen:
                     raise GraphValidationError(
                         f"edge references unknown vertex id {end!r}"
                     )
-            if e.multiplicity < 1:
+            if multiplicity < 1:
                 raise GraphValidationError(
-                    f"edge ({e.a!r}, {e.b!r}): multiplicity must be a positive integer"
+                    f"edge ({a!r}, {b!r}): multiplicity must be a positive integer"
                 )
+        self.__dict__.update(vertices=vertices, edges=edges)
 
     @property
     def n(self) -> int:
@@ -158,13 +196,14 @@ class DualGraph:
         off-diagonal minus the total multiplicity of the edges joining
         the pair.  Nothing else sums edge multiplicities."""
         n = self.n
+        index = self.index
         m = [[0] * n for _ in range(n)]
-        for j, v in enumerate(self.vertices):
-            m[j][j] = v.weight
-        for e in self.edges:
-            i, j = self.index[e.a], self.index[e.b]
-            m[i][j] -= e.multiplicity
-            m[j][i] -= e.multiplicity
+        for j, (_, weight, _) in enumerate(self.vertices):
+            m[j][j] = weight
+        for a, b, multiplicity in self.edges:
+            i, j = index[a], index[b]
+            m[i][j] -= multiplicity
+            m[j][i] -= multiplicity
         return tuple(map(tuple, m))
 
     @cached_property
@@ -173,8 +212,8 @@ class DualGraph:
         the nonzero off-diagonal entries of N."""
         index = self.index
         neighbours: list[set[int]] = [set() for _ in self.vertices]
-        for e in self.edges:
-            i, j = index[e.a], index[e.b]
+        for a, b, _ in self.edges:
+            i, j = index[a], index[b]
             neighbours[i].add(j)
             neighbours[j].add(i)
         return tuple(map(frozenset, neighbours))
@@ -228,13 +267,12 @@ def build_graph(
     return DualGraph(vs, es)
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class IntersectionMatrix(NamedTuple):
     """The symmetric integer matrix (E_i . E_j) and its negation N."""
 
     entries: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    @property
     def positive_form(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(-x for x in row) for row in self.entries)
 
@@ -290,7 +328,7 @@ def canonical_degree(graph: DualGraph, j: int) -> int:
 
 def canonical_degrees(graph: DualGraph) -> list[int]:
     """[K_X . E_j for every j], in vertex order."""
-    return [v.weight + 2 * v.genus - 2 for v in graph.vertices]
+    return [weight + 2 * genus - 2 for _, weight, genus in graph.vertices]
 
 
 def solve_exceptional(

@@ -38,16 +38,15 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classify import Classification, ShapeKind, classify
 from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle
-from .graph import DualGraph, ExcDivisor
+from .graph import DualGraph, ExcDivisor, Record
 from .linalg import Factor, clear_denominators, matvec, quadratic_form, solve
 
 DEFAULT_EPSILON = Fraction(1, 1000)
@@ -67,12 +66,17 @@ class NegativeIntersectionError(ValueError):
     """min M.C must be nonnegative for nef M."""
 
 
-@dataclass(frozen=True)
-class DeltaMinResult:
+class _DeltaMinFields(NamedTuple):
     value: Fraction
     active_set: frozenset[int]  # indices with x0_j > 0
     x_num: tuple[int, ...]  # x0 = x_num / x_den, in lowest terms
     x_den: int
+
+
+class DeltaMinResult(_DeltaMinFields):
+    # no __slots__: the instance dict holds the cached minimizer
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
     @classmethod
     def from_fractions(
@@ -94,15 +98,13 @@ class DeltaPrimeKind(enum.Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class DeltaPrime:
+class DeltaPrime(NamedTuple):
     kind: DeltaPrimeKind
     value: Fraction | None = None  # exact for CHAIN_END_VALUE, 0 for ZERO
     epsilon: Fraction | None = None  # display stand-in for ANY_POSITIVE
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Everything `analyze` derives from one graph and boundary."""
 
     cycles: CycleSet
@@ -314,8 +316,7 @@ def delta_prime(
     return delta_prime_from(analyze(graph, boundary), epsilon)
 
 
-@dataclass(frozen=True)
-class ScaledVariant:
+class ScaledVariant(NamedTuple):
     """One mu-scaled sufficient check: M^2 > (1-mu)^2 * basis and
     min M.C >= (1-mu) * basis / 2."""
 
@@ -330,15 +331,13 @@ class ScaledVariant:
         return self.m2_ok and self.mc_ok
 
 
-@dataclass(frozen=True)
-class ScaledCheck:
+class ScaledCheck(NamedTuple):
     mu: Fraction
     delta_y_variant: ScaledVariant
     delta_variant: ScaledVariant
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     m2: Fraction
     min_mc: Fraction
     delta: Fraction

@@ -8,15 +8,14 @@ emitted value re-parses to the identical fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .classify import ShapeKind
-from .cycles import BoundaryData, EMPTY_BOUNDARY
+from .classify import Classification, ShapeKind
+from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY
 from .graph import DualGraph, ExcDivisor, validate
 from .invariants import (
     DEFAULT_EPSILON,
-    Analysis,
     DeltaMinResult,
     DeltaPrime,
     DeltaPrimeKind,
@@ -31,16 +30,22 @@ from .invariants import (
 REPORT_FORMAT = "singinv-report-1"
 
 
-@dataclass(frozen=True)
-class NefData:
+class NefData(NamedTuple):
     m2: Fraction
     min_mc: Fraction
 
 
-@dataclass(frozen=True)
-class SingularityReport(Analysis):
-    """An analysis together with its input and the reporting options."""
+class SingularityReport(NamedTuple):
+    """An analysis together with its input and the reporting options:
+    the fields of `Analysis`, in its order, then the rest."""
 
+    cycles: CycleSet
+    classification: Classification
+    delta_y: Fraction
+    delta_by: Fraction
+    delta_min: DeltaMinResult
+    mu: Fraction | None
+    delta: Fraction
     graph: DualGraph
     boundary: BoundaryData
     nef: NefData | None
@@ -78,7 +83,7 @@ def build_report(
         else None
     )
     return SingularityReport(
-        **vars(a),
+        **a._asdict(),
         graph=graph,
         boundary=boundary,
         nef=nef,

@@ -431,6 +431,16 @@ def test_enumerate_row_limit(capsys):
     assert "row limit" in err
 
 
+def test_enumerate_rejects_negative_caps(capsys):
+    for flag in ("--limit", "--max-length"):
+        code, out, err = _run(capsys, ["enumerate", flag, "-1"])
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} -1 is negative\n"
+    # zero is a cap, not an error: no chains, an empty table
+    code, out, _ = _run(capsys, ["enumerate", "--max-length", "0"])
+    assert code == 0 and out.endswith("\ntotal: 0 rows, 0 failures\n")
+
+
 def test_enumerate_huge_family_fails_fast(capsys):
     # counting stops once the family passes --limit, so no 5**k with
     # thousands of digits is summed or printed
@@ -462,15 +472,13 @@ def test_chain_family_size_counts_the_sweep():
 
 
 def test_enumerate_detects_violations(monkeypatch, capsys):
-    import dataclasses
-
     import singinv.cli as cli_module
 
     real = cli_module.analyze
     monkeypatch.setattr(
         cli_module,
         "analyze",
-        lambda graph: dataclasses.replace(real(graph), delta_y=Fraction(99)),
+        lambda graph: real(graph)._replace(delta_y=Fraction(99)),
     )
     code, _, err = _run(capsys, ["enumerate", "--max-length", "1", "--max-weight", "2"])
     assert code == 2

@@ -182,6 +182,10 @@ def test_laufer_without_steps_builds_no_columns():
         g = chain_graph(weights)
         analyze(g)
         assert "columns" not in vars(g)
+    # a CycleSet view is computed on first read and then cached
+    cs = boundary_cycle(g)
+    assert "canonical" not in vars(cs)
+    assert cs.canonical is cs.canonical is vars(cs)["canonical"]
     g = ade_graph("D", 4)
     fundamental_cycle(g)
     diagonal, *neighbours = g.columns[0]
