@@ -17,13 +17,6 @@ from typing import NamedTuple
 from .classify import SingularityKind
 from .continuant import continuant, inverse_entry
 from .cycles import BoundaryData, boundary_component, exceptional_pullback
-from .families import (
-    chain_family_size,
-    chain_graph,
-    iter_chain_weights,
-    rdp_family,
-    smooth_graph,
-)
 from .graph import DualGraph, GraphValidationError, build_graph, validate
 from .invariants import DEFAULT_EPSILON, analyze
 from .report import (
@@ -261,6 +254,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _enumerate_rows(args: argparse.Namespace):
+    from .families import chain_graph, iter_chain_weights, rdp_family, smooth_graph
+
     for weights in iter_chain_weights(args.max_length, args.max_weight):
         label = "chain(" + ",".join(str(w) for w in weights) + ")"
         yield label, chain_graph(weights)
@@ -273,6 +268,10 @@ def _enumerate_rows(args: argparse.Namespace):
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    # only enumerate builds graph families: the other subcommands do not
+    # pay for importing them
+    from .families import chain_family_size, rdp_family
+
     for flag, value in (("--limit", args.limit), ("--max-length", args.max_length)):
         if value < 0:
             raise InputError(f"{flag} {value} is negative")

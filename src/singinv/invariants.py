@@ -23,12 +23,19 @@ order, so each principal block N_SS is the previous one bordered by
 the entering rows and columns: one `Factor`, built on the first
 iteration and bordered on each later one, is eliminated once over the
 whole LCP.  The right-hand side -(N v)_S grows the same way, so each
-iteration forward-eliminates only its entering entries and then
-back-substitutes over the block's nonzeros.  A symmetric permutation
-leaves det N_SS and the solution unchanged, so entry order gives the
-same exact answer as sorted order, and w stays in integers, updated
-through the nonzeros of N (a tree has fewer than 3n).  At the end
-x.w = 0, so the minimum is v.w.
+iteration forward-eliminates only its entering entries.  A symmetric
+permutation leaves det N_SS and the solution unchanged, so entry order
+gives the same exact answer as sorted order.
+An iteration pays only for the entries its entering test reads.  Every
+j outside S and not next to it has w_j = (N v)_j det N_SS >= 0, since
+the j with (N v)_j < 0 all enter on the first iteration and S only
+grows.  So w is evaluated, in integers and through the nonzeros of N,
+only on the outside neighbours of S, and x only on the members of S
+next to them and on the rows their back substitution reads: 3 rows an
+iteration on the 64-vertex long-arm fork, not the whole support.  One
+full back substitution, at the end, completes x from the last
+iteration's entries, and N_SS x_S = -(N v)_S makes the minimum
+v.(N v) + x_S.(N v)_S.
 `delta_min_exhaustive` instead scans all 2^n supports in fractions and
 compares objectives only, giving an independent route to the same
 answer.
@@ -142,51 +149,85 @@ def _stationary_on(
     return x
 
 
+def _check_cone(y: Sequence[int | None]) -> None:
+    """Every computed entry of an LCP iterate (None: not computed) is >= 0."""
+    if min(filter(None, y), default=0) < 0:
+        raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
+
+
 def _monotone_lcp(
-    graph: DualGraph, v: Sequence[int], nv: Sequence[int], den: int
+    graph: DualGraph, nv: Sequence[int], vnv: int, den: int
 ) -> DeltaMinResult:
     """min (v + x)^T N (v + x) over x >= 0 by Chandrasekaran's method.
 
-    v and nv = N v are integer numerators over one denominator `den`.
-    On support S, y = det(N_SS) * den * x_S and w = N(v + x) has
+    nv = N v and vnv = v.(N v) are integer numerators over den and den^2.
+    On support S, y = det(N_SS) * den * x_S, and w = N(v + x) has
     numerators nv * det(N_SS) + N y over den * det(N_SS).
     """
     n = len(nv)
-    form = graph.positive_form
+    entering = [j for j in range(n) if nv[j] < 0]
+    if not entering:  # N v >= 0: x = 0 satisfies the KKT conditions
+        return DeltaMinResult(Fraction(vnv, den * den), frozenset(), (0,) * n, 1)
+    columns = graph.columns
     support: list[int] = []  # in entry order: each block borders the last
+    where = [-1] * n  # position in the support, -1 outside it
+    links: dict[int, list[tuple[int, int]]] = {}  # j next to S: [(position, N_ij)]
     block: Factor | None = None
-    forward: list[int] = []  # -(N v)_S forward-eliminated, kept across borders
-    y: list[int] = []
-    det_s = 1
-    w = nv
-    while True:
-        entering = [j for j in range(n) if w[j] < 0]
-        if not entering:
-            break
+    rhs: list[int] = []  # -(N v)_S
+    forward: list[int] = []  # rhs forward-eliminated, kept across borders
+    partial: list[int | None] | None = None  # y where the entering test reads it
+    while entering:
         m = len(support)
         support += entering
-        rows = [[form[i][j] for j in support] for i in entering]
+        for p, j in enumerate(entering, m):
+            where[j] = p
+        size = len(support)
+        rows = []  # of N_SS, read off the nonzeros of the entering columns
+        for p, j in enumerate(entering, m):
+            row = [0] * size
+            for i, c in columns[j]:
+                q = where[i]
+                if q < 0:
+                    links.setdefault(i, []).append((p, c))
+                else:
+                    row[q] = c
+            rows.append(row)
         if block is None:
             block = Factor(rows)
-        else:  # N is symmetric: the new columns are the new rows' first m entries
-            block.border(list(zip(*[row[:m] for row in rows])), rows)
-        y = block.carried_solve(forward, [-nv[i] for i in entering])
-        if any(t < 0 for t in y):
-            raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
+        else:
+            block.border(rows)
+        b = [-nv[i] for i in entering]
+        rhs += b
+        block.carry(forward, b)
+        if not links:
+            partial = None  # nothing outside S is left to enter
+            break
+        partial = block.back_substitute(forward, [p for e in links.values() for p, _ in e])
+        _check_cone(partial)
         det_s = block.det
-        w = [t * det_s for t in nv]
-        columns = graph.columns
-        for j, t in zip(support, y):
-            if t:
-                for i, c in columns[j]:
-                    w[i] += c * t
+        entering = []
+        for j, edge in links.items():
+            w = nv[j] * det_s
+            for p, c in edge:
+                w += c * partial[p]
+            if w < 0:
+                entering.append(j)
+        for j in entering:
+            del links[j]  # no longer outside
+        entering.sort()
+    y = partial
+    if y is None or None in y:  # complete the last iteration's solve
+        y = block.back_substitute(forward, None, y)
+        _check_cone(y)
+    det_s = block.det
     x_den = den * det_s
-    value = Fraction(sum(map(mul, v, w)), den * x_den)
+    num = det_s * vnv - sum(map(mul, rhs, y))
+    value = Fraction(num, den * x_den)
     x_num = [0] * n
     g = gcd(x_den, *y)
     for j, t in zip(support, y):
         x_num[j] = t // g
-    active = frozenset(j for j, t in zip(support, y) if t > 0)
+    active = frozenset(itertools.compress(support, y))  # y >= 0
     return DeltaMinResult(value, active, tuple(x_num), x_den // g)
 
 
@@ -213,8 +254,9 @@ def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
     den = det * dq
     v = [den * z - e for z, e in zip(cs.z, cs.ye)]  # den * (Z - Delta_B)
     nv = [det * (dq * a - q) for a, q in zip(nu, cs.q)]  # den * N (Z - Delta_B)
-    dby = Fraction(sum(map(mul, v, nv)), den * den) if any(cs.q) else dy
-    dmin = _monotone_lcp(graph, v, nv, den)
+    vnv = sum(map(mul, v, nv))
+    dby = Fraction(vnv, den * den) if any(cs.q) else dy
+    dmin = _monotone_lcp(graph, nv, vnv, den)
     log_terminal = cls.log_terminal
     return Analysis(
         cycles=cs,

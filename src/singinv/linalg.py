@@ -21,18 +21,26 @@ it.  After a nonpositive pivot at step k the later rows stop at step k.
 The array is bit for bit the dense one; a tree in vertex order makes
 little fill-in (Parter, SIAM Review 1961).
 
-`Factor(rows)` borders the empty factor.  A border keeps the old
-multipliers, so it re-reduces old rows only where their new columns can
-be nonzero, and `carried_solve` keeps the forward values of a
-right-hand side's old entries: the growing blocks of the delta_min LCP
-cost one elimination in all and a back substitution each.
+`Factor(rows)` borders the empty factor, and `border` takes only the
+new rows: the matrix is symmetric, so they also hold the old rows' new
+columns.  A border keeps the old multipliers, so it re-reduces old rows
+only where their new columns can be nonzero.  A solve is two calls.
+`carry` forward-eliminates the entries of a right-hand side added since
+its last call and keeps the old ones.  `back_substitute` can stop at
+given rows and the rows their substitution reads, the closure of the
+given rows under the nonzero upper columns (Gilbert and Peierls, SIAM
+J. Sci. Stat. Comput. 1988), and can later complete what it left out.
+So an iteration of the delta_min LCP costs one border, the forward
+values of its entering rows and the back substitution of the rows its
+entering test reads; only the last solve covers the whole block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -62,20 +70,18 @@ class Factor:
         self._upper: list[list[int]] = []  # of row i: columns j > i with a[i][j] != 0
         self._piv = [1]  # M_0 and the positive pivots M_1, M_2, ...
         self.first_nonpositive: int | None = None
-        self._extend((), rows)
+        self._extend(rows)
 
-    def border(self, cols: IntMatrix, rows: IntMatrix) -> None:
-        """Extend the m x m matrix to (m + r) x (m + r): cols[i] holds the
-        r new entries of old row i, rows the r new rows at full width."""
-        m = len(self._a)
-        n = m + len(rows)
-        if len(cols) != m or any(len(row) != n for row in rows) or any(
-            len(c) + m != n for c in cols
-        ):
+    def border(self, rows: IntMatrix) -> None:
+        """Extend the symmetric m x m matrix to (m + r) x (m + r) by the r
+        new rows at full width; by symmetry the new columns of old row i
+        are the new rows' entries i."""
+        n = len(self._a) + len(rows)
+        if any(len(row) != n for row in rows):
             raise ValueError("matrix is not square")
-        self._extend(cols, rows)
+        self._extend(rows)
 
-    def _extend(self, cols: IntMatrix, rows: IntMatrix) -> None:
+    def _extend(self, rows: IntMatrix) -> None:
         """Re-reduce old rows on their new columns (lo = m), reusing their
         multipliers and reading the new columns `fresh[k]` of pivot row k;
         then reduce the new rows (lo = 0), finding their multipliers."""
@@ -86,9 +92,12 @@ class Factor:
         fresh: list[list[int]] = [[]] * m  # of an old row: its nonzero new columns
         order = range(n)
         if m:
-            for row, c in zip(a, cols):
-                row += c
-            order = [*self._reached(cols), *range(m, n)]
+            # by symmetry the new rows hold the old rows' new columns; all
+            # that is done for every old row runs at C level
+            cols = [*zip(*rows)]
+            list(map(list.extend, a, cols))
+            given = compress(range(m), map(any, cols))
+            order = [*self._reached(given), *range(m, n)]
         for i in order:
             if i < m:
                 row, steps, lo, cols_of = a[i], lower[i], m, fresh
@@ -133,37 +142,44 @@ class Factor:
                     self.first_nonpositive = i + 1
         self.det = a[-1][-1] if a and self.first_nonpositive is None else 1
 
-    def _reached(self, cols: IntMatrix) -> list[int]:
-        """The old rows whose new columns can be nonzero, in order: those
-        given nonzero ones and the rows with a multiplier at a reached row,
-        which by symmetry are the upper columns of that row."""
-        todo = [i for i, c in enumerate(cols) if any(c)]
-        reached = set(todo)
-        while todo:
-            for i in self._upper[todo.pop()]:
-                if i not in reached:
-                    reached.add(i)
-                    todo.append(i)
-        return sorted(reached)
+    def _reached(self, rows: Iterable[int]) -> list[int]:
+        """`rows` and every row a multiplier or an upper column joins to
+        them, in increasing order: the closure of `rows` under `_upper`,
+        which by symmetry is both the old rows a border re-reduces and the
+        rows a back substitution at `rows` reads.  It costs what it
+        reaches, not the size of the factor."""
+        upper = self._upper
+        reached = set(rows)
+        todo = [*reached]
+        for i in todo:  # also visits the rows appended on the way
+            for j in upper[i]:
+                if j not in reached:
+                    reached.add(j)
+                    todo.append(j)
+        return sorted(todo)
+
+    def _check(self, size: int) -> None:
+        """A solve needs a positive-definite matrix and a vector of its size."""
+        if self.first_nonpositive is not None:
+            raise ValueError("matrix is not positive definite")
+        n = len(self._a)
+        if size != n:
+            raise ValueError(f"dimension mismatch: matrix is {n}x{n}, vector has length {size}")
 
     def scaled_solve(self, b: Sequence[int]) -> list[int]:
         """The integer y with rows * y = det * b, for integral b."""
-        return self.carried_solve([], b)
+        forward: list[int] = []
+        self.carry(forward, b)
+        return self.back_substitute(forward)
 
-    def carried_solve(self, forward: list[int], b: Sequence[int]) -> list[int]:
-        """`scaled_solve` of a right-hand side whose leading entries an
-        earlier call, before the latest borders, left forward-eliminated
-        in `forward`; b holds the entries of the rows added since, and
-        their forward values are appended to `forward`."""
-        if self.first_nonpositive is not None:
-            raise ValueError("matrix is not positive definite")
-        a, piv, upper = self._a, self._piv, self._upper
-        n, m = len(a), len(forward)
-        if m + len(b) != n:
-            raise ValueError(
-                f"dimension mismatch: matrix is {n}x{n}, vector has length {m + len(b)}"
-            )
-        for i, v in enumerate(b, m):
+    def carry(self, forward: list[int], b: Sequence[int]) -> None:
+        """Forward-eliminate a right-hand side whose leading entries an
+        earlier call, before the latest borders, left in `forward`: b
+        holds the entries of the rows added since, and their forward
+        values are appended to `forward`."""
+        self._check(len(forward) + len(b))
+        a, piv = self._a, self._piv
+        for i, v in enumerate(b, len(forward)):
             row, t = a[i], 0
             for k in self._lower[i]:
                 yk = forward[k]
@@ -173,11 +189,29 @@ class Factor:
                     v = (v * piv[k + 1] - row[k] * yk) // piv[k]
                     t = k + 1
             forward.append(v * piv[i] // piv[t] if t < i and v else v)
-        # back substitution: by Cramer's rule det * x is integral, so
-        # every division is exact
-        det = self.det
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
+
+    def back_substitute(
+        self,
+        forward: Sequence[int],
+        rows: Iterable[int] | None = None,
+        y: list[int | None] | None = None,
+    ) -> list[int | None]:
+        """det * x for the forward values of a full right-hand side: at
+        `rows` and the rows their substitution reads (every row when
+        None), with None elsewhere.  Entries of `y`, the result of an
+        earlier call on the same forward values, are kept, not redone.
+
+        By Cramer's rule det * x is integral, so every division is exact.
+        """
+        self._check(len(forward))
+        a, upper, det = self._a, self._upper, self.det
+        n = len(a)
+        order = range(n - 1, -1, -1) if rows is None else reversed(self._reached(rows))
+        if y is None:
+            y = [None] * n
+        else:
+            order = [i for i in order if y[i] is None]
+        for i in order:
             row = a[i]
             acc = det * forward[i]
             for j in upper[i]:

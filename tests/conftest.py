@@ -15,7 +15,9 @@ from singinv.families import (
     rdp_family,
     smooth_graph,
 )
-from singinv.graph import build_graph, validate
+from singinv.graph import build_graph, intersection_matrix, validate
+from singinv.invariants import quadratic_norm
+from singinv.linalg import matvec
 
 GRAPH_KINDS = ("tree", "cycle", "multi", "genus")
 
@@ -152,6 +154,19 @@ def dense_graph_shape(graph):
     if dets in ([2, 3, 3], [2, 3, 4], [2, 3, 5]):
         return GraphShape(ShapeKind.FORK_E)
     return GraphShape(ShapeKind.OTHER)
+
+
+def assert_kkt(graph, boundary, result):
+    """The delta_min certificate, in fractions with a dense product:
+    x >= 0, w = N(v + x) >= 0, x.w = 0, and the value is the objective."""
+    cs = boundary_cycle(graph, boundary)
+    v = cs.fundamental - cs.boundary_canonical
+    w = matvec(intersection_matrix(graph).positive_form, (v + result.minimizer).coeffs)
+    assert result.minimizer.is_effective()
+    assert all(wj >= 0 for wj in w)
+    assert all(xj * wj == 0 for xj, wj in zip(result.minimizer, w))
+    assert result.value == quadratic_norm(graph, v + result.minimizer)
+    assert result.active_set == {j for j, xj in enumerate(result.minimizer) if xj > 0}
 
 
 def random_chain_weights(rng: random.Random, max_length=10, max_weight=9):

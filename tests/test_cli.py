@@ -18,7 +18,7 @@ from singinv.cli import (
     parse_input,
     parse_rational,
 )
-from singinv.families import chain_family_size, iter_chain_weights
+from singinv.families import chain_family_size, fork_graph, iter_chain_weights
 from singinv.report import NefData
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -609,3 +609,20 @@ def test_enumerate_json_is_pinned(capsys):
     argv = ["enumerate", "--max-length", "2", "--max-weight", "3", "--json"]
     code, out, _ = _run(capsys, argv)
     assert (code, out) == (0, (golden / "enumerate_l2_w3.json").read_text())
+
+
+def test_long_arm_fork_analyze_is_pinned(capsys):
+    # the slowest graph of the benchmark's hard ladder and the LCP's worst
+    # case: center weight 3 with arms of 21 twos, 21 threes and 21 twos,
+    # no boundary (21 iterations, 3 entering rows each); the input file is
+    # this definition written one vertex and one edge per line, and CI
+    # diffs the installed console script against the report too
+    golden = REPO_ROOT / "tests" / "golden"
+    source = golden / "long_arm_fork64_input.json"
+    g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
+    vertices = ",\n    ".join(json.dumps({"id": v.id, "weight": v.weight}) for v in g.vertices)
+    edges = ",\n    ".join(json.dumps([e.a, e.b]) for e in g.edges)
+    text = f'{{\n  "vertices": [\n    {vertices}\n  ],\n  "edges": [\n    {edges}\n  ]\n}}\n'
+    assert source.read_text() == text
+    code, out, _ = _run(capsys, ["analyze", str(source), "--json"])
+    assert (code, out) == (0, (golden / "long_arm_fork64_analyze.json").read_text())

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GRAPH_KINDS, any_boundary, base_graphs, random_boundary, random_graph
+from conftest import (
+    GRAPH_KINDS,
+    any_boundary,
+    assert_kkt,
+    base_graphs,
+    random_boundary,
+    random_graph,
+)
 from singinv.classify import (
     SingularityKind,
     is_log_canonical,
@@ -280,18 +287,6 @@ def test_section_2_2_equalities_on_anchor():
     assert dp.value == (1 - mu_value) * delta_y(g) / 2
 
 
-def _assert_kkt(graph, boundary, result):
-    """x >= 0, w = N(v + x) >= 0, x.w = 0, and the value is the objective."""
-    cs = boundary_cycle(graph, boundary)
-    v = cs.fundamental - cs.boundary_canonical
-    w = matvec(intersection_matrix(graph).positive_form, (v + result.minimizer).coeffs)
-    assert result.minimizer.is_effective()
-    assert all(wj >= 0 for wj in w)
-    assert all(xj * wj == 0 for xj, wj in zip(result.minimizer, w))
-    assert result.value == quadratic_norm(graph, v + result.minimizer)
-    assert result.active_set == {j for j, xj in enumerate(result.minimizer) if xj > 0}
-
-
 def _assert_matches_fraction_route(graph, boundary, a):
     """Each integer result of the pass against the same quantity in fractions."""
     cs = a.cycles
@@ -318,9 +313,9 @@ def _count_borders(monkeypatch):
     sizes = []
     real = Factor.border
 
-    def border(factor, cols, rows):
+    def border(factor, rows):
         sizes.append(len(rows))
-        return real(factor, cols, rows)
+        return real(factor, rows)
 
     monkeypatch.setattr(Factor, "border", border)
     return sizes
@@ -343,7 +338,7 @@ def test_delta_min_lcp_matches_exhaustive_on_random_graphs(monkeypatch):
         # equal results compare equal: x0 is kept in lowest terms
         assert fast == slow, (kind, g, b)
         assert fast.minimizer == slow.minimizer
-        _assert_kkt(g, b, fast)
+        assert_kkt(g, b, fast)
         iterated += bool(fast.active_set)
     assert iterated > 20  # the LCP loop itself, not only x = 0, was exercised
     assert bordered >= 60  # and so was extending its factor by later rows
@@ -358,7 +353,7 @@ def test_delta_min_beyond_exhaustive_range():
     for g, b in ((chain, meets_all), (fork, None)):
         report = build_report(g, b)
         assert len(report.delta_min.active_set) > 30
-        _assert_kkt(g, b, report.delta_min)
+        assert_kkt(g, b, report.delta_min)
         assert report.delta_min.value <= report.delta_by
 
 
@@ -372,7 +367,7 @@ def test_lcp_kkt_on_graphs_beyond_exhaustive_range():
         g = random_graph(rng, kind, rng.randint(17, 40))
         b = any_boundary(g, rng, max_components=3)
         result = analyze(g, b).delta_min
-        _assert_kkt(g, b, result)
+        assert_kkt(g, b, result)
         iterated += len(result.active_set) > 1
     assert iterated > 12
 
@@ -391,21 +386,61 @@ def test_lcp_borders_one_factor_on_the_long_arm_fork(monkeypatch):
 
     monkeypatch.setattr(Factor, "__init__", init)
     borders = _count_borders(monkeypatch)
-    solved = []
-    real_solve = Factor.carried_solve
+    solved = []  # (factor, size) of each forward carry
+    real_carry = Factor.carry
 
-    def carried_solve(factor, forward, b):
+    def carry(factor, forward, b):
         solved.append((factor, len(forward) + len(b)))
-        return real_solve(factor, forward, b)
+        return real_carry(factor, forward, b)
 
-    monkeypatch.setattr(Factor, "carried_solve", carried_solve)
+    monkeypatch.setattr(Factor, "carry", carry)
+    substituted = _count_back_substitutions(monkeypatch)
     result = analyze(g).delta_min
     assert len(built) == 1
     block, first = built[0]
     lcp_solves = [size for f, size in solved if f is block]
     assert len(borders) + 1 == len(lcp_solves) >= 3
     assert first + sum(borders) == lcp_solves[-1] == len(result.active_set) > 30
-    _assert_kkt(g, None, result)
+    # one full back substitution, the last, on the final block
+    full = [rows for f, rows, _ in substituted if f is block and rows is None]
+    assert len(full) == 1 and substituted[-1][:2] == (block, None)
+    assert_kkt(g, None, result)
+
+
+def _count_back_substitutions(monkeypatch):
+    """Record (factor, rows, entries newly computed) of every
+    `Factor.back_substitute` call; rows is None for a full one."""
+    calls = []
+    real = Factor.back_substitute
+
+    def back_substitute(factor, forward, rows=None, y=None):
+        before = 0 if y is None else sum(t is not None for t in y)
+        rows = None if rows is None else list(rows)
+        out = real(factor, forward, rows, y)
+        calls.append((factor, rows, sum(t is not None for t in out) - before))
+        return out
+
+    monkeypatch.setattr(Factor, "back_substitute", back_substitute)
+    return calls
+
+
+def test_lcp_back_substitutes_only_what_the_entering_test_reads(monkeypatch):
+    # on the long-arm fork each iteration reads x only at the three arm
+    # tips next to the outside, and their back substitution reads nothing
+    # else: under 3n entries before the final solve, where a whole-support
+    # solve per iteration back-substitutes 651
+    n = 64
+    g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
+    validate(g)
+    calls = _count_back_substitutions(monkeypatch)
+    result = analyze(g).delta_min
+    lcp = [call for call in calls if call[0] is not g.factor]  # not the cycle solves
+    *partial, (_, last_rows, last_new) = lcp
+    assert last_rows is None and partial  # the final solve comes last
+    assert all(rows is not None for _, rows, _ in partial)
+    assert sum(new for *_, new in partial) < 3 * n
+    assert last_new + sum(new for *_, new in partial[-1:]) == len(result.active_set)
+    assert_kkt(g, None, result)
 
 
 def test_lcp_borders_re_reduce_only_the_rows_they_reach(monkeypatch):
@@ -416,13 +451,14 @@ def test_lcp_borders_re_reduce_only_the_rows_they_reach(monkeypatch):
     borders = []  # [old rows, new rows, old rows re-reduced]
     real_border, real_reached = Factor.border, Factor._reached
 
-    def border(factor, cols, rows):
-        borders.append([len(cols), len(rows), 0])
-        return real_border(factor, cols, rows)
+    def border(factor, rows):
+        borders.append([len(factor._a), len(rows), None])
+        return real_border(factor, rows)
 
-    def reached(factor, cols):
-        redone = real_reached(factor, cols)
-        borders[-1][2] = len(redone)
+    def reached(factor, rows):
+        redone = real_reached(factor, rows)
+        if borders and borders[-1][2] is None:  # the border's own call
+            borders[-1][2] = len(redone)
         return redone
 
     monkeypatch.setattr(Factor, "border", border)

@@ -179,9 +179,7 @@ def _bordered(rows, splits):
     later split in turn."""
     factor = Factor([row[: splits[0]] for row in rows[: splits[0]]])
     for m, n in zip(splits, splits[1:]):
-        factor.border(
-            [row[m:n] for row in rows[:m]], [row[:n] for row in rows[m:n]]
-        )
+        factor.border([row[:n] for row in rows[m:n]])
     return factor
 
 
@@ -227,23 +225,26 @@ def test_border_finds_a_bad_minor_in_the_new_rows():
     rows = [[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, -1]]
     factor = Factor([row[:2] for row in rows[:2]])
     assert factor.first_nonpositive is None and factor.det == 3
-    factor.border([row[2:] for row in rows[:2]], rows[2:])
+    factor.border(rows[2:])
     assert factor.first_nonpositive == 3
     _assert_same_factor(factor, rows, _oracle(rows))
     with pytest.raises(ValueError, match="not positive definite"):
         factor.scaled_solve([0, 0, 0, 0])
     # an indefinite factor stays indefinite under further borders
     factor = Factor([[1, 2], [2, 1]])
-    factor.border([[0], [0]], [[0, 0, 5]])
+    factor.border([[0, 0, 5]])
     assert factor.first_nonpositive == 2
 
 
 def test_border_rejects_ragged_blocks():
+    # border takes the new rows only, each at the full new width
     factor = Factor([[2]])
-    with pytest.raises(ValueError, match="square"):
-        factor.border([[1, 0]], [[1, 3]])
-    with pytest.raises(ValueError, match="square"):
-        factor.border([], [[1, 3]])
+    for ragged in ([[1]], [[1, 3, 0]], [[1, 3, 0], [0, 0]], [[1, 3, 0], [0, 0, 4, 1]]):
+        with pytest.raises(ValueError, match="square"):
+            factor.border(ragged)
+    assert factor._a == [[2]] and factor.det == 2  # a rejected border changes nothing
+    factor.border([[-1, 3]])
+    assert factor.det == 5
 
 
 def _tree_form(rng, n, shape, *, definite=True):
@@ -337,14 +338,15 @@ def _carried(rows, splits, b):
     block."""
     factor, forward = Factor([]), []
     for m, k in zip(splits, splits[1:]):
-        factor.border([row[m:k] for row in rows[:m]], [row[:k] for row in rows[m:k]])
+        factor.border([row[:k] for row in rows[m:k]])
         ref, bad = _dense_reference([row[:k] for row in rows[:k]])
         _assert_dense(factor, ref, bad, [])
         if bad is None:
-            assert factor.carried_solve(forward, b[m:k]) == dense_scaled_solve(ref, b[:k])
+            factor.carry(forward, b[m:k])
+            assert factor.back_substitute(forward) == dense_scaled_solve(ref, b[:k])
         else:
             with pytest.raises(ValueError, match="not positive definite"):
-                factor.carried_solve(forward, b[m:k])
+                factor.carry(forward, b[m:k])
     return factor
 
 
@@ -373,10 +375,74 @@ def test_sparse_kernel_matches_dense_reference():
 
 
 def test_carried_solve_checks_the_carried_length():
+    # the forward carry and the back substitution each check the length
     factor = Factor([[2, -1], [-1, 3]])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        factor.carried_solve([1], [1, 0])
+        factor.carry([1], [1, 0])
     forward = []
-    assert factor.carried_solve(forward, [1, 0]) == factor.scaled_solve([1, 0])
-    factor.border([[0], [-1]], [[0, -1, 2]])
-    assert factor.carried_solve(forward, [0]) == factor.scaled_solve([1, 0, 0])
+    factor.carry(forward, [1, 0])
+    assert factor.back_substitute(forward) == factor.scaled_solve([1, 0])
+    factor.border([[0, -1, 2]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        factor.back_substitute(forward)  # forward values from before the border
+    factor.carry(forward, [0])
+    assert factor.back_substitute(forward) == factor.scaled_solve([1, 0, 0])
+
+
+def _upper_closure(ref, asked):
+    """`asked` and every row the back substitution of the dense array
+    `ref` reads from them: j for each nonzero ref[i][j], j > i."""
+    n = len(ref)
+    reach, todo = set(asked), list(asked)
+    while todo:
+        i = todo.pop()
+        for j in range(i + 1, n):
+            if ref[i][j] and j not in reach:
+                reach.add(j)
+                todo.append(j)
+    return reach
+
+
+def _assert_restricted(factor, forward, ref, b, rng):
+    """A back substitution limited to random rows gives the dense solve's
+    entries at exactly the rows those reach, and completing it gives the
+    dense solve."""
+    n = len(ref)
+    want = dense_scaled_solve(ref, b)
+    for size in sorted({0, 1, n // 2, n}):
+        asked = rng.sample(range(n), size)
+        y = factor.back_substitute(forward, asked)
+        computed = {i for i, t in enumerate(y) if t is not None}
+        assert computed == _upper_closure(ref, asked)
+        assert all(y[i] == want[i] for i in computed)
+        assert factor.back_substitute(forward, None, y) == want
+
+
+def test_restricted_back_substitution_matches_dense_reference():
+    # random symmetric and Stieltjes matrices, factored whole, bordered at
+    # every split and bordered one row at a time with the right-hand side
+    # carried along: wherever the leading block is positive definite, the
+    # restricted solve is the dense one at the rows it reaches
+    rng = random.Random(19)
+    checked = 0
+    for trial in range(60):
+        n = 1 + trial % 8
+        rows = (_random_stieltjes if trial % 2 else _random_symmetric)(rng, n)
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        ref, bad = _dense_reference(rows)
+        if bad is None:
+            for m in range(n + 1):
+                factor, forward = _bordered(rows, [m, n]), []
+                factor.carry(forward, b)
+                _assert_restricted(factor, forward, ref, b, rng)
+                checked += 1
+        factor, forward = Factor([]), []
+        for k in range(1, n + 1):
+            factor.border([rows[k - 1][:k]])
+            lead, bad = _dense_reference([row[:k] for row in rows[:k]])
+            if bad is not None:
+                break
+            factor.carry(forward, b[k - 1 : k])
+            _assert_restricted(factor, forward, lead, b[:k], rng)
+            checked += 1
+    assert checked > 150

@@ -1,6 +1,7 @@
 """The value records: immutable, equal and hashed by their fields, with a
 Name(field=value, ...) repr and fixed constructor signatures; and a CLI
-start-up that does not pay for `dataclasses` or `inspect`."""
+start-up that does not pay for `dataclasses`, `inspect` or the graph
+families that only `enumerate` builds."""
 
 import inspect
 import json
@@ -144,4 +145,4 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert run.returncode == 0, run.stderr
     loaded = set(run.stdout.split())
     assert "singinv.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "singinv.families"}
