@@ -158,11 +158,15 @@ def dense_graph_shape(graph):
 
 def assert_kkt(graph, boundary, result):
     """The delta_min certificate, in fractions with a dense product:
-    x >= 0, w = N(v + x) >= 0, x.w = 0, and the value is the objective."""
+    x >= 0, w = N(v + x) >= 0, x.w = 0, and the value is the objective.
+    Also the lemma behind the LCP's start (N^-1 >= 0): v + x >= 0, so
+    every j with v_j < 0 is active."""
     cs = boundary_cycle(graph, boundary)
     v = cs.fundamental - cs.boundary_canonical
     w = matvec(intersection_matrix(graph).positive_form, (v + result.minimizer).coeffs)
     assert result.minimizer.is_effective()
+    assert (v + result.minimizer).is_effective()
+    assert {j for j, vj in enumerate(v) if vj < 0} <= result.active_set
     assert all(wj >= 0 for wj in w)
     assert all(xj * wj == 0 for xj, wj in zip(result.minimizer, w))
     assert result.value == quadratic_norm(graph, v + result.minimizer)

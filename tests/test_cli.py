@@ -611,18 +611,35 @@ def test_enumerate_json_is_pinned(capsys):
     assert (code, out) == (0, (golden / "enumerate_l2_w3.json").read_text())
 
 
+def _one_per_line(g):
+    """The input document of `g`, written one vertex and one edge per line."""
+    vertices = ",\n    ".join(json.dumps({"id": v.id, "weight": v.weight}) for v in g.vertices)
+    edges = ",\n    ".join(json.dumps([e.a, e.b]) for e in g.edges)
+    return f'{{\n  "vertices": [\n    {vertices}\n  ],\n  "edges": [\n    {edges}\n  ]\n}}\n'
+
+
 def test_long_arm_fork_analyze_is_pinned(capsys):
     # the slowest graph of the benchmark's hard ladder and the LCP's worst
     # case: center weight 3 with arms of 21 twos, 21 threes and 21 twos,
-    # no boundary (21 iterations, 3 entering rows each); the input file is
-    # this definition written one vertex and one edge per line, and CI
-    # diffs the installed console script against the report too
+    # no boundary (10 iterations, the first of 36 rows); the input file is
+    # this definition, and CI diffs the installed console script against
+    # the report too
     golden = REPO_ROOT / "tests" / "golden"
     source = golden / "long_arm_fork64_input.json"
-    g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
-    vertices = ",\n    ".join(json.dumps({"id": v.id, "weight": v.weight}) for v in g.vertices)
-    edges = ",\n    ".join(json.dumps([e.a, e.b]) for e in g.edges)
-    text = f'{{\n  "vertices": [\n    {vertices}\n  ],\n  "edges": [\n    {edges}\n  ]\n}}\n'
-    assert source.read_text() == text
+    assert source.read_text() == _one_per_line(fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21]))
     code, out, _ = _run(capsys, ["analyze", str(source), "--json"])
     assert (code, out) == (0, (golden / "long_arm_fork64_analyze.json").read_text())
+
+
+def test_long_arm_fork_oracle_is_pinned(capsys):
+    # a fork small enough for exhaustive search on which the LCP still
+    # borders: center weight 3 with arms of 4 twos, 4 threes and 4 twos,
+    # no boundary; it starts at 5 of the 10 active vertices and borders
+    # twice.  The report, with the oracle's minimizer, was written before
+    # the LCP started inside its final support, and CI diffs the
+    # installed console script's `analyze --json --oracle` against it
+    golden = REPO_ROOT / "tests" / "golden"
+    source = golden / "long_arm_fork13_input.json"
+    assert source.read_text() == _one_per_line(fork_graph(3, [(2,) * 4, (3,) * 4, (2,) * 4]))
+    code, out, _ = _run(capsys, ["analyze", str(source), "--json", "--oracle"])
+    assert (code, out) == (0, (golden / "long_arm_fork13_analyze.json").read_text())

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,9 @@ from singinv.classify import (
     is_log_terminal,
     singularity_kind,
 )
+from singinv.cli import parse_input
 from singinv.cycles import (
+    EMPTY_BOUNDARY,
     BoundaryData,
     boundary_component,
     boundary_cycle,
@@ -321,14 +325,26 @@ def _count_borders(monkeypatch):
     return sizes
 
 
+def _small_long_arm_forks():
+    """Every fork with center weight 2, 3 or 4 and arms of one to three
+    2s, 3s and 2s (n <= 10): most of them still border the LCP's factor
+    when it starts inside its final support, where random graphs rarely do."""
+    for c in (2, 3, 4):
+        for a, b, d in itertools.product(range(1, 4), repeat=3):
+            yield fork_graph(c, [(2,) * a, (3,) * b, (2,) * d])
+
+
 def test_delta_min_lcp_matches_exhaustive_on_random_graphs(monkeypatch):
     rng = random.Random(57)
-    iterated = bordered = 0
-    borders = _count_borders(monkeypatch)
+    cases = []
     for trial in range(120):
         kind = GRAPH_KINDS[trial % len(GRAPH_KINDS)]
         g = random_graph(rng, kind, rng.randint(1, 9))
-        b = any_boundary(g, rng)
+        cases.append((kind, g, any_boundary(g, rng)))
+    cases += [("long-arm fork", g, EMPTY_BOUNDARY) for g in _small_long_arm_forks()]
+    iterated = bordered = 0
+    borders = _count_borders(monkeypatch)
+    for kind, g, b in cases:
         borders.clear()
         a = analyze(g, b)
         bordered += bool(borders)  # LCP iterations after the first block
@@ -426,9 +442,10 @@ def _count_back_substitutions(monkeypatch):
 
 def test_lcp_back_substitutes_only_what_the_entering_test_reads(monkeypatch):
     # on the long-arm fork each iteration reads x only at the three arm
-    # tips next to the outside, and their back substitution reads nothing
-    # else: under 3n entries before the final solve, where a whole-support
-    # solve per iteration back-substitutes 651
+    # tips next to the outside, and after the first one their back
+    # substitution reads at most one row more: under 3n entries before
+    # the final solve, where a whole-support solve per iteration from the
+    # empty support back-substitutes 651
     n = 64
     g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
     validate(g)
@@ -443,10 +460,17 @@ def test_lcp_back_substitutes_only_what_the_entering_test_reads(monkeypatch):
     assert_kkt(g, None, result)
 
 
+def _limits_chain32():
+    """The README "Limits" 32-component chain, from its pinned input."""
+    text = (Path(__file__).parent / "golden" / "limits_chain32_input.json").read_text()
+    return parse_input(text)
+
+
 def test_lcp_borders_re_reduce_only_the_rows_they_reach(monkeypatch):
-    # on the same fork, a border re-reduces only the old rows whose new
-    # columns can be nonzero, here the last few, not the whole block
-    g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
+    # on the 32-component chain, a border re-reduces only the old rows
+    # whose new columns can be nonzero, here the last few, not the whole
+    # block
+    g, b, _ = _limits_chain32()
     validate(g)
     borders = []  # [old rows, new rows, old rows re-reduced]
     real_border, real_reached = Factor.border, Factor._reached
@@ -463,10 +487,42 @@ def test_lcp_borders_re_reduce_only_the_rows_they_reach(monkeypatch):
 
     monkeypatch.setattr(Factor, "border", border)
     monkeypatch.setattr(Factor, "_reached", reached)
-    analyze(g)
+    analyze(g, b)
     assert len(borders) >= 20
     assert all(0 < redone <= new for _, new, redone in borders)
     assert 10 * sum(redone for *_, redone in borders) < sum(old for old, *_ in borders)
+
+
+def test_lcp_starts_inside_its_final_support(monkeypatch):
+    # the LCP's first block holds every j with v_j < 0 or (N v)_j < 0,
+    # all of them in the final support, so the worst known inputs border
+    # about half as often as from the j with (N v)_j < 0 alone (20 times
+    # on the 64-vertex fork, 67 on the 32-component chain)
+    built = []  # the first block's size, one per LCP
+    real_init = Factor.__init__
+
+    def init(factor, rows):
+        built.append(len(rows))
+        real_init(factor, rows)
+
+    borders = _count_borders(monkeypatch)
+    fork64 = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
+    fork13 = fork_graph(3, [(2,) * 4, (3,) * 4, (2,) * 4])
+    chain32 = _limits_chain32()
+    for g in (fork64, fork13, chain32.graph):
+        validate(g)  # N's own factor is built here, before counting
+    monkeypatch.setattr(Factor, "__init__", init)
+    for (g, b), most, first in (
+        ((fork64, None), 9, 36),
+        ((fork13, None), 2, 5),
+        ((chain32.graph, chain32.boundary), 34, 64),
+    ):
+        built.clear()
+        borders.clear()
+        result = analyze(g, b).delta_min
+        assert len(borders) <= most
+        assert built == [first]
+        assert_kkt(g, b, result)
 
 
 def test_build_report_runs_each_stage_once(monkeypatch):
