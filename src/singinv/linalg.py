@@ -14,31 +14,34 @@ The kernel works row by row, reading the final rows above.  Step k maps
 row i to (M_{k+1} row_i - a_ik row_k) / M_k, M_k the leading principal
 minor of size k (M_0 = 1; Sylvester's identity); where a_ik or row k is
 zero it only scales by M_{k+1} / M_k.  So each row keeps its nonzero
-multiplier steps and upper columns, runs only the steps with a nonzero
-multiplier, on the pivot row's nonzero columns, and rescales an entry
-last changed by step t by M_k / M_t, exactly, when step k next reads
-it.  After a nonpositive pivot at step k the later rows stop at step k.
-The array is bit for bit the dense one; a tree in vertex order makes
-little fill-in (Parter, SIAM Review 1961).
+multiplier steps, runs only the steps with a nonzero multiplier, on the
+pivot row's nonzero columns, and rescales an entry last changed by step
+t by M_k / M_t, exactly, when step k next reads it.  After a nonpositive
+pivot at step k the later rows stop at step k.  The array is bit for
+bit the dense one; a tree in vertex order makes little fill-in (Parter,
+SIAM Review 1961).
 
-`Factor(rows)` borders the empty factor, and `border` takes only the
-new rows: the matrix is symmetric, so they also hold the old rows' new
-columns.  A border keeps the old multipliers, so it re-reduces old rows
-only where their new columns can be nonzero.  A solve is two calls.
-`carry` forward-eliminates the entries of a right-hand side added since
-its last call and keeps the old ones.  `back_substitute` can stop at
-given rows and the rows their substitution reads, the closure of the
-given rows under the nonzero upper columns (Gilbert and Peierls, SIAM
-J. Sci. Stat. Comput. 1988), and can later complete what it left out.
-So an iteration of the delta_min LCP costs one border, the forward
-values of its entering rows and the back substitution of the rows its
-entering test reads; only the last solve covers the whole block.
+Each entry of the array is a bordered leading minor, so for a symmetric
+matrix the array is symmetric too, and the kernel keeps only its lower
+triangle, as in row-by-row symmetric elimination (George and Liu,
+*Computer Solution of Large Sparse Positive Definite Systems*, 1981):
+row i is stored up to its diagonal, and the pivot row's entry a_kj is
+read as a_jk.  `Factor(rows)` borders the empty factor, and `border`
+takes only the new rows; a border appends rows and never changes an
+old one.  A solve is two calls.  `carry` forward-eliminates the entries
+of a right-hand side added since its last call and keeps the old ones.
+`back_substitute` can stop at given rows and the rows their
+substitution reads, the closure of the given rows under the nonzero
+columns below the diagonal (Gilbert and Peierls, SIAM J. Sci. Stat.
+Comput. 1988), and can later complete what it left out.  So an
+iteration of the delta_min LCP costs one border, the forward values of
+its entering rows and the back substitution of the rows its entering
+test reads; only the last solve covers the whole block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -56,6 +59,8 @@ def _square_size(rows: IntMatrix) -> int:
 class Factor:
     """One elimination of a symmetric integer matrix, kept for replay.
 
+    Each row is read only up to its diagonal: the matrix is taken to be
+    symmetric and is not checked (`solve` checks it).
     ``first_nonpositive`` is the size k of the first leading principal
     minor <= 0, or None when the matrix is positive definite; only then
     is ``det`` its determinant and the solves usable.
@@ -65,75 +70,56 @@ class Factor:
 
     def __init__(self, rows: IntMatrix):
         _square_size(rows)
-        self._a: list[list[int]] = []
+        self._a: list[list[int]] = []  # row i up to its diagonal
         self._lower: list[list[int]] = []  # of row i: steps k < i with a[i][k] != 0
-        self._upper: list[list[int]] = []  # of row i: columns j > i with a[i][j] != 0
+        self._upper: list[list[int]] = []  # of row k: rows i > k with a[i][k] != 0
         self._piv = [1]  # M_0 and the positive pivots M_1, M_2, ...
         self.first_nonpositive: int | None = None
         self._extend(rows)
 
     def border(self, rows: IntMatrix) -> None:
         """Extend the symmetric m x m matrix to (m + r) x (m + r) by the r
-        new rows at full width; by symmetry the new columns of old row i
-        are the new rows' entries i."""
+        new rows at full width.  Only their entries up to the diagonal are
+        read; by symmetry the others are the old rows' new columns, which
+        the lower triangle does not keep."""
         n = len(self._a) + len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix is not square")
         self._extend(rows)
 
     def _extend(self, rows: IntMatrix) -> None:
-        """Re-reduce old rows on their new columns (lo = m), reusing their
-        multipliers and reading the new columns `fresh[k]` of pivot row k;
-        then reduce the new rows (lo = 0), finding their multipliers."""
+        """Append the reduced new rows, each up to its diagonal; step k of
+        row i updates only the columns j <= i below pivot k, `_upper[k]`
+        and i itself, reading the pivot row's a[k][j] as a[j][k]."""
         a, piv, lower, upper = self._a, self._piv, self._lower, self._upper
-        m = len(a)
-        n = m + len(rows)
-        done = m if self.first_nonpositive is None else self.first_nonpositive - 1
-        fresh: list[list[int]] = [[]] * m  # of an old row: its nonzero new columns
-        order = range(n)
-        if m:
-            # by symmetry the new rows hold the old rows' new columns; all
-            # that is done for every old row runs at C level
-            cols = [*zip(*rows)]
-            list(map(list.extend, a, cols))
-            given = compress(range(m), map(any, cols))
-            order = [*self._reached(given), *range(m, n)]
-        for i in order:
-            if i < m:
-                row, steps, lo, cols_of = a[i], lower[i], m, fresh
-            else:
-                row, steps, lo, cols_of = [*rows[i - m]], [], 0, upper
-                a.append(row)
-                lower.append(steps)
+        done = len(a) if self.first_nonpositive is None else self.first_nonpositive - 1
+        for i, given in enumerate(rows, len(a)):
+            row = [*given[: i + 1]]
+            steps: list[int] = []
+            a.append(row)
+            lower.append(steps)
+            upper.append([])
             stop = i if i < done else done
-            lag = [0] * n  # row[j] holds its value after lag[j] steps
-            for k in steps if lo else range(stop):
+            lag = [0] * (i + 1)  # row[j] holds its value after lag[j] steps
+            for k in range(stop):
                 f = row[k]
                 if not f:
                     continue
-                if not lo:
-                    if lag[k] < k:
-                        f = row[k] = f * piv[k] // piv[lag[k]]
-                    steps.append(k)
-                prev, pivot, row_k = piv[k], piv[k + 1], a[k]
-                for j in cols_of[k]:
+                if lag[k] < k:
+                    f = row[k] = f * piv[k] // piv[lag[k]]
+                steps.append(k)
+                below = upper[k]
+                below.append(i)  # so a[i][k] = f is read as a[k][i]
+                prev, pivot = piv[k], piv[k + 1]
+                for j in below:
                     v, t = row[j], lag[j]
                     if t < k and v:
                         v = v * prev // piv[t]
-                    row[j] = (v * pivot - f * row_k[j]) // prev
+                    row[j] = (v * pivot - f * a[j][k]) // prev
                     lag[j] = k + 1
-            new = []  # the nonzero upper columns >= lo
-            for j in range(lo or stop, n):
-                if row[j]:
-                    if lag[j] < stop:
-                        row[j] = row[j] * piv[stop] // piv[lag[j]]
-                    if j > i:
-                        new.append(j)
-            if lo:
-                upper[i] += new
-                fresh[i] = new
-                continue
-            upper.append(new)
+            for j in range(stop, i + 1):  # the diagonal; after an early exit, from stop on
+                if row[j] and lag[j] < stop:
+                    row[j] = row[j] * piv[stop] // piv[lag[j]]
             if done == i:  # no nonpositive pivot yet
                 if row[i] > 0:
                     piv.append(row[i])
@@ -143,11 +129,9 @@ class Factor:
         self.det = a[-1][-1] if a and self.first_nonpositive is None else 1
 
     def _reached(self, rows: Iterable[int]) -> list[int]:
-        """`rows` and every row a multiplier or an upper column joins to
-        them, in increasing order: the closure of `rows` under `_upper`,
-        which by symmetry is both the old rows a border re-reduces and the
-        rows a back substitution at `rows` reads.  It costs what it
-        reaches, not the size of the factor."""
+        """`rows` and every row a back substitution at `rows` reads, in
+        increasing order: the closure of `rows` under `_upper`.  It costs
+        what it reaches, not the size of the factor."""
         upper = self._upper
         reached = set(rows)
         todo = [*reached]
@@ -212,11 +196,10 @@ class Factor:
         else:
             order = [i for i in order if y[i] is None]
         for i in order:
-            row = a[i]
             acc = det * forward[i]
             for j in upper[i]:
-                acc -= row[j] * y[j]
-            y[i] = acc // row[i]
+                acc -= a[j][i] * y[j]
+            y[i] = acc // a[i][i]
         return y
 
     def solve(self, rhs: Sequence[Fraction | int]) -> list[Fraction]:
@@ -229,6 +212,9 @@ class Factor:
 def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
     """Solve rows * x = rhs exactly for a positive-definite matrix;
     ValueError on a dimension mismatch or any other matrix."""
+    _square_size(rows)
+    if any(row[j] != rows[j][i] for i, row in enumerate(rows) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
     return Factor(rows).solve(rhs)
 
 

@@ -19,6 +19,7 @@ from singinv.cli import (
     parse_rational,
 )
 from singinv.families import chain_family_size, fork_graph, iter_chain_weights
+from singinv.linalg import matvec
 from singinv.report import NefData
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -629,6 +630,23 @@ def test_long_arm_fork_analyze_is_pinned(capsys):
     assert source.read_text() == _one_per_line(fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21]))
     code, out, _ = _run(capsys, ["analyze", str(source), "--json"])
     assert (code, out) == (0, (golden / "long_arm_fork64_analyze.json").read_text())
+
+
+def test_long_arm_fork_pullback_is_pinned(capsys):
+    # the pullback of curves meeting the three arm tips of the 64-vertex
+    # long-arm fork: one solve against N's own factor, whose back
+    # substitution reads the lower triangle transposed.  The golden was
+    # written before the factor kept only that triangle, and CI diffs the
+    # installed console script against it too
+    golden = REPO_ROOT / "tests" / "golden"
+    source = golden / "long_arm_fork64_input.json"
+    meets = ["1" if k in (22, 43, 64) else "0" for k in range(1, 65)]
+    argv = ["pullback", str(source), "--meets", ",".join(meets), "--json"]
+    code, out, _ = _run(capsys, argv)
+    assert (code, out) == (0, (golden / "long_arm_fork64_pullback.json").read_text())
+    g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
+    x = [Fraction(c) for c in json.loads(out)["exceptional_part"]]
+    assert matvec(g.positive_form, x) == [int(m) for m in meets]
 
 
 def test_long_arm_fork_oracle_is_pinned(capsys):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -466,31 +467,24 @@ def _limits_chain32():
     return parse_input(text)
 
 
-def test_lcp_borders_re_reduce_only_the_rows_they_reach(monkeypatch):
-    # on the 32-component chain, a border re-reduces only the old rows
-    # whose new columns can be nonzero, here the last few, not the whole
-    # block
+def test_lcp_borders_leave_old_rows_unchanged(monkeypatch):
+    # on the 32-component chain, a border appends the new rows and their
+    # multiplier steps and leaves every old row of the factor as it was
     g, b, _ = _limits_chain32()
     validate(g)
-    borders = []  # [old rows, new rows, old rows re-reduced]
-    real_border, real_reached = Factor.border, Factor._reached
+    borders = []  # (old rows, their steps) before, and the same rows after
+    real_border = Factor.border
 
     def border(factor, rows):
-        borders.append([len(factor._a), len(rows), None])
-        return real_border(factor, rows)
-
-    def reached(factor, rows):
-        redone = real_reached(factor, rows)
-        if borders and borders[-1][2] is None:  # the border's own call
-            borders[-1][2] = len(redone)
-        return redone
+        m = len(factor._a)
+        before = copy.deepcopy((factor._a, factor._lower))
+        real_border(factor, rows)
+        borders.append((before, (factor._a[:m], factor._lower[:m])))
 
     monkeypatch.setattr(Factor, "border", border)
-    monkeypatch.setattr(Factor, "_reached", reached)
     analyze(g, b)
     assert len(borders) >= 20
-    assert all(0 < redone <= new for _, new, redone in borders)
-    assert 10 * sum(redone for *_, redone in borders) < sum(old for old, *_ in borders)
+    assert all(before == after for before, after in borders)
 
 
 def test_lcp_starts_inside_its_final_support(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -92,6 +93,10 @@ def test_solve_matches_cramer():
 def test_solve_errors():
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve([[1, 0], [0, 1]], [Fraction(1)])
+    # the kernel reads only the lower triangle, so a nonsymmetric matrix
+    # would be solved as another one
+    with pytest.raises(ValueError, match="not symmetric"):
+        solve([[2, 1], [0, 3]], [1, 1])
     with pytest.raises(ValueError, match="not positive definite"):
         solve([[1, 2], [2, 4]], [Fraction(1), Fraction(1)])
     with pytest.raises(ValueError, match="not positive definite"):
@@ -176,10 +181,12 @@ def _random_symmetric(rng, n):
 
 def _bordered(rows, splits):
     """Factor the leading block of size splits[0], then border it by each
-    later split in turn."""
+    later split in turn; no border changes an old row or its steps."""
     factor = Factor([row[: splits[0]] for row in rows[: splits[0]]])
     for m, n in zip(splits, splits[1:]):
+        old = copy.deepcopy((factor._a, factor._lower))
         factor.border([row[:n] for row in rows[m:n]])
+        assert (factor._a[:m], factor._lower[:m]) == old
     return factor
 
 
@@ -323,7 +330,9 @@ def _dense_reference(rows):
 
 
 def _assert_dense(factor, ref, bad, rhs):
-    assert factor._a == ref
+    # the dense array is symmetric, and the factor keeps its lower triangle
+    assert all(row[j] == ref[j][i] for i, row in enumerate(ref) for j in range(i))
+    assert factor._a == [row[: i + 1] for i, row in enumerate(ref)]
     assert factor.first_nonpositive == bad
     if bad is None:
         assert factor.det == (ref[-1][-1] if ref else 1)
