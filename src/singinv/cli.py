@@ -8,6 +8,7 @@ mismatch), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -253,32 +254,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _enumerate_rows(args: argparse.Namespace):
-    from .families import chain_graph, iter_chain_weights, rdp_family, smooth_graph
-
-    for weights in iter_chain_weights(args.max_length, args.max_weight):
-        label = "chain(" + ",".join(str(w) for w in weights) + ")"
-        yield label, chain_graph(weights)
-    if args.forks:
-        for name, graph in rdp_family():
-            if name.startswith("A"):
-                continue  # all-2 chains are already in the chain sweep
-            yield name, graph
-        yield "smooth", smooth_graph()
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     # only enumerate builds graph families: the other subcommands do not
     # pay for importing them
-    from .families import chain_family_size, rdp_family
+    from . import families
 
     for flag, value in (("--limit", args.limit), ("--max-length", args.max_length)):
         if value < 0:
             raise InputError(f"{flag} {value} is negative")
-    total = chain_family_size(args.max_length, args.max_weight, stop=args.limit)
-    if args.forks:
-        total += sum(1 for name, _ in rdp_family() if not name.startswith("A")) + 1
-    if total > args.limit:
+    forks = []
+    if args.forks:  # the all-2 chains A_n are already in the chain sweep
+        forks = [(name, g) for name, g in families.rdp_family() if not name.startswith("A")]
+        forks.append(("smooth", families.smooth_graph()))
+    total = families.chain_family_size(args.max_length, args.max_weight, stop=args.limit)
+    if total + len(forks) > args.limit:
         raise InputError(
             f"family has more than {args.limit} rows, the row limit "
             "(raise it with --limit)"
@@ -287,57 +276,64 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise InputError(
             f"--max-length {args.max_length} exceeds the vertex cap {MAX_VERTICES}"
         )
-    rows = []
+    weights = families.iter_chain_weights(args.max_length, args.max_weight)
+    # the first draw checks --max-weight: draw it before any output
+    first = next(weights, None)
+    weights = itertools.chain((first,), weights) if first else ()
+    chains = (
+        ("chain(" + ",".join(map(str, w)) + ")", families.chain_graph(w)) for w in weights
+    )
+    # each row is written as soon as it is checked: memory stays flat in
+    # the family size, and a reader that stops early stops the sweep
+    write = sys.stdout.write
+    if args.json:
+        # indent=2 runs the pure-Python encoder; one C encoder, row by row
+        # with these separators, writes the same bytes
+        encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+        write('{\n  "rows": [')
+    else:
+        print(f"{'label':<28} {'shape':<12} {'kind':<9} {'lt':<3} {'delta_y':<10} delta_min")
+    count = 0
     failures = []
-    for label, graph in _enumerate_rows(args):
+    for label, graph in itertools.chain(chains, forks):
         validate(graph)
         a = analyze(graph)
         cls, dy = a.classification, a.delta_y
-        rows.append(
-            {
-                "label": label,
-                "shape": cls.shape.kind.value,
-                "kind": cls.kind.value,
-                "log_terminal": cls.log_terminal,
-                "delta_y": fraction_str(dy),
-                "delta_min": fraction_str(a.delta_min.value),
-            }
-        )
         if cls.kind is SingularityKind.SMOOTH:
-            if dy != 4:
-                failures.append(f"{label}: smooth point must have delta_y = 4, got {dy}")
+            ok, rule = dy == 4, "smooth point must have delta_y = 4"
         elif cls.kind is SingularityKind.RDP:
-            if dy != 2:
-                failures.append(f"{label}: RDP must have delta_y = 2, got {dy}")
-        elif cls.log_terminal:
-            if not 0 < dy < 2:
-                failures.append(
-                    f"{label}: log-terminal point must have 0 < delta_y < 2, got {dy}"
-                )
-    if args.json:
-        # indent=2 runs the pure-Python encoder; the C one, row by row with
-        # these separators, writes the same bytes
-        sep = (",\n      ", ": ")
-        body = ",\n    ".join(
-            "{\n      " + json.dumps(row, separators=sep)[1:-1] + "\n    }" for row in rows
-        )
-        text = json.dumps({"rows": [], "count": len(rows), "failures": failures}, indent=2)
-        print(text.replace('"rows": []', f'"rows": [\n    {body}\n  ]', 1) if rows else text)
-    else:
-        header = f"{'label':<28} {'shape':<12} {'kind':<9} {'lt':<3} {'delta_y':<10} delta_min"
-        print(header)
-        for row in rows:
-            lt = "yes" if row["log_terminal"] else "no"
+            ok, rule = dy == 2, "RDP must have delta_y = 2"
+        else:
+            ok = not cls.log_terminal or 0 < dy < 2
+            rule = "log-terminal point must have 0 < delta_y < 2"
+        if not ok:
+            failures.append(f"{label}: {rule}, got {dy}")
+        row = {
+            "label": label,
+            "shape": cls.shape.kind.value,
+            "kind": cls.kind.value,
+            "log_terminal": cls.log_terminal,
+            "delta_y": fraction_str(dy),
+            "delta_min": fraction_str(a.delta_min.value),
+        }
+        if args.json:
+            write(("," if count else "") + "\n    {\n      " + encode(row)[1:-1] + "\n    }")
+        else:
+            lt = "yes" if cls.log_terminal else "no"
             print(
-                f"{row['label']:<28} {row['shape']:<12} {row['kind']:<9} "
+                f"{label:<28} {row['shape']:<12} {row['kind']:<9} "
                 f"{lt:<3} {row['delta_y']:<10} {row['delta_min']}"
             )
-        print(f"total: {len(rows)} rows, {len(failures)} failures")
-    if failures:
-        for failure in failures:
-            print(f"assertion failed: {failure}", file=sys.stderr)
-        return 2
-    return 0
+        count += 1
+    if args.json:
+        # the rest as indent=2 writes it, past its empty rows list
+        tail = json.dumps({"rows": [], "count": count, "failures": failures}, indent=2)
+        write(("\n  ]" if count else "]") + tail.split("]", 1)[1] + "\n")
+    else:
+        print(f"total: {count} rows, {len(failures)} failures")
+    for failure in failures:
+        print(f"assertion failed: {failure}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import re
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -484,6 +486,100 @@ def test_enumerate_detects_violations(monkeypatch, capsys):
     code, _, err = _run(capsys, ["enumerate", "--max-length", "1", "--max-weight", "2"])
     assert code == 2
     assert "assertion failed" in err
+
+
+def test_enumerate_json_detects_violations(monkeypatch, capsys):
+    # one bad row among six: the document still parses, carries every row
+    # and names the bad one under "failures"
+    import singinv.cli as cli_module
+
+    real = cli_module.analyze
+
+    def analyze(graph):
+        a = real(graph)
+        if [v.weight for v in graph.vertices] == [2, 3]:
+            return a._replace(delta_y=Fraction(99))
+        return a
+
+    monkeypatch.setattr(cli_module, "analyze", analyze)
+    argv = ["enumerate", "--max-length", "2", "--max-weight", "3", "--json"]
+    code, out, err = _run(capsys, argv)
+    failure = "chain(2,3): log-terminal point must have 0 < delta_y < 2, got 99"
+    assert code == 2
+    assert err == f"assertion failed: {failure}\n"
+    doc = json.loads(out)
+    assert doc["failures"] == [failure] and doc["count"] == 6
+    labels = [row["label"] for row in doc["rows"]]
+    assert labels == [f"chain({w})" for w in ("2", "3", "2,2", "2,3", "3,2", "3,3")]
+    assert doc["rows"][3]["delta_y"] == "99"
+
+
+def test_enumerate_bad_max_weight_prints_nothing(capsys):
+    # the weight check runs when the first chain is drawn; rows are
+    # written as they come, so it must still come before any output
+    for argv in (["--max-weight", "1"], ["--max-weight", "0", "--max-length", "0"]):
+        for mode in ([], ["--json"], ["--forks"]):
+            code, out, err = _run(capsys, ["enumerate", *argv, *mode])
+            assert (code, out) == (1, "")
+            assert err == "error: max_weight must be at least 2\n"
+
+
+class _Sink:
+    """A stdout that counts the bytes written and keeps none of them;
+    past `cap` bytes it fails like a pipe whose reader has gone."""
+
+    def __init__(self, cap=None):
+        self.size, self.cap = 0, cap
+
+    def write(self, text):
+        if self.cap is not None and self.size + len(text) > self.cap:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_memory_is_flat_in_the_family_size(monkeypatch):
+    # 155 rows and 780 rows: each row is written as soon as it is
+    # checked, so the traced peak does not grow with the row count.  A run
+    # of the larger family first, untraced, does the imports and fills the
+    # interpreter's free lists (of small tuples, say), whose reuse is not
+    # traced; otherwise they would make the larger family look bigger
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    assert main(["enumerate", "--max-length", "4"]) == 0
+    peaks = []
+    for length in ("3", "4"):
+        monkeypatch.setattr(sys, "stdout", _Sink())
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "--json", "--max-length", length]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sys.stdout.size > 0
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_enumerate_stops_when_the_reader_does(monkeypatch, capsys):
+    # a reader that stops early, like `singinv enumerate | head`, stops the
+    # sweep at the next write instead of after all 19,530 rows
+    import singinv.cli as cli_module
+
+    real, calls = cli_module.analyze, []
+
+    def analyze(graph):
+        calls.append(1)
+        return real(graph)
+
+    monkeypatch.setattr(cli_module, "analyze", analyze)
+    monkeypatch.setattr(sys, "stdout", _Sink(cap=4096))
+    code = main(["enumerate"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert len(calls) < 200
 
 
 def test_continuant_command(capsys):
