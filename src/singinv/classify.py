@@ -78,43 +78,22 @@ def singularity_kind(graph: DualGraph) -> SingularityKind:
 
 
 def graph_shape(graph: DualGraph) -> GraphShape:
-    """Classify a graph by shape; see the module docstring.  A
-    disconnected graph, which `validate` rejects, is Other."""
+    """Classify a graph by shape; see the module docstring.  The edge
+    structure is the weight-free `DualGraph.branches`; only the genera
+    and the fork arms' weights are read here.  A disconnected graph,
+    which `validate` rejects, is Other."""
     if any(genus for _, _, genus in graph.vertices):
         return GraphShape(ShapeKind.UNSUPPORTED)
-    n = graph.n
-    edges = graph.edges
-    adjacency = graph.adjacency
-    degrees = [len(nbrs) for nbrs in adjacency]
-    # a pair joined more than once (N_ij < -1): an edge of multiplicity
-    # above 1, or more edges than joined pairs
-    if 2 * len(edges) != sum(degrees) or any(m > 1 for _, _, m in edges):
+    branches = graph.branches
+    if branches is None:
         return GraphShape(ShapeKind.UNSUPPORTED)
-    if len(edges) != n - 1 or not graph.connected:
-        return GraphShape(ShapeKind.OTHER)  # not a tree
-    if max(degrees) > 3:
+    if not branches:
         return GraphShape(ShapeKind.OTHER)
-    centers = [i for i, d in enumerate(degrees) if d == 3]
-    if not centers:
-        ends = [i for i, d in enumerate(degrees) if d <= 1]
-        if n == 1:
-            return GraphShape(ShapeKind.CHAIN, length=1, ends=(0, 0))
-        return GraphShape(ShapeKind.CHAIN, length=n, ends=(ends[0], ends[1]))
-    if len(centers) > 1:
-        return GraphShape(ShapeKind.OTHER)
-    center = centers[0]
+    if len(branches) == 1:
+        path = branches[0]
+        return GraphShape(ShapeKind.CHAIN, length=len(path), ends=(path[0], path[-1]))
     vertices = graph.vertices
-    arms = []
-    for start in sorted(adjacency[center]):
-        arm = []
-        prev, cur = center, start
-        while True:
-            arm.append(vertices[cur].weight)
-            nxt = [k for k in adjacency[cur] if k != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-        arms.append(tuple(arm))
+    arms = [tuple(vertices[j].weight for j in arm) for arm in branches]
     short_rdp_arms = sum(1 for arm in arms if arm == (2,))
     if short_rdp_arms >= 2:
         return GraphShape(ShapeKind.FORK_D)

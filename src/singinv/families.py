@@ -10,16 +10,18 @@ from .graph import DualGraph, Edge, Vertex, build_graph
 
 
 @lru_cache(maxsize=128)
-def _chain_skeleton(length: int, prefix: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
-    """The ids and edges of a path: they depend only on its length."""
+def _chain_skeleton(length: int, prefix: str) -> DualGraph:
+    """A path of the given length with its weight-free views computed:
+    they depend only on the length.  Its own weights are never read."""
     ids = tuple(f"{prefix}{k + 1}" for k in range(length))
-    return ids, tuple(map(Edge, ids, ids[1:]))
+    skeleton = DualGraph(tuple(Vertex(vid, 2) for vid in ids), tuple(map(Edge, ids, ids[1:])))
+    skeleton.branches  # computes index, adjacency and connected on the way
+    return skeleton
 
 
 def chain_graph(weights: Sequence[int], prefix: str = "E") -> DualGraph:
     """Path graph with the given weights, vertices E1-E2-...-En."""
-    ids, edges = _chain_skeleton(len(weights), prefix)
-    return DualGraph(tuple(map(Vertex, ids, map(int, weights))), edges)
+    return _chain_skeleton(len(weights), prefix).reweighted(weights)
 
 
 def smooth_graph() -> DualGraph:
@@ -31,7 +33,7 @@ def fork_graph(
     center_weight: int, arms: Sequence[Sequence[int]], prefix: str = "E"
 ) -> DualGraph:
     """A central vertex with chain arms attached, center listed first."""
-    vertices = [(f"{prefix}1", int(center_weight))]
+    vertices = [(f"{prefix}1", center_weight)]
     edges = []
     counter = 2
     for arm in arms:
@@ -39,7 +41,7 @@ def fork_graph(
         for w in arm:
             vid = f"{prefix}{counter}"
             counter += 1
-            vertices.append((vid, int(w)))
+            vertices.append((vid, w))
             edges.append((previous, vid))
             previous = vid
     return build_graph(vertices, edges)

@@ -160,13 +160,15 @@ class DualGraph(Record):
             if vid in seen:
                 raise GraphValidationError(f"duplicate vertex id {vid!r}")
             seen.add(vid)
-            if weight < 1:
+            # exact ints only: a bool is no weight, and a float or a
+            # Fraction would reach the integer kernel's floor divisions
+            if type(weight) is not int or weight < 1:
                 raise GraphValidationError(
-                    f"vertex {vid!r}: weight must be a positive integer"
+                    f"vertex {vid!r}: weight must be a positive integer, got {weight!r}"
                 )
-            if genus < 0:
+            if type(genus) is not int or genus < 0:
                 raise GraphValidationError(
-                    f"vertex {vid!r}: genus must be nonnegative"
+                    f"vertex {vid!r}: genus must be a nonnegative integer, got {genus!r}"
                 )
         for a, b, multiplicity in edges:
             if a == b:
@@ -176,9 +178,10 @@ class DualGraph(Record):
                     raise GraphValidationError(
                         f"edge references unknown vertex id {end!r}"
                     )
-            if multiplicity < 1:
+            if type(multiplicity) is not int or multiplicity < 1:
                 raise GraphValidationError(
-                    f"edge ({a!r}, {b!r}): multiplicity must be a positive integer"
+                    f"edge ({a!r}, {b!r}): multiplicity must be a positive integer, "
+                    f"got {multiplicity!r}"
                 )
         self.__dict__.update(vertices=vertices, edges=edges)
 
@@ -245,16 +248,74 @@ class DualGraph(Record):
         return reached == self.n
 
     @cached_property
+    def branches(self) -> tuple[tuple[int, ...], ...] | None:
+        """The part of `classify.graph_shape` that reads only the edges.
+
+        None if some pair of vertices is joined more than once.  For a
+        tree with no degree above 3 and at most one vertex of degree 3,
+        its branches as index paths: a chain has one, from its end of
+        lower index to the other; a fork has three, its arms outward from
+        the centre in order of their first vertex.  () for any other
+        graph."""
+        adjacency = self.adjacency
+        edges = self.edges
+        degrees = list(map(len, adjacency))
+        # a pair joined more than once (N_ij < -1): an edge of multiplicity
+        # above 1, or more edges than joined pairs
+        if 2 * len(edges) != sum(degrees) or any(m > 1 for _, _, m in edges):
+            return None
+        if len(edges) != self.n - 1 or not self.connected or max(degrees) > 3:
+            return ()  # not a tree, or a vertex of degree above 3
+        centers = [i for i, d in enumerate(degrees) if d == 3]
+        if not centers:
+            return (_walk(adjacency, -1, degrees.index(1) if self.n > 1 else 0),)
+        if len(centers) > 1:
+            return ()
+        center = centers[0]
+        return tuple(_walk(adjacency, center, start) for start in sorted(adjacency[center]))
+
+    @cached_property
     def factor(self) -> Factor:
         """N eliminated once per graph: Sylvester's criterion and every
         solve against N read it."""
         return Factor(self.positive_form)
+
+    def reweighted(self, weights: Sequence[int]) -> "DualGraph":
+        """The graph on the same ids, genera and edges with the given
+        weights, in vertex order, checked as any new graph is.  It takes
+        over the weight-free views this graph has already computed
+        (``index``, ``adjacency``, ``connected``, ``branches``), so a sweep
+        over weights computes them once; no view that reads a weight is
+        shared."""
+        if len(weights) != self.n:
+            raise ValueError(f"{len(weights)} weights for {self.n} vertices")
+        ids, _, genera = zip(*self.vertices)
+        graph = DualGraph(tuple(map(Vertex, ids, weights, genera)), self.edges)
+        cached = self.__dict__
+        graph.__dict__.update({k: cached[k] for k in _WEIGHT_FREE_VIEWS if k in cached})
+        return graph
 
     def index_of(self, vid: str) -> int:
         try:
             return self.index[vid]
         except KeyError:
             raise GraphValidationError(f"unknown vertex id {vid!r}") from None
+
+
+# the views that read neither weights nor genera: `reweighted` hands them
+# on, so one object may serve many graphs and nothing may write to it
+_WEIGHT_FREE_VIEWS = ("index", "adjacency", "connected", "branches")
+
+
+def _walk(adjacency: Sequence[frozenset[int]], prev: int, cur: int) -> tuple[int, ...]:
+    """The vertices from `cur` on, leaving `prev` behind, up to the first
+    vertex with no further neighbour: a path whose inner vertices have
+    degree 2."""
+    path = [cur]
+    while nxt := [k for k in adjacency[cur] if k != prev]:
+        prev, cur = cur, nxt[0]
+        path.append(cur)
+    return tuple(path)
 
 
 def build_graph(

@@ -708,6 +708,31 @@ def test_enumerate_json_is_pinned(capsys):
     assert (code, out) == (0, (golden / "enumerate_l2_w3.json").read_text())
 
 
+def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
+    # the default family: 19,530 chains on 6 skeletons, so 6 walks for
+    # connectedness and 6 edge-structure passes; each chain pays only for
+    # its weights.  The whole document is pinned, as CI pins it
+    from singinv import families
+    from singinv.graph import DualGraph
+
+    calls = {}
+    for view in ("connected", "branches"):
+        prop = DualGraph.__dict__[view]
+
+        def counting(graph, real=prop.func, view=view):
+            calls[view] = calls.get(view, 0) + 1
+            return real(graph)
+
+        monkeypatch.setattr(prop, "func", counting)
+    families._chain_skeleton.cache_clear()
+    code, out, _ = _run(capsys, ["enumerate", "--json"])
+    assert code == 0
+    assert json.loads(out)["count"] == 19_530
+    assert calls == {"connected": 6, "branches": 6}
+    expected = (REPO_ROOT / "tests" / "golden" / "enumerate_json_default.sha256").read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()
+
+
 def _one_per_line(g):
     """The input document of `g`, written one vertex and one edge per line."""
     vertices = ",\n    ".join(json.dumps({"id": v.id, "weight": v.weight}) for v in g.vertices)

@@ -28,6 +28,7 @@ from singinv.graph import (
     solve_exceptional,
     validate,
 )
+from singinv.invariants import Analysis, analyze
 from singinv.linalg import matvec
 
 
@@ -61,6 +62,26 @@ def test_structural_errors():
         build_graph([("E1", 0)])
     with pytest.raises(GraphValidationError, match="no vertices"):
         build_graph([])
+    # exact ints only: a Fraction weight would reach the kernel's floor
+    # divisions (delta_y 7/6 for the first pair), a float would raise
+    # TypeError there, and nothing is truncated to an int
+    not_ints = (Fraction(5, 2), Fraction(3), 4.0, 2.7, True, "3", None)
+    for bad in not_ints:
+        with pytest.raises(GraphValidationError, match=r"vertex 'E1': weight .* got"):
+            build_graph([("E1", bad), ("E2", 3)], [("E1", "E2")])
+        with pytest.raises(GraphValidationError, match=r"vertex 'E2': genus .* got"):
+            build_graph([("E1", 2), ("E2", 3, bad)], [("E1", "E2")])
+        with pytest.raises(GraphValidationError, match=r"vertex 'E1': weight .* got"):
+            chain_graph([bad, 3])
+    for bad in (*not_ints, 1.5, False):
+        with pytest.raises(
+            GraphValidationError, match=r"edge \('E1', 'E2'\): multiplicity .* got"
+        ):
+            build_graph([("E1", 3), ("E2", 3)], [("E1", "E2", bad)])
+    with pytest.raises(GraphValidationError, match="genus"):
+        build_graph([("E1", 2, -1)])
+    with pytest.raises(GraphValidationError, match="multiplicity"):
+        build_graph([("E1", 3), ("E2", 3)], [("E1", "E2", 0)])
 
 
 def test_validate_accepts_simple_graphs():
@@ -156,6 +177,60 @@ def test_edge_derived_structure_matches_dense_form():
         expected = ShapeKind.UNSUPPORTED if unsupported else ShapeKind.OTHER
         assert graph_shape(g).kind is expected
     assert disconnected == 60
+
+
+WEIGHT_FREE = ("index", "adjacency", "connected", "branches")
+WEIGHTED = {"positive_form", "columns", "factor"}
+
+
+def _outcome(graph):
+    """What validate + analyze and graph_shape make of a graph: each
+    result, or the class and message of the ValueError it raises."""
+
+    def analysis(graph):
+        validate(graph)
+        return analyze(graph)
+
+    out = []
+    for step in (analysis, graph_shape):
+        try:
+            out.append(step(graph))
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_reweighted_equals_a_fresh_build():
+    # the same graph under new weights, built either way, over trees,
+    # cyclic, multi-edge, genus > 0 and ADE graphs; it shares exactly the
+    # weight-free views its source has computed, and none is written to
+    rng = random.Random(83)
+    sources = [g for _, g in rdp_family()]
+    sources += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
+    seen = set()
+    for g in sources:
+        source = DualGraph(g.vertices, g.edges)
+        assert source.reweighted(range(1, g.n + 1)).__dict__.keys() == {"vertices", "edges"}
+        for view in (*WEIGHT_FREE, *WEIGHTED):
+            getattr(source, view)
+        index = dict(source.index)
+        for _ in range(8):
+            weights = [rng.randint(1, 2 + len(nbrs)) for nbrs in source.adjacency]
+            graph = source.reweighted(weights)
+            fresh = build_graph(
+                [(v.id, w, v.genus) for v, w in zip(g.vertices, weights)], g.edges
+            )
+            assert graph == fresh
+            for view in WEIGHT_FREE:
+                assert graph.__dict__[view] is source.__dict__[view]
+            assert not graph.__dict__.keys() & WEIGHTED
+            outcome = _outcome(graph)
+            assert outcome == _outcome(fresh)
+            seen.add("valid" if isinstance(outcome[0], Analysis) else outcome[0][0])
+        assert source.index == index
+    assert seen == {"valid", NotNegativeDefiniteError, IllegalWeightError}
+    with pytest.raises(ValueError, match="2 weights for 3 vertices"):
+        chain_graph((2, 2, 2)).reweighted((2, 2))
 
 
 def test_validate_rejects_degenerate_pair():

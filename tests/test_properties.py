@@ -1,5 +1,6 @@
 """Property tests on generated graphs: the delta_min LCP against the
-exhaustive oracle, and its KKT certificate beyond the oracle's range.
+exhaustive oracle, its KKT certificate beyond the oracle's range, and
+the report's equivariance under a reordering of the vertices.
 
 The registered profile is derandomized with a fixed number of examples,
 so every run checks the same graphs and takes the same time."""
@@ -9,10 +10,11 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_kkt
+from conftest import GRAPH_KINDS, assert_kkt, base_graphs
 from singinv.cycles import BoundaryData, boundary_component
 from singinv.graph import build_graph, validate
 from singinv.invariants import analyze, delta_min_exhaustive
+from singinv.report import NefData, build_report, report_to_dict
 
 settings.register_profile(
     "singinv",
@@ -28,14 +30,19 @@ PROFILE = settings.get_profile("singinv")
 @st.composite
 def graphs(draw, min_n, max_n, kinds=("tree", "multi")):
     """A validated graph: a random tree in vertex order, with one edge of
-    multiplicity 2 or 3 for "multi".  Weights are at least the degree,
-    often equal to it, and one exceeds it, so N is positive definite by
-    diagonal dominance; validate() confirms."""
+    multiplicity 2 or 3 for "multi", one or two more edges for "cycle"
+    and one vertex of genus 1 or 2 for "genus".  Weights are at least the
+    degree, often equal to it, and one exceeds it, so N is positive
+    definite by diagonal dominance; validate() confirms."""
     n = draw(st.integers(min_n, max_n))
     kind = draw(st.sampled_from(kinds))
     mult = {(draw(st.integers(0, k - 1)), k): 1 for k in range(1, n)}
     if kind == "multi" and mult:
         mult[draw(st.sampled_from(sorted(mult)))] = draw(st.integers(2, 3))
+    missing = [(i, j) for j in range(n) for i in range(j) if (i, j) not in mult]
+    if kind == "cycle" and missing:
+        extra_pairs = st.lists(st.sampled_from(missing), min_size=1, max_size=2, unique=True)
+        mult.update(dict.fromkeys(draw(extra_pairs), 1))
     degree = [0] * n
     for (i, j), m in mult.items():
         degree[i] += m
@@ -44,8 +51,11 @@ def graphs(draw, min_n, max_n, kinds=("tree", "multi")):
     weights = [max(2, d) + e for d, e in zip(degree, extra)]
     if all(w == d for w, d in zip(weights, degree)):
         weights[draw(st.integers(0, n - 1))] += 1
+    genus = [0] * n
+    if kind == "genus":
+        genus[draw(st.integers(0, n - 1))] = draw(st.integers(1, 2))
     graph = build_graph(
-        [(f"E{j + 1}", w) for j, w in enumerate(weights)],
+        [(f"E{j + 1}", w, g) for j, (w, g) in enumerate(zip(weights, genus))],
         [(f"E{i + 1}", f"E{j + 1}", m) for (i, j), m in sorted(mult.items())],
     )
     validate(graph)
@@ -65,8 +75,8 @@ def boundaries(draw, graph):
 
 
 @st.composite
-def inputs(draw, min_n, max_n):
-    graph = draw(graphs(min_n, max_n))
+def inputs(draw, min_n, max_n, kinds=("tree", "multi")):
+    graph = draw(graphs(min_n, max_n, kinds))
     return graph, draw(boundaries(graph))
 
 
@@ -86,3 +96,54 @@ def test_lcp_equals_exhaustive_search(case):
 def test_lcp_kkt_beyond_the_exhaustive_range(case):
     graph, boundary = case
     assert_kkt(graph, boundary, analyze(graph, boundary).delta_min)
+
+
+def _by_vertex(doc):
+    """A report dictionary with every per-vertex list keyed by vertex id
+    and every list of ids as a set: equal for the same graph under any
+    vertex order."""
+    ids = doc.pop("vertex_ids")
+    dmin = doc["delta_min"]
+    for owner, key in [(doc, "fundamental_cycle"), (doc, "canonical_cycle"),
+                       (doc, "boundary_pullback"), (doc, "boundary_canonical_cycle"),
+                       (dmin, "minimizer")]:
+        owner[key] = dict(zip(ids, owner[key]))
+    dmin["active_vertices"] = set(dmin["active_vertices"])
+    shape = doc["classification"]["shape"]
+    shape["ends"] = shape["ends"] and set(shape["ends"])
+    doc["input"]["vertices"] = {v.pop("id"): v for v in doc["input"]["vertices"]}
+    return doc
+
+
+@st.composite
+def corpus_inputs(draw):
+    """A graph of the log-terminal corpus (chains, ADE graphs and quotient
+    forks) with a boundary."""
+    _, graph = draw(st.sampled_from(base_graphs()))
+    return graph, draw(boundaries(graph))
+
+
+@PROFILE
+@given(st.one_of(inputs(1, 12, kinds=GRAPH_KINDS), corpus_inputs()), st.data())
+def test_reordering_the_vertices_permutes_every_vector(case, data):
+    # Z, Delta, Delta_B, b', the delta_min minimizer and its active set
+    # follow the vertices; det N, delta_y, delta_b_y, delta_min, mu, delta,
+    # delta', the classification and the theorem check do not move
+    graph, boundary = case
+    order = data.draw(st.permutations(range(graph.n)))
+    moved = build_graph([graph.vertices[j] for j in order], graph.edges)
+    moved_boundary = BoundaryData(
+        tuple(c._replace(meets=tuple(c.meets[j] for j in order)) for c in boundary.components)
+    )
+    nef = NefData(
+        m2=data.draw(st.fractions(Fraction(1, 4), 4, max_denominator=4)),
+        min_mc=data.draw(st.fractions(0, 2, max_denominator=4)),
+    )
+    before = build_report(graph, boundary, nef)
+    after = build_report(moved, moved_boundary, nef)
+    for field in ("z", "s", "k", "q", "yk", "yq", "ye"):
+        old = getattr(before.cycles, field)
+        assert getattr(after.cycles, field) == tuple(old[j] for j in order)
+    active = before.delta_min.active_set
+    assert after.delta_min.active_set == {p for p, j in enumerate(order) if j in active}
+    assert _by_vertex(report_to_dict(after)) == _by_vertex(report_to_dict(before))
