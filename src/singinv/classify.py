@@ -94,12 +94,11 @@ def graph_shape(graph: DualGraph) -> GraphShape:
         return GraphShape(ShapeKind.CHAIN, length=len(path), ends=(path[0], path[-1]))
     vertices = graph.vertices
     arms = [tuple(vertices[j].weight for j in arm) for arm in branches]
-    short_rdp_arms = sum(1 for arm in arms if arm == (2,))
-    if short_rdp_arms >= 2:
+    if arms.count((2,)) >= 2:  # two single weight-2 arms
         return GraphShape(ShapeKind.FORK_D)
-    dets = sorted(continuant(arm) for arm in arms)
-    if dets in ([2, 3, 3], [2, 3, 4], [2, 3, 5]):
-        return GraphShape(ShapeKind.FORK_E)
+    if min(map(min, arms)) >= 2:  # a weight-1 arm has no continuant
+        if sorted(map(continuant, arms)) in ([2, 3, 3], [2, 3, 4], [2, 3, 5]):
+            return GraphShape(ShapeKind.FORK_E)
     return GraphShape(ShapeKind.OTHER)
 
 

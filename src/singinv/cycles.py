@@ -13,7 +13,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import (
@@ -153,12 +153,12 @@ def _laufer(
     """
     definite_factor(graph)
     z = [1] * graph.n
-    # s = N z; anti-nef means s >= 0 componentwise.
-    s = [sum(row) for row in graph.positive_form]
+    # s = N z, summed down the columns of the symmetric N; anti-nef is s >= 0
+    columns = graph.columns
+    s = [sum(map(itemgetter(1), column)) for column in columns]
     violating = [j for j, t in enumerate(s) if t < 0]  # kept increasing
     if not violating:
         return z, s
-    columns = graph.columns
     for _ in range(_LAUFER_CAP):
         if tie_break is None:
             j = violating[0]

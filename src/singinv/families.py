@@ -15,7 +15,7 @@ def _chain_skeleton(length: int, prefix: str) -> DualGraph:
     they depend only on the length.  Its own weights are never read."""
     ids = tuple(f"{prefix}{k + 1}" for k in range(length))
     skeleton = DualGraph(tuple(Vertex(vid, 2) for vid in ids), tuple(map(Edge, ids, ids[1:])))
-    skeleton.branches  # computes index, adjacency and connected on the way
+    skeleton.branches  # computes index, off_diagonal and connected on the way
     return skeleton
 
 

@@ -8,6 +8,10 @@ intersection matrix (E_i . E_j) is negative definite.  Weight 1 is
 reserved for the single-vertex configuration that models a blown-up
 smooth point.
 
+N = -(E_i . E_j) is held as its sparse `columns`, summed from one walk
+over the edge list; the dense `positive_form` is spread from them only
+for the public matrix views and the exhaustive oracle.
+
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
@@ -194,53 +198,47 @@ class DualGraph(Record):
         return {v.id: j for j, v in enumerate(self.vertices)}
 
     @cached_property
-    def positive_form(self) -> tuple[tuple[int, ...], ...]:
-        """N = -(E_i . E_j), built once per graph: diagonal w_j,
-        off-diagonal minus the total multiplicity of the edges joining
-        the pair.  Nothing else sums edge multiplicities."""
-        n = self.n
+    def off_diagonal(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The off-diagonal nonzeros (i, N_ij) of each column j of N: minus
+        the total multiplicity of the edges joining i and j, summed in the
+        one walk over the edge list.  It reads no weight."""
         index = self.index
-        m = [[0] * n for _ in range(n)]
-        for j, (_, weight, _) in enumerate(self.vertices):
-            m[j][j] = weight
+        summed: list[dict[int, int]] = [{} for _ in self.vertices]
         for a, b, multiplicity in self.edges:
             i, j = index[a], index[b]
-            m[i][j] -= multiplicity
-            m[j][i] -= multiplicity
-        return tuple(map(tuple, m))
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """The neighbours of each vertex, read off the edge list in O(n + m):
-        the nonzero off-diagonal entries of N."""
-        index = self.index
-        neighbours: list[set[int]] = [set() for _ in self.vertices]
-        for a, b, _ in self.edges:
-            i, j = index[a], index[b]
-            neighbours[i].add(j)
-            neighbours[j].add(i)
-        return tuple(map(frozenset, neighbours))
+            summed[i][j] = summed[i].get(j, 0) - multiplicity
+            summed[j][i] = summed[j].get(i, 0) - multiplicity
+        return tuple(tuple(column.items()) for column in summed)
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzeros (i, N_ij) of each column j of N, diagonal first:
-        w_j and the neighbours, so a sparse update costs deg(j) + 1."""
-        form = self.positive_form
-        return tuple(
-            ((j, form[j][j]), *((i, form[i][j]) for i in nbrs))
-            for j, nbrs in enumerate(self.adjacency)
-        )
+        w_j and the neighbours, so a sparse update costs deg(j) + 1.  N is
+        symmetric, so column j is also row j, as `Factor` reads it."""
+        pairs = enumerate(zip(self.vertices, self.off_diagonal))
+        return tuple([((j, v.weight), *col) for j, (v, col) in pairs])
+
+    @cached_property
+    def positive_form(self) -> tuple[tuple[int, ...], ...]:
+        """N = -(E_i . E_j) as a dense n x n matrix, spread from `columns`;
+        the analysis pass reads `columns` instead."""
+        n = self.n
+        m = [[0] * n for _ in range(n)]
+        for j, column in enumerate(self.columns):
+            for i, c in column:
+                m[i][j] = c
+        return tuple(map(tuple, m))
 
     @cached_property
     def connected(self) -> bool:
-        """A walk over the adjacency lists from vertex 0 reaches every vertex."""
-        adjacency = self.adjacency
+        """A walk over the nonzeros of N from vertex 0 reaches every vertex."""
+        off_diagonal = self.off_diagonal
         seen = [False] * self.n
         seen[0] = True
         stack = [0]
         reached = 1
         while stack:
-            for j in adjacency[stack.pop()]:
+            for j, _ in off_diagonal[stack.pop()]:
                 if not seen[j]:
                     seen[j] = True
                     reached += 1
@@ -257,34 +255,31 @@ class DualGraph(Record):
         lower index to the other; a fork has three, its arms outward from
         the centre in order of their first vertex.  () for any other
         graph."""
-        adjacency = self.adjacency
-        edges = self.edges
-        degrees = list(map(len, adjacency))
-        # a pair joined more than once (N_ij < -1): an edge of multiplicity
-        # above 1, or more edges than joined pairs
-        if 2 * len(edges) != sum(degrees) or any(m > 1 for _, _, m in edges):
-            return None
-        if len(edges) != self.n - 1 or not self.connected or max(degrees) > 3:
+        off_diagonal = self.off_diagonal
+        if any(c < -1 for column in off_diagonal for _, c in column):
+            return None  # a pair joined more than once: N_ij < -1
+        degrees = list(map(len, off_diagonal))
+        if len(self.edges) != self.n - 1 or not self.connected or max(degrees) > 3:
             return ()  # not a tree, or a vertex of degree above 3
         centers = [i for i, d in enumerate(degrees) if d == 3]
         if not centers:
-            return (_walk(adjacency, -1, degrees.index(1) if self.n > 1 else 0),)
+            return (_walk(off_diagonal, -1, degrees.index(1) if self.n > 1 else 0),)
         if len(centers) > 1:
             return ()
         center = centers[0]
-        return tuple(_walk(adjacency, center, start) for start in sorted(adjacency[center]))
+        return tuple(_walk(off_diagonal, center, j) for j, _ in sorted(off_diagonal[center]))
 
     @cached_property
     def factor(self) -> Factor:
         """N eliminated once per graph: Sylvester's criterion and every
         solve against N read it."""
-        return Factor(self.positive_form)
+        return Factor(self.columns)
 
     def reweighted(self, weights: Sequence[int]) -> "DualGraph":
         """The graph on the same ids, genera and edges with the given
         weights, in vertex order, checked as any new graph is.  It takes
         over the weight-free views this graph has already computed
-        (``index``, ``adjacency``, ``connected``, ``branches``), so a sweep
+        (``index``, ``off_diagonal``, ``connected``, ``branches``), so a sweep
         over weights computes them once; no view that reads a weight is
         shared."""
         if len(weights) != self.n:
@@ -295,24 +290,18 @@ class DualGraph(Record):
         graph.__dict__.update({k: cached[k] for k in _WEIGHT_FREE_VIEWS if k in cached})
         return graph
 
-    def index_of(self, vid: str) -> int:
-        try:
-            return self.index[vid]
-        except KeyError:
-            raise GraphValidationError(f"unknown vertex id {vid!r}") from None
-
 
 # the views that read neither weights nor genera: `reweighted` hands them
 # on, so one object may serve many graphs and nothing may write to it
-_WEIGHT_FREE_VIEWS = ("index", "adjacency", "connected", "branches")
+_WEIGHT_FREE_VIEWS = ("index", "off_diagonal", "connected", "branches")
 
 
-def _walk(adjacency: Sequence[frozenset[int]], prev: int, cur: int) -> tuple[int, ...]:
+def _walk(off_diagonal: Sequence[tuple], prev: int, cur: int) -> tuple[int, ...]:
     """The vertices from `cur` on, leaving `prev` behind, up to the first
     vertex with no further neighbour: a path whose inner vertices have
     degree 2."""
     path = [cur]
-    while nxt := [k for k in adjacency[cur] if k != prev]:
+    while nxt := [k for k, _ in off_diagonal[cur] if k != prev]:
         prev, cur = cur, nxt[0]
         path.append(cur)
     return tuple(path)

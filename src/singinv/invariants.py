@@ -200,16 +200,15 @@ def _monotone_lcp(
         support += entering
         for p, j in enumerate(entering, m):
             where[j] = p
-        size = len(support)
-        rows = []  # of N_SS, read off the nonzeros of the entering columns
+        rows = []  # of N_SS: the nonzeros (position, N_ij) of the entering columns
         for p, j in enumerate(entering, m):
-            row = [0] * size
+            row = []
             for i, c in columns[j]:
                 q = where[i]
                 if q < 0:
                     links.setdefault(i, []).append((p, c))
                 else:
-                    row[q] = c
+                    row.append((q, c))
             rows.append(row)
         if block is None:
             block = Factor(rows)

@@ -16,20 +16,23 @@ minor of size k (M_0 = 1; Sylvester's identity); where a_ik or row k is
 zero it only scales by M_{k+1} / M_k.  So each row keeps its nonzero
 multiplier steps, runs only the steps with a nonzero multiplier, on the
 pivot row's nonzero columns, and rescales an entry last changed by step
-t by M_k / M_t, exactly, when step k next reads it.  After a nonpositive
-pivot at step k the later rows stop at step k.  The array is bit for
-bit the dense one; a tree in vertex order makes little fill-in (Parter,
-SIAM Review 1961).
+t by M_k / M_t, exactly, when step k next reads it; entries left of a
+row's first nonzero run no step, so its scan starts there.  After a
+nonpositive pivot at step k the later rows stop at step k.  The array is
+bit for bit the dense one; a tree in vertex order makes little fill-in
+(Parter, SIAM Review 1961).
 
 Each entry of the array is a bordered leading minor, so for a symmetric
 matrix the array is symmetric too, and the kernel keeps only its lower
 triangle, as in row-by-row symmetric elimination (George and Liu,
 *Computer Solution of Large Sparse Positive Definite Systems*, 1981):
 row i is stored up to its diagonal, and the pivot row's entry a_kj is
-read as a_jk.  `Factor(rows)` borders the empty factor, and `border`
-takes only the new rows; a border appends rows and never changes an
-old one.  A solve is two calls.  `carry` forward-eliminates the entries
-of a right-hand side added since its last call and keeps the old ones.
+read as a_jk.  Row i comes in as its nonzero pairs (j, a_ij), as
+`DualGraph.columns` holds N.  `Factor(rows)` borders the empty factor,
+and `border` takes only the new rows; a border appends rows and never
+changes an old one.  A solve is two calls.  `carry` forward-eliminates
+the entries of a right-hand side added since its last call and keeps the
+old ones.
 `back_substitute` can stop at given rows and the rows their
 substitution reads, the closure of the given rows under the nonzero
 columns below the diagonal (Gilbert and Peierls, SIAM J. Sci. Stat.
@@ -46,6 +49,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
+SparseRows = Iterable[Iterable[tuple[int, int]]]  # row i: its pairs (j, a_ij)
 
 
 def _square_size(rows: IntMatrix) -> int:
@@ -59,8 +63,9 @@ def _square_size(rows: IntMatrix) -> int:
 class Factor:
     """One elimination of a symmetric integer matrix, kept for replay.
 
-    Each row is read only up to its diagonal: the matrix is taken to be
-    symmetric and is not checked (`solve` checks it).
+    Row i is its nonzero pairs (j, a_ij), each j at most once, in any
+    order; pairs past the diagonal are skipped, as the matrix is taken to
+    be symmetric and is not checked (`solve` checks it).
     ``first_nonpositive`` is the size k of the first leading principal
     minor <= 0, or None when the matrix is positive definite; only then
     is ``det`` its determinant and the solves usable.
@@ -68,8 +73,7 @@ class Factor:
 
     __slots__ = ("_a", "_lower", "_upper", "_piv", "det", "first_nonpositive")
 
-    def __init__(self, rows: IntMatrix):
-        _square_size(rows)
+    def __init__(self, rows: SparseRows):
         self._a: list[list[int]] = []  # row i up to its diagonal
         self._lower: list[list[int]] = []  # of row i: steps k < i with a[i][k] != 0
         self._upper: list[list[int]] = []  # of row k: rows i > k with a[i][k] != 0
@@ -77,31 +81,38 @@ class Factor:
         self.first_nonpositive: int | None = None
         self._extend(rows)
 
-    def border(self, rows: IntMatrix) -> None:
-        """Extend the symmetric m x m matrix to (m + r) x (m + r) by the r
-        new rows at full width.  Only their entries up to the diagonal are
-        read; by symmetry the others are the old rows' new columns, which
-        the lower triangle does not keep."""
-        n = len(self._a) + len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix is not square")
+    def border(self, rows: SparseRows) -> None:
+        """Extend the symmetric m x m matrix by r new rows.  By symmetry a
+        new row's pairs below m are the old rows' new columns, and its
+        pairs past its diagonal, which later rows hold, are skipped."""
         self._extend(rows)
 
-    def _extend(self, rows: IntMatrix) -> None:
-        """Append the reduced new rows, each up to its diagonal; step k of
-        row i updates only the columns j <= i below pivot k, `_upper[k]`
-        and i itself, reading the pivot row's a[k][j] as a[j][k]."""
+    def _extend(self, rows: SparseRows) -> None:
+        """Append the reduced new rows, or none on a negative column index.
+        Row i runs its nonzero multiplier steps k from its first nonzero
+        on; step k updates only the columns j <= i below pivot k,
+        `_upper[k]`, and i itself, reading the pivot row's a[k][j] as a[j][k]."""
         a, piv, lower, upper = self._a, self._piv, self._lower, self._upper
+        spread = []  # (first nonzero column, dense row up to the diagonal)
+        for i, pairs in enumerate(rows, len(a)):
+            row, first = [0] * (i + 1), i
+            for j, c in pairs:
+                if j <= i:
+                    if j < first:
+                        if j < 0:
+                            raise ValueError(f"row {i}: negative column index {j}")
+                        first = j
+                    row[j] = c
+            spread.append((first, row))
         done = len(a) if self.first_nonpositive is None else self.first_nonpositive - 1
-        for i, given in enumerate(rows, len(a)):
-            row = [*given[: i + 1]]
+        for i, (first, row) in enumerate(spread, len(a)):
             steps: list[int] = []
             a.append(row)
             lower.append(steps)
             upper.append([])
             stop = i if i < done else done
             lag = [0] * (i + 1)  # row[j] holds its value after lag[j] steps
-            for k in range(stop):
+            for k in range(first, stop):
                 f = row[k]
                 if not f:
                     continue
@@ -215,7 +226,7 @@ def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
     _square_size(rows)
     if any(row[j] != rows[j][i] for i, row in enumerate(rows) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    return Factor(rows).solve(rhs)
+    return Factor([[(j, v) for j, v in enumerate(row) if v] for row in rows]).solve(rhs)
 
 
 def clear_denominators(v: Sequence[Fraction | int]) -> tuple[list[int], int]:

@@ -15,7 +15,7 @@ from singinv.families import (
     rdp_family,
     smooth_graph,
 )
-from singinv.graph import build_graph, intersection_matrix, validate
+from singinv.graph import build_graph, validate
 from singinv.invariants import quadratic_norm
 from singinv.linalg import matvec
 
@@ -42,6 +42,22 @@ def cofactor_determinant(rows):
         minor = [list(row[:j]) + list(row[j + 1 :]) for row in rest]
         total += (-1) ** j * entry * cofactor_determinant(minor)
     return total
+
+
+def dense_form(graph):
+    """N as a dense n x n list, summed from the edge list here: diagonal
+    w_j, off-diagonal minus the total multiplicity of the edges joining
+    the pair.  Independent of `DualGraph.columns`, from which the
+    library's own `positive_form` is spread."""
+    index = {v.id: j for j, v in enumerate(graph.vertices)}
+    form = [[0] * graph.n for _ in graph.vertices]
+    for j, v in enumerate(graph.vertices):
+        form[j][j] = v.weight
+    for a, b, multiplicity in graph.edges:
+        i, j = index[a], index[b]
+        form[i][j] -= multiplicity
+        form[j][i] -= multiplicity
+    return form
 
 
 def dense_eliminate(a):
@@ -90,7 +106,7 @@ def dense_laufer(graph, tie_break=None):
     s = N Z, and `tie_break` gets every violating index in increasing
     order."""
     n = graph.n
-    form = graph.positive_form
+    form = dense_form(graph)
     z = [1] * n
     s = [sum(row) for row in form]
     while True:
@@ -109,7 +125,7 @@ def dense_adjacency(graph):
     """The neighbours of each vertex, read off the dense form N."""
     return tuple(
         frozenset(j for j, c in enumerate(row) if c and j != i)
-        for i, row in enumerate(graph.positive_form)
+        for i, row in enumerate(dense_form(graph))
     )
 
 
@@ -118,7 +134,7 @@ def dense_graph_shape(graph):
     multiple-edge test read off all n^2 entries of N."""
     if any(v.genus != 0 for v in graph.vertices):
         return GraphShape(ShapeKind.UNSUPPORTED)
-    if any(c < -1 for row in graph.positive_form for c in row):
+    if any(c < -1 for row in dense_form(graph) for c in row):
         return GraphShape(ShapeKind.UNSUPPORTED)  # N_ij = -(total multiplicity)
     n = graph.n
     adjacency = dense_adjacency(graph)
@@ -163,7 +179,7 @@ def assert_kkt(graph, boundary, result):
     every j with v_j < 0 is active."""
     cs = boundary_cycle(graph, boundary)
     v = cs.fundamental - cs.boundary_canonical
-    w = matvec(intersection_matrix(graph).positive_form, (v + result.minimizer).coeffs)
+    w = matvec(dense_form(graph), (v + result.minimizer).coeffs)
     assert result.minimizer.is_effective()
     assert (v + result.minimizer).is_effective()
     assert {j for j, vj in enumerate(v) if vj < 0} <= result.active_set

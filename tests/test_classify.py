@@ -100,6 +100,16 @@ def test_graph_shape_other_and_unsupported():
     assert graph_shape(double_edge).kind is ShapeKind.UNSUPPORTED
 
 
+def test_graph_shape_of_a_weight_one_arm():
+    # validate refuses these graphs, but graph_shape reads only the edges
+    # and the arm weights: a weight-1 arm has no continuant, so the fork
+    # is Other unless two single weight-2 arms make it dihedral first
+    for arms in ([(1,), (3,), (2,)], [(1,), (2, 2), (2,)], [(2,), (3,), (2, 1)]):
+        assert graph_shape(fork_graph(2, arms)).kind is ShapeKind.OTHER
+    assert graph_shape(fork_graph(2, [(1,), (2,), (2,)])).kind is ShapeKind.FORK_D
+    assert graph_shape(fork_graph(1, [(2,), (3,), (5,)])).kind is ShapeKind.FORK_E
+
+
 def test_cusp_triangle_is_log_canonical_not_log_terminal():
     g = _cusp_triangle()
     validate(g)

@@ -7,6 +7,7 @@ from conftest import (
     GRAPH_KINDS,
     base_graphs,
     cofactor_determinant,
+    dense_form,
     dense_graph_shape,
     random_chain_weights,
     random_graph,
@@ -151,18 +152,19 @@ def _edge_structure_inputs():
 
 
 def test_edge_derived_structure_matches_dense_form():
-    # adjacency and column lists read off the edge list, connectivity by
-    # a walk over them, and graph_shape's multiple-edge test, each
-    # against a route that reads N or the edges independently
+    # the off-diagonal nonzeros summed in one walk of the edge list, the
+    # columns and the dense N spread from them, connectivity by a walk
+    # over them, and graph_shape's multiple-edge test, each against N
+    # summed from the edges by the tests or the edges read independently
     disconnected = 0
     for g in _edge_structure_inputs():
-        form = g.positive_form
+        form = dense_form(g)
         for i in range(g.n):
-            assert set(g.adjacency[i]) == {j for j, c in enumerate(form[i]) if c and j != i}
-            diagonal, *rest = g.columns[i]
-            assert diagonal == (i, form[i][i])
-            assert set(rest) == {(j, form[j][i]) for j in g.adjacency[i]}
-            assert len(rest) == len(g.adjacency[i])
+            nonzeros = {(j, c) for j, c in enumerate(form[i]) if c and j != i}
+            assert len(g.off_diagonal[i]) == len(nonzeros)
+            assert set(g.off_diagonal[i]) == nonzeros
+            assert g.columns[i] == ((i, form[i][i]), *g.off_diagonal[i])
+        assert g.positive_form == tuple(map(tuple, form))
         connected = _connected_by_union_find(g)
         assert g.connected is connected
         if connected:
@@ -179,7 +181,7 @@ def test_edge_derived_structure_matches_dense_form():
     assert disconnected == 60
 
 
-WEIGHT_FREE = ("index", "adjacency", "connected", "branches")
+WEIGHT_FREE = ("index", "off_diagonal", "connected", "branches")
 WEIGHTED = {"positive_form", "columns", "factor"}
 
 
@@ -215,7 +217,7 @@ def test_reweighted_equals_a_fresh_build():
             getattr(source, view)
         index = dict(source.index)
         for _ in range(8):
-            weights = [rng.randint(1, 2 + len(nbrs)) for nbrs in source.adjacency]
+            weights = [rng.randint(1, 2 + len(nbrs)) for nbrs in source.off_diagonal]
             graph = source.reweighted(weights)
             fresh = build_graph(
                 [(v.id, w, v.genus) for v, w in zip(g.vertices, weights)], g.edges

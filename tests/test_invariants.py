@@ -11,6 +11,7 @@ from conftest import (
     any_boundary,
     assert_kkt,
     base_graphs,
+    dense_form,
     random_boundary,
     random_graph,
 )
@@ -295,7 +296,7 @@ def test_section_2_2_equalities_on_anchor():
 def _assert_matches_fraction_route(graph, boundary, a):
     """Each integer result of the pass against the same quantity in fractions."""
     cs = a.cycles
-    form = graph.positive_form
+    form = dense_form(graph)
     q = [sum(c.coeff * c.meets[j] for c in boundary.components) for j in range(graph.n)]
     assert matvec(form, cs.canonical.coeffs) == canonical_degrees(graph)
     assert matvec(form, cs.boundary_part.coeffs) == q
@@ -536,16 +537,19 @@ def test_build_report_runs_each_stage_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    g = chain_graph((2, 5, 2))
-    n_rows = [[2, -1, 0], [-1, 5, -1], [0, -1, 2]]
-    # N is summed from the edges once, by the cached DualGraph.positive_form
-    count("N built", graph_module.DualGraph.__dict__["positive_form"], "func")
+    # chain(2, 5, 2), built afresh: no view shared with a cached skeleton
+    g = build_graph([("E1", 2), ("E2", 5), ("E3", 2)], [("E1", "E2"), ("E2", "E3")])
+    n_pairs = [[(0, 2), (1, -1)], [(0, -1), (1, 5), (2, -1)], [(1, -1), (2, 2)]]
+    # the edge list is walked once, by the cached DualGraph.off_diagonal;
+    # the dense N is not built at all
+    count("edge walk", graph_module.DualGraph.__dict__["off_diagonal"], "func")
+    count("dense N", graph_module.DualGraph.__dict__["positive_form"], "func")
     count("matrix", graph_module, "intersection_matrix")
     count(
         "N eliminated",
         Factor,
         "__init__",
-        lambda factor, rows: [list(r) for r in rows] == n_rows,
+        lambda factor, rows: [sorted(r) for r in rows] == n_pairs,
     )
     count("laufer", cycles_module, "_laufer")
     count(
@@ -562,7 +566,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     assert report.theorem is not None and report.delta_min.value == Fraction(81, 80)
     assert calls == dict.fromkeys(
         (
-            "N built",
+            "edge walk",
             "N eliminated",
             "laufer",
             "canonical solve",
@@ -571,6 +575,35 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         ),
         1,
     )
+
+
+def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
+    # validate and build_report, with boundaries and nef data, over trees,
+    # cyclic, multi-edge and genus > 0 graphs, and every graph `enumerate`
+    # analyzes, read N through its sparse columns only
+    import singinv.cli as cli_module
+
+    rng = random.Random(61)
+    graphs = [g for _, g in base_graphs()]
+    graphs += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
+    nef = NefData(m2=Fraction(2), min_mc=Fraction(1))
+    for g in graphs:
+        g = build_graph(g.vertices, g.edges)  # fresh, with no view computed
+        validate(g)
+        build_report(g, random_boundary(g, rng, strict=False), nef)
+        assert "positive_form" not in vars(g)
+    dense = []
+    real = cli_module.analyze
+
+    def analyze_and_look(graph):
+        result = real(graph)
+        dense.append("positive_form" in vars(graph))
+        return result
+
+    monkeypatch.setattr(cli_module, "analyze", analyze_and_look)
+    assert cli_module.main(["enumerate", "--max-length", "3", "--forks", "--json"]) == 0
+    capsys.readouterr()
+    assert len(dense) > 100 and not any(dense)
 
 
 def test_public_helpers_read_the_analysis():

@@ -14,6 +14,16 @@ from singinv.linalg import (
 )
 
 
+def _pairs(rows, rng=None):
+    """Each row of a dense matrix as its nonzero pairs (j, a_ij), the
+    input of `Factor`; shuffled when an rng is given."""
+    out = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    if rng is not None:
+        for row in out:
+            rng.shuffle(row)
+    return out
+
+
 def test_determinant_small_cases():
     # the cofactor oracle is the suite's only determinant
     assert cofactor_determinant([]) == 1
@@ -24,17 +34,19 @@ def test_determinant_small_cases():
 
 
 def test_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        Factor([[1, 2, 3], [4, 5, 6]]).first_nonpositive
+    # a row of pairs has no width to check; what it can get wrong is a
+    # negative column, which a list would read from its end
+    with pytest.raises(ValueError, match="row 1: negative column index -1"):
+        Factor([[(0, 2)], [(-1, 1), (1, 2)]])
     with pytest.raises(ValueError, match="square"):
         solve([[1, 2, 3], [4, 5, 6]], [1, 2])
 
 
 def test_first_nonpositive_small_cases():
     assert Factor([]).first_nonpositive is None
-    assert Factor([[2, -1], [-1, 3]]).first_nonpositive is None
-    assert Factor([[1, 1], [1, 1]]).first_nonpositive == 2
-    assert Factor([[-1, 0], [0, 2]]).first_nonpositive == 1
+    assert Factor(_pairs([[2, -1], [-1, 3]])).first_nonpositive is None
+    assert Factor(_pairs([[1, 1], [1, 1]])).first_nonpositive == 2
+    assert Factor(_pairs([[-1, 0], [0, 2]])).first_nonpositive == 1
 
 
 def test_first_nonpositive_agrees_with_minor_scan():
@@ -50,7 +62,7 @@ def test_first_nonpositive_agrees_with_minor_scan():
             cofactor_determinant([row[:k] for row in sym[:k]]) for k in range(1, n + 1)
         ]
         expected = next((k for k, m in enumerate(minors, start=1) if m <= 0), None)
-        assert Factor(sym).first_nonpositive == expected
+        assert Factor(_pairs(sym, rng)).first_nonpositive == expected
 
 
 def test_solve_exact_roundtrip():
@@ -145,7 +157,7 @@ def test_factor_replay_matches_cramer():
     for trial in range(54):
         n = trial % 9
         rows = _random_stieltjes(rng, n)
-        factor = Factor(rows)
+        factor = Factor(_pairs(rows))
         assert factor.first_nonpositive is None
         det = cofactor_determinant(rows)
         assert factor.det == det
@@ -165,9 +177,9 @@ def test_factor_replay_matches_cramer():
 
 def test_factor_refuses_to_solve_indefinite_or_mismatched():
     with pytest.raises(ValueError, match="not positive definite"):
-        Factor([[1, 1], [1, 1]]).scaled_solve([1, 0])
+        Factor(_pairs([[1, 1], [1, 1]])).scaled_solve([1, 0])
     with pytest.raises(ValueError, match="dimension mismatch"):
-        Factor([[2, -1], [-1, 3]]).scaled_solve([1])
+        Factor(_pairs([[2, -1], [-1, 3]])).scaled_solve([1])
 
 
 def _random_symmetric(rng, n):
@@ -181,11 +193,12 @@ def _random_symmetric(rng, n):
 
 def _bordered(rows, splits):
     """Factor the leading block of size splits[0], then border it by each
-    later split in turn; no border changes an old row or its steps."""
-    factor = Factor([row[: splits[0]] for row in rows[: splits[0]]])
+    later split in turn; no border changes an old row or its steps.  Each
+    row is passed whole: its pairs past the diagonal are skipped."""
+    factor = Factor(_pairs(rows[: splits[0]]))
     for m, n in zip(splits, splits[1:]):
         old = copy.deepcopy((factor._a, factor._lower))
-        factor.border([row[:n] for row in rows[m:n]])
+        factor.border(_pairs(rows[m:n]))
         assert (factor._a[:m], factor._lower[:m]) == old
     return factor
 
@@ -206,7 +219,7 @@ def _oracle(rows):
 
 
 def _assert_same_factor(bordered, rows, oracle):
-    assert bordered._a == Factor(rows)._a
+    assert bordered._a == Factor(_pairs(rows))._a
     bad, det, cramer = oracle
     assert bordered.first_nonpositive == bad
     if bad is None:
@@ -230,28 +243,30 @@ def test_border_finds_a_bad_minor_in_the_new_rows():
     # [[2, -1], [-1, 2]] is positive definite; the border makes the
     # leading 3x3 minor zero and the 4x4 one negative
     rows = [[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, -1]]
-    factor = Factor([row[:2] for row in rows[:2]])
+    factor = Factor(_pairs(rows[:2]))
     assert factor.first_nonpositive is None and factor.det == 3
-    factor.border(rows[2:])
+    factor.border(_pairs(rows[2:]))
     assert factor.first_nonpositive == 3
     _assert_same_factor(factor, rows, _oracle(rows))
     with pytest.raises(ValueError, match="not positive definite"):
         factor.scaled_solve([0, 0, 0, 0])
     # an indefinite factor stays indefinite under further borders
-    factor = Factor([[1, 2], [2, 1]])
-    factor.border([[0, 0, 5]])
+    factor = Factor(_pairs([[1, 2], [2, 1]]))
+    factor.border([[(2, 5)]])
     assert factor.first_nonpositive == 2
 
 
-def test_border_rejects_ragged_blocks():
-    # border takes the new rows only, each at the full new width
-    factor = Factor([[2]])
-    for ragged in ([[1]], [[1, 3, 0]], [[1, 3, 0], [0, 0]], [[1, 3, 0], [0, 0, 4, 1]]):
-        with pytest.raises(ValueError, match="square"):
-            factor.border(ragged)
+def test_border_rejects_negative_indices():
+    # border takes the new rows only, as pairs; a negative column index in
+    # any of them refuses the whole border, and a pair past the diagonal
+    # is skipped
+    factor = Factor([[(0, 2)]])
+    for bad in ([[(-1, 1)]], [[(1, 3), (0, -1)], [(2, 4), (-3, 1)]]):
+        with pytest.raises(ValueError, match="negative column index"):
+            factor.border(bad)
     assert factor._a == [[2]] and factor.det == 2  # a rejected border changes nothing
-    factor.border([[-1, 3]])
-    assert factor.det == 5
+    factor.border([[(2, 7), (1, 3), (0, -1)]])
+    assert factor._a == [[2], [-1, 5]] and factor.det == 5
 
 
 def _tree_form(rng, n, shape, *, definite=True):
@@ -347,7 +362,7 @@ def _carried(rows, splits, b):
     block."""
     factor, forward = Factor([]), []
     for m, k in zip(splits, splits[1:]):
-        factor.border([row[:k] for row in rows[m:k]])
+        factor.border(_pairs(rows[m:k]))
         ref, bad = _dense_reference([row[:k] for row in rows[:k]])
         _assert_dense(factor, ref, bad, [])
         if bad is None:
@@ -375,7 +390,7 @@ def test_sparse_kernel_matches_dense_reference():
             [rng.randint(-9, 9) for _ in range(n)],
             [rng.choice((0, 0, 0, rng.randint(-10**6, 10**6))) for _ in range(n)],
         ]
-        _assert_dense(Factor(rows), ref, bad, rhs)
+        _assert_dense(Factor(_pairs(rows, rng)), ref, bad, rhs)
         for m in range(n + 1):
             _assert_dense(_bordered(rows, [m, n]), ref, bad, rhs)
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
@@ -385,13 +400,13 @@ def test_sparse_kernel_matches_dense_reference():
 
 def test_carried_solve_checks_the_carried_length():
     # the forward carry and the back substitution each check the length
-    factor = Factor([[2, -1], [-1, 3]])
+    factor = Factor(_pairs([[2, -1], [-1, 3]]))
     with pytest.raises(ValueError, match="dimension mismatch"):
         factor.carry([1], [1, 0])
     forward = []
     factor.carry(forward, [1, 0])
     assert factor.back_substitute(forward) == factor.scaled_solve([1, 0])
-    factor.border([[0, -1, 2]])
+    factor.border([[(1, -1), (2, 2)]])
     with pytest.raises(ValueError, match="dimension mismatch"):
         factor.back_substitute(forward)  # forward values from before the border
     factor.carry(forward, [0])
@@ -447,7 +462,7 @@ def test_restricted_back_substitution_matches_dense_reference():
                 checked += 1
         factor, forward = Factor([]), []
         for k in range(1, n + 1):
-            factor.border([rows[k - 1][:k]])
+            factor.border(_pairs(rows[k - 1 : k]))
             lead, bad = _dense_reference([row[:k] for row in rows[:k]])
             if bad is not None:
                 break

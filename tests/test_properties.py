@@ -1,4 +1,5 @@
-"""Property tests on generated graphs: the delta_min LCP against the
+"""Property tests on generated graphs: the factor of N's sparse columns
+against the dense elimination, the delta_min LCP against the
 exhaustive oracle, its KKT certificate beyond the oracle's range, and
 the report's equivariance under a reordering of the vertices.
 
@@ -10,10 +11,11 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAPH_KINDS, assert_kkt, base_graphs
+from conftest import GRAPH_KINDS, assert_kkt, base_graphs, dense_eliminate, dense_form
 from singinv.cycles import BoundaryData, boundary_component
 from singinv.graph import build_graph, validate
 from singinv.invariants import analyze, delta_min_exhaustive
+from singinv.linalg import Factor
 from singinv.report import NefData, build_report, report_to_dict
 
 settings.register_profile(
@@ -78,6 +80,28 @@ def boundaries(draw, graph):
 def inputs(draw, min_n, max_n, kinds=("tree", "multi")):
     graph = draw(graphs(min_n, max_n, kinds))
     return graph, draw(boundaries(graph))
+
+
+@PROFILE
+@given(graphs(1, 16, GRAPH_KINDS), st.data())
+def test_factor_of_the_columns_is_the_dense_elimination(graph, data):
+    # in a random vertex order, so that rows fill in: the factor of N's
+    # sparse columns stores the lower triangle of the dense loop on N
+    # summed from the edge list, bit for bit, with the same Sylvester
+    # answer and det, whether built whole or bordered at random splits
+    order = data.draw(st.permutations(range(graph.n)))
+    graph = build_graph([graph.vertices[j] for j in order], graph.edges)
+    ref = dense_form(graph)
+    bad = dense_eliminate(ref)
+    lower = [row[: i + 1] for i, row in enumerate(ref)]
+    factor = graph.factor
+    assert (factor._a, factor.first_nonpositive, factor.det) == (lower, bad, ref[-1][-1])
+    cuts = data.draw(st.sets(st.integers(1, graph.n - 1))) if graph.n > 1 else set()
+    splits = [0, *sorted(cuts), graph.n]
+    bordered = Factor(graph.columns[: splits[1]])
+    for m, k in zip(splits[1:], splits[2:]):
+        bordered.border(graph.columns[m:k])
+    assert (bordered._a, bordered.first_nonpositive, bordered.det) == (lower, bad, factor.det)
 
 
 @PROFILE
