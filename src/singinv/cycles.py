@@ -1,20 +1,65 @@
 """Fundamental cycle, canonical cycles, and exceptional pullbacks.
 
-The fundamental cycle is computed by the Laufer sequence; the canonical
-cycle and all pullback corrections come from exact solves against the
-positive intersection form.  Boundary data enters only through the
-coefficients b_i and the intersection counts of the strict transforms
-with each exceptional curve.
+The fundamental cycle and `delta_min` are least elements of one kind and
+come from one solver, `least_element`; the canonical cycle and all
+pullback corrections come from exact solves against the positive
+intersection form.  Boundary data enters only through the coefficients
+b_i and the intersection counts of the strict transforms with each
+exceptional curve.
+
+N is a Stieltjes matrix (positive definite, off-diagonal entries <= 0),
+so for any v the set {y >= v : N y >= 0} has a least element v + x*
+(Cottle and Veinott, Math. Programming 1972), and x* solves the linear
+complementarity problem with a Z-matrix x >= 0, w = N(v + x) >= 0,
+x.w = 0.  Chandrasekaran's monotone method solves it with at most n
+principal solves: on a support S, solve N_SS x_S = -(N v)_S with x = 0
+off S, add j with w_j < 0 to S and repeat until w >= 0 (R.
+Chandrasekaran, Opsearch 1970; Cottle-Pang-Stone, The Linear
+Complementarity Problem).  Each j it adds lies in the final support S*,
+and entering only some of the violating j keeps that true.  The method
+starts inside S*, from S0 = {j : v_j < 0} | {j : (N v)_j < 0}.  N is a
+nonsingular M-matrix, so N^-1 >= 0 entrywise; at the solution
+v + x* = N^-1 w* >= 0, so x*_j >= -v_j > 0 wherever v_j < 0.  On
+S = {j : v_j < 0} the solve gives y = v + x with (N y)_S = 0 and
+y = v >= 0 off S, so N_SS y_S >= 0, y >= 0 and x_S >= -v_S > 0.  There
+every j with (N v)_j < 0 has w_j <= (N v)_j < 0: it violates and may
+enter.  So S0 is a support of the same one-path method, entered further
+along, and its monotonicity argument runs unchanged.  On the 64-vertex
+long-arm fork it takes 10 iterations; from S = {} the method takes 21.
+S only grows and is kept in entry order, so each principal block N_SS
+is the previous one bordered by the entering rows and columns: one
+`Factor`, built on the first iteration and bordered on each later one,
+is eliminated once over the whole LCP.  The right-hand side -(N v)_S
+grows the same way, so each iteration forward-eliminates only its
+entering entries.  A symmetric permutation leaves det N_SS and the
+solution unchanged, so entry order gives the same exact answer as
+sorted order.
+An iteration pays only for the entries its entering test reads.  Every
+j outside S and not next to it has w_j = (N v)_j det N_SS >= 0, since
+the j with (N v)_j < 0 all enter on the first iteration and S only
+grows.  So w is evaluated, in integers and through the nonzeros of N,
+only on the outside neighbours of S, and x only on the members of S
+next to them and on the rows their back substitution reads: 3 rows an
+iteration on the 64-vertex long-arm fork, not the whole support.  One
+full back substitution, at the end, completes x from the last
+iteration's entries.
+
+The fundamental cycle Z is the least integral point of
+{y >= 1 : N y >= 0} (Laufer, Amer. J. Math. 1972), found in rounds of
+the same solver: l = 1, then l = ceil(least y >= l with N y >= 0),
+until N l >= 0.  While l <= Z, Z lies in the round's set, so the least
+element lies below Z, and so does its ceiling, Z being integral; while
+N l has a negative entry, l is not in the set, so the ceiling rises
+above l.  The rounds climb to Z and stop there, exactly.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import itemgetter, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import (
     DualGraph,
@@ -24,16 +69,15 @@ from .graph import (
     definite_factor,
     solve_exceptional,
 )
-from .linalg import quadratic_form
+from .linalg import Factor, quadratic_form
 
-# The Laufer sequence terminates on every negative-definite graph (and
-# `_laufer` refuses any other), after sum(Z) - n steps.  A step at j
-# touches the deg(j) + 1 nonzeros of column j of N and the sorted list
-# of the k violating indices, O(k) to add one or to clear j.
-# Within the input caps that count still reaches the hundreds of
-# thousands (large weights joined by multiple edges make Z large), so
-# the cap bounds the running time: a valid input past it is refused.
-_LAUFER_CAP = 100_000
+# The rounds for Z end on every negative-definite graph (`_fundamental`
+# refuses any other) after at most sum(Z) - n rounds; no smaller bound is
+# known.  Near the definiteness bound a heavy vertex rises by about one a
+# round: stars within the input caps have needed up to 1,505 rounds where
+# sum(Z) - n <= 100,000, and 9,119 at 6 * 10^7.  The cap bounds the
+# running time above those; a valid input past it is refused.
+_ROUND_CAP = 10_000
 
 
 class BoundaryComponent(NamedTuple):
@@ -67,7 +111,7 @@ class CycleSet(Record):
     N is eliminated once (``graph.factor``) and every vector is kept as
     integer numerators over one denominator: ``det`` = det N and ``dq``,
     a common denominator of the boundary counts.  ``s``, ``k`` and ``q``
-    are the images N Z, N Delta and dq * N b', which the Laufer sequence
+    are the images N Z, N Delta and dq * N b', which the rounds for Z
     and the input give for free.  The ExcDivisor views are built on
     first read; ``boundary_canonical`` always equals ``canonical +
     boundary_part`` componentwise (e_j = a_j + b'_j).
@@ -136,65 +180,116 @@ def check_boundary(graph: DualGraph, boundary: BoundaryData) -> None:
             )
 
 
-def _laufer(
-    graph: DualGraph, tie_break: Callable[[list[int]], int] | None = None
-) -> tuple[list[int], list[int]]:
-    """The Laufer sequence: Z and s = N Z, both as integer lists.
+def _check_cone(y: Sequence[int | None]) -> None:
+    """Every computed entry of an LCP iterate (None: not computed) is >= 0."""
+    if min(filter(None, y), default=0) < 0:
+        raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
+
+
+def least_element(
+    columns: Sequence[Sequence[tuple[int, int]]], v: Sequence[int], nv: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """The least element v + x of {y >= v : N y >= 0}, N given by its
+    sparse `columns`, by Chandrasekaran's method started from the j with
+    v_j < 0 or (N v)_j < 0, all inside the final support (module
+    docstring).
+
+    Only the signs of v are read; nv = d N v, integral, for an integer
+    d > 0.  Returns the support S in entry order, the integers y with
+    x_S = y / (d det N_SS) and x = 0 off S, and det N_SS.  On S,
+    w = N(v + x) has numerators nv det(N_SS) + N y over d det(N_SS).
+    """
+    n = len(nv)
+    entering = [j for j in range(n) if v[j] < 0 or nv[j] < 0]
+    support: list[int] = []  # in entry order: each block borders the last
+    if not entering:  # v >= 0 and N v >= 0: x = 0 satisfies the KKT conditions
+        return support, [], 1
+    where = [-1] * n  # position in the support, -1 outside it
+    links: dict[int, list[tuple[int, int]]] = {}  # j next to S: [(position, N_ij)]
+    block: Factor | None = None
+    forward: list[int] = []  # -(N v)_S forward-eliminated, kept across borders
+    partial: list[int | None] | None = None  # y where the entering test reads it
+    while entering:
+        m = len(support)
+        support += entering
+        for p, j in enumerate(entering, m):
+            where[j] = p
+        rows = []  # of N_SS: the nonzeros (position, N_ij) of the entering columns
+        for p, j in enumerate(entering, m):
+            row = []
+            for i, c in columns[j]:
+                q = where[i]
+                if q < 0:
+                    links.setdefault(i, []).append((p, c))
+                else:
+                    row.append((q, c))
+            rows.append(row)
+        if block is None:
+            block = Factor(rows)
+        else:
+            block.border(rows)
+        block.carry(forward, [-nv[i] for i in entering])
+        if not links:
+            partial = None  # nothing outside S is left to enter
+            break
+        partial = block.back_substitute(forward, [p for e in links.values() for p, _ in e])
+        _check_cone(partial)
+        det_s = block.det
+        entering = []
+        for j, edge in links.items():
+            w = nv[j] * det_s
+            for p, c in edge:
+                w += c * partial[p]
+            if w < 0:
+                entering.append(j)
+        for j in entering:
+            del links[j]  # no longer outside
+        entering.sort()
+    y = partial
+    if y is None or None in y:  # complete the last iteration's solve
+        y = block.back_substitute(forward, None, y)
+        _check_cone(y)
+    return support, y, block.det
+
+
+def _fundamental(graph: DualGraph) -> tuple[list[int], list[int]]:
+    """Z and s = N Z, both as integer lists, in rounds of `least_element`
+    (module docstring).
 
     Raises NotNegativeDefiniteError from the cached factor first, so an
-    indefinite form fails before any step, and ValueError when Z needs
-    more than _LAUFER_CAP steps.
-
-    The violating indices are kept in a sorted list.  A step at j adds
-    column j of N to s: the diagonal w_j > 0 can only clear j, and the
-    off-diagonal entries, all <= 0, can only add neighbours of j, so a
-    step visits deg(j) + 1 entries.  With no tie_break the lowest
-    violating index is taken, as a rescan from index 0 would.
+    indefinite form fails before any round, and ValueError when Z needs
+    more than _ROUND_CAP rounds.  A round raises each z_j in the support
+    by the ceiling of x_j and adds as many copies of column j of N to s.
     """
     definite_factor(graph)
+    columns = graph.columns
     z = [1] * graph.n
     # s = N z, summed down the columns of the symmetric N; anti-nef is s >= 0
-    columns = graph.columns
     s = [sum(map(itemgetter(1), column)) for column in columns]
-    violating = [j for j, t in enumerate(s) if t < 0]  # kept increasing
-    if not violating:
-        return z, s
-    for _ in range(_LAUFER_CAP):
-        if tie_break is None:
-            j = violating[0]
-        else:
-            j = tie_break(violating[:])
-            if j not in violating:
-                raise ValueError("tie_break returned a non-violating index")
-        z[j] += 1
-        for i, c in columns[j]:
-            t = s[i]
-            s[i] = t + c
-            if t >= 0 > t + c:
-                insort(violating, i)
-        if s[j] >= 0:
-            violating.remove(j)
-            if not violating:
-                return z, s
-    raise ValueError(
-        "the Laufer sequence for the fundamental cycle needs more than the "
-        f"cap of {_LAUFER_CAP:,} steps (steps = sum(Z) - n)"
-    )
+    rounds = 0
+    while min(s, default=0) < 0:
+        if rounds == _ROUND_CAP:
+            raise ValueError(
+                "the fundamental cycle needs more than the cap of "
+                f"{_ROUND_CAP:,} rounds of its least-element solver"
+            )
+        rounds += 1
+        support, y, det_s = least_element(columns, z, s)
+        for j, t in zip(support, y):
+            step = -(-t // det_s)
+            z[j] += step
+            for i, c in columns[j]:
+                s[i] += c * step
+    return z, s
 
 
-def fundamental_cycle(
-    graph: DualGraph, *, tie_break: Callable[[list[int]], int] | None = None
-) -> ExcDivisor:
+def fundamental_cycle(graph: DualGraph) -> ExcDivisor:
     """Smallest integral cycle Z >= (1,..,1) with Z.E_j <= 0 for all j.
 
-    Laufer sequence: start at all ones and repeatedly increment a
-    coordinate whose curve still meets Z positively.  The result is
-    independent of the increment order; the default picks the lowest
-    index so runs are reproducible.  ``tie_break`` receives the list of
-    violating indices and must return one of them.  A graph whose Z
-    needs more than 100,000 steps (sum(Z) - n) raises ValueError.
+    Computed in rounds of `least_element` (module docstring); a graph
+    whose Z needs more than 10,000 rounds raises ValueError.
     """
-    z, _ = _laufer(graph, tie_break)
+    z, _ = _fundamental(graph)
     return ExcDivisor(tuple(Fraction(v) for v in z))
 
 
@@ -239,7 +334,7 @@ def boundary_cycle(graph: DualGraph, boundary: BoundaryData | None = None) -> Cy
     """Fundamental cycle plus all canonical-cycle data for a boundary.
 
     N must be positive definite; NotNegativeDefiniteError is raised from
-    the cached factor before any Laufer step.
+    the cached factor before any round for Z.
     """
     boundary = EMPTY_BOUNDARY if boundary is None else boundary
     check_boundary(graph, boundary)
@@ -252,7 +347,7 @@ def boundary_cycle(graph: DualGraph, boundary: BoundaryData | None = None) -> Cy
         scaled = c.coeff.numerator * (dq // c.coeff.denominator)
         for j, m in enumerate(c.meets):
             q[j] += scaled * m
-    z, s = _laufer(graph)
+    z, s = _fundamental(graph)
     k = canonical_degrees(graph)
     yk = factor.scaled_solve(k)
     if meeting:

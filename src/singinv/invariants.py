@@ -12,46 +12,13 @@ cross-multiplication, and the log-terminal tests compare numerators
 with the denominator.
 
 delta_min minimizes -(v + x)^2 = (v + x)^T N (v + x) over effective
-exceptional x.  N is a Stieltjes matrix (positive definite, off-diagonal
-entries <= 0), so the KKT conditions x >= 0, w = N(v + x) >= 0, x.w = 0
-are a linear complementarity problem with a Z-matrix.  Chandrasekaran's
-monotone method solves it with at most n principal solves: on a support
-S, solve N_SS x_S = -(N v)_S with x = 0 off S, add j with w_j < 0 to S
-and repeat until w >= 0 (R. Chandrasekaran, Opsearch 1970;
-Cottle-Pang-Stone, The Linear Complementarity Problem).  Each j it adds
-lies in the final support S*, and entering only some of the violating j
-keeps that true.  The method starts inside S*, from
-S0 = {j : v_j < 0} | {j : (N v)_j < 0}, by least-element theory for
-Z-matrices (Cottle and Veinott, Math. Programming 1972).  N is a
-nonsingular M-matrix, so N^-1 >= 0 entrywise; at the solution
-v + x* = N^-1 w* >= 0, so x*_j >= -v_j > 0 wherever v_j < 0.  On
-S = {j : v_j < 0} the solve gives y = v + x with (N y)_S = 0 and
-y = v >= 0 off S, so N_SS y_S >= 0, y >= 0 and x_S >= -v_S > 0.  There
-every j with (N v)_j < 0 has w_j <= (N v)_j < 0: it violates and may
-enter.  So S0 is a support of the same one-path method, entered further
-along, and its monotonicity argument runs unchanged.  On the 64-vertex
-long-arm fork it takes 10 iterations; from S = {} the method takes 21.
-S only grows and is kept in entry order, so each principal block N_SS
-is the previous one bordered by the entering rows and columns: one
-`Factor`, built on the first iteration and bordered on each later one,
-is eliminated once over the whole LCP.  The right-hand side -(N v)_S
-grows the same way, so each iteration forward-eliminates only its
-entering entries.  A symmetric permutation leaves det N_SS and the
-solution unchanged, so entry order gives the same exact answer as
-sorted order.  N v is integral over dq alone, so the LCP's integers
-carry no factor det N: x_S = y / (dq det N_SS) with y integral, and
-v.(N v), an integer over det N dq^2, joins x_S.(N v)_S in one fraction
-at the end.
-An iteration pays only for the entries its entering test reads.  Every
-j outside S and not next to it has w_j = (N v)_j det N_SS >= 0, since
-the j with (N v)_j < 0 all enter on the first iteration and S only
-grows.  So w is evaluated, in integers and through the nonzeros of N,
-only on the outside neighbours of S, and x only on the members of S
-next to them and on the rows their back substitution reads: 3 rows an
-iteration on the 64-vertex long-arm fork, not the whole support.  One
-full back substitution, at the end, completes x from the last
-iteration's entries, and N_SS x_S = -(N v)_S makes the minimum
-v.(N v) + x_S.(N v)_S.
+exceptional x.  N is a Stieltjes matrix, so the KKT conditions x >= 0,
+w = N(v + x) >= 0, x.w = 0 make v + x the least element of
+{y >= v : N y >= 0}, which `cycles.least_element` finds (see there).
+N v is integral over dq alone, so its integers carry no factor det N:
+x_S = y / (dq det N_SS) with y integral, and v.(N v), an integer over
+det N dq^2, joins x_S.(N v)_S in one fraction at the end, as
+N_SS x_S = -(N v)_S makes the minimum v.(N v) + x_S.(N v)_S.
 `delta_min_exhaustive` instead scans all 2^n supports in fractions and
 compares objectives only, giving an independent route to the same
 answer.
@@ -68,9 +35,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .classify import Classification, ShapeKind, classify
-from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle
+from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle, least_element
 from .graph import DualGraph, ExcDivisor, Record
-from .linalg import Factor, clear_denominators, matvec, quadratic_form, solve
+from .linalg import clear_denominators, matvec, quadratic_form, solve
 
 DEFAULT_EPSILON = Fraction(1, 1000)
 
@@ -165,83 +132,19 @@ def _stationary_on(
     return x
 
 
-def _check_cone(y: Sequence[int | None]) -> None:
-    """Every computed entry of an LCP iterate (None: not computed) is >= 0."""
-    if min(filter(None, y), default=0) < 0:
-        raise RuntimeError("LCP iterate left the cone; is N a Stieltjes matrix?")
-
-
 def _monotone_lcp(
     graph: DualGraph, v: Sequence[int], nv: Sequence[int], vnv: int, det: int, dq: int
 ) -> DeltaMinResult:
-    """min (v + x)^T N (v + x) over x >= 0 by Chandrasekaran's method,
-    started from the j with v_j < 0 or (N v)_j < 0, all inside the final
-    support (module docstring).
-
-    Only the signs of v are read.  N v = nv / dq and v.(N v) =
-    vnv / (det dq^2), all integers.  On support S, y = det(N_SS) dq x_S,
-    and w = N(v + x) has numerators nv det(N_SS) + N y over
-    dq det(N_SS).
-    """
-    n = len(nv)
-    entering = [j for j in range(n) if v[j] < 0 or nv[j] < 0]
-    if not entering:  # v >= 0 and N v >= 0: x = 0 satisfies the KKT conditions
-        return DeltaMinResult(Fraction(vnv, det * dq * dq), frozenset(), (0,) * n, 1)
-    columns = graph.columns
-    support: list[int] = []  # in entry order: each block borders the last
-    where = [-1] * n  # position in the support, -1 outside it
-    links: dict[int, list[tuple[int, int]]] = {}  # j next to S: [(position, N_ij)]
-    block: Factor | None = None
-    rhs: list[int] = []  # -(N v)_S
-    forward: list[int] = []  # rhs forward-eliminated, kept across borders
-    partial: list[int | None] | None = None  # y where the entering test reads it
-    while entering:
-        m = len(support)
-        support += entering
-        for p, j in enumerate(entering, m):
-            where[j] = p
-        rows = []  # of N_SS: the nonzeros (position, N_ij) of the entering columns
-        for p, j in enumerate(entering, m):
-            row = []
-            for i, c in columns[j]:
-                q = where[i]
-                if q < 0:
-                    links.setdefault(i, []).append((p, c))
-                else:
-                    row.append((q, c))
-            rows.append(row)
-        if block is None:
-            block = Factor(rows)
-        else:
-            block.border(rows)
-        b = [-nv[i] for i in entering]
-        rhs += b
-        block.carry(forward, b)
-        if not links:
-            partial = None  # nothing outside S is left to enter
-            break
-        partial = block.back_substitute(forward, [p for e in links.values() for p, _ in e])
-        _check_cone(partial)
-        det_s = block.det
-        entering = []
-        for j, edge in links.items():
-            w = nv[j] * det_s
-            for p, c in edge:
-                w += c * partial[p]
-            if w < 0:
-                entering.append(j)
-        for j in entering:
-            del links[j]  # no longer outside
-        entering.sort()
-    y = partial
-    if y is None or None in y:  # complete the last iteration's solve
-        y = block.back_substitute(forward, None, y)
-        _check_cone(y)
-    det_s = block.det
+    """min (v + x)^T N (v + x) over x >= 0: x from `least_element`, and the
+    objective in one fraction (module docstring).  N v = nv / dq and
+    v.(N v) = vnv / (det dq^2), all integers."""
+    support, y, det_s = least_element(graph.columns, v, nv)
+    if not support:  # x = 0 satisfies the KKT conditions
+        return DeltaMinResult(Fraction(vnv, det * dq * dq), frozenset(), (0,) * len(nv), 1)
     x_den = dq * det_s
-    num = det_s * vnv - det * sum(map(mul, rhs, y))
+    num = det_s * vnv + det * sum(nv[j] * t for j, t in zip(support, y))
     value = Fraction(num, det * dq * x_den)
-    x_num = [0] * n
+    x_num = [0] * len(nv)
     g = gcd(x_den, *y)
     for j, t in zip(support, y):
         x_num[j] = t // g

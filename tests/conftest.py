@@ -100,11 +100,12 @@ def dense_scaled_solve(a, b):
 
 
 def dense_laufer(graph, tie_break=None):
-    """Reference Laufer loop: every step rescans all n entries of s for
-    the violating indices and adds the whole dense column of N.  Same
-    contract as `singinv.cycles._laufer`, without its step cap: Z and
-    s = N Z, and `tie_break` gets every violating index in increasing
-    order."""
+    """Reference Laufer loop: start at Z = (1, ..., 1) and add 1 to a z_j
+    with (N Z)_j < 0 until there is none.  Every step rescans all n
+    entries of s for the violating indices and adds the whole dense
+    column of N.  Returns Z and s = N Z, as `singinv.cycles` computes
+    them in rounds of its least-element solver, with no cap; `tie_break`
+    gets every violating index in increasing order and picks the step."""
     n = graph.n
     form = dense_form(graph)
     z = [1] * n
@@ -272,8 +273,8 @@ def star_with_tail(center, leaves, tail):
     """(vertices, edges) of a vertex of weight `center` joined to one leaf
     per (weight, multiplicity) in `leaves`, with a chain of `tail`
     weight-2 vertices hanging off the center.  Near the definiteness
-    bound its fundamental cycle is large, so the Laufer sequence takes
-    many steps."""
+    bound its fundamental cycle is large, so the Laufer loop takes many
+    steps."""
     chain = ["c"] + [f"t{k}" for k in range(tail)]
     vertices = [("c", center)] + [(f"l{k}", w) for k, (w, _) in enumerate(leaves)]
     vertices += [(v, 2) for v in chain[1:]]

@@ -1,9 +1,10 @@
+import gc
 import hashlib
 import json
 import re
 import sys
 import time
-import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from singinv.cli import (
     parse_rational,
 )
 from singinv.families import chain_family_size, fork_graph, iter_chain_weights
+from singinv.graph import build_graph
 from singinv.linalg import matvec
 from singinv.report import NefData
 
@@ -276,11 +278,14 @@ def test_analyze_invalid_graph_is_validation_error(tmp_path, capsys):
     assert "not connected" in err
 
 
-def test_laufer_step_cap_is_validation_error(tmp_path, capsys):
-    # a valid 100-vertex graph whose fundamental cycle is past the
-    # 100,000-step cap of the Laufer sequence: a weight-2 center, 16
-    # leaves of weight 10^6 joined by edges of multiplicity 251, and a
-    # tail of 83
+def test_laufer_step_cap_is_validation_error(tmp_path, capsys, monkeypatch):
+    # a valid 100-vertex graph whose fundamental cycle takes 21 rounds (a
+    # weight-2 center, 16 leaves of weight 10^6 joined by edges of
+    # multiplicity 251, and a tail of 83), with the round cap at 0 so
+    # that it is refused
+    import singinv.cycles as cycles_module
+
+    monkeypatch.setattr(cycles_module, "_ROUND_CAP", 0)
     vertices, edges = star_with_tail(2, [(MAX_INTEGER, 251)] * 16, 83)
     path = tmp_path / "heavy.json"
     path.write_text(
@@ -294,7 +299,7 @@ def test_laufer_step_cap_is_validation_error(tmp_path, capsys):
     code, out, err = _run(capsys, ["analyze", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "100,000 steps (steps = sum(Z) - n)" in err
+    assert "cap of 0 rounds of its least-element solver" in err
     assert "Traceback" not in err
 
 
@@ -542,24 +547,41 @@ class _Sink:
 
 
 def test_enumerate_memory_is_flat_in_the_family_size(monkeypatch):
-    # 155 rows and 780 rows: each row is written as soon as it is
-    # checked, so the traced peak does not grow with the row count.  A run
-    # of the larger family first, untraced, does the imports and fills the
-    # interpreter's free lists (of small tuples, say), whose reuse is not
-    # traced; otherwise they would make the larger family look bigger
-    monkeypatch.setattr(sys, "stdout", _Sink())
-    assert main(["enumerate", "--max-length", "4"]) == 0
-    peaks = []
-    for length in ("3", "4"):
+    # 155 rows and 3,905 rows: each row is written as soon as it is
+    # checked and then dropped, so the rows' graphs and cycle sets alive
+    # when the next row starts are as few at either size, and none
+    # outlives the run.  They are counted by finalizers, not by traced
+    # bytes, which also count blocks the interpreter keeps for reuse
+    import singinv.cli as cli_module
+
+    real = cli_module.analyze
+    live = 0
+    alive = []  # per row: how many earlier rows' objects are alive
+
+    def gone():
+        nonlocal live
+        live -= 1
+
+    def analyze(graph):
+        nonlocal live
+        alive.append(live)
+        result = real(graph)
+        for obj in (graph, result.cycles):
+            weakref.finalize(obj, gone)
+            live += 1
+        return result
+
+    monkeypatch.setattr(cli_module, "analyze", analyze)
+    most = []
+    for length, rows in (("3", 155), ("5", 3_905)):
         monkeypatch.setattr(sys, "stdout", _Sink())
-        tracemalloc.start()
-        try:
-            assert main(["enumerate", "--json", "--max-length", length]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert sys.stdout.size > 0
-    assert peaks[1] <= 1.5 * peaks[0], peaks
+        alive.clear()
+        assert main(["enumerate", "--json", "--max-length", length]) == 0
+        assert sys.stdout.size > 0 and len(alive) == rows
+        gc.collect()
+        assert live == 0
+        most.append(max(alive))
+    assert most[0] == most[1] <= 2, most
 
 
 def test_enumerate_stops_when_the_reader_does(monkeypatch, capsys):
@@ -736,7 +758,10 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
 def _one_per_line(g):
     """The input document of `g`, written one vertex and one edge per line."""
     vertices = ",\n    ".join(json.dumps({"id": v.id, "weight": v.weight}) for v in g.vertices)
-    edges = ",\n    ".join(json.dumps([e.a, e.b]) for e in g.edges)
+    edges = ",\n    ".join(
+        json.dumps([e.a, e.b] if e.multiplicity == 1 else [e.a, e.b, e.multiplicity])
+        for e in g.edges
+    )
     return f'{{\n  "vertices": [\n    {vertices}\n  ],\n  "edges": [\n    {edges}\n  ]\n}}\n'
 
 
@@ -751,6 +776,27 @@ def test_long_arm_fork_analyze_is_pinned(capsys):
     assert source.read_text() == _one_per_line(fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21]))
     code, out, _ = _run(capsys, ["analyze", str(source), "--json"])
     assert (code, out) == (0, (golden / "long_arm_fork64_analyze.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name, center, leaves, tail",
+    [
+        ("star16_tail83", 2, [(MAX_INTEGER, 251)] * 16, 83),
+        ("star1_tail92", 3, [(MAX_INTEGER, 1418)], 92),
+        ("star64_tail35", 2, [(MAX_INTEGER, 125)] * 64, 35),
+    ],
+)
+def test_heavy_star_analyze_is_pinned(capsys, name, center, leaves, tail):
+    # valid inputs at the caps whose fundamental cycles are far above
+    # (1, ..., 1): sum(Z) - n is 169,260, 464,536 and 144,080, reached in
+    # 21, 41 and 8 rounds.  The goldens' Z was checked against the
+    # step-by-step reference loop when they were written, and CI diffs
+    # the installed console script against them too
+    golden = REPO_ROOT / "tests" / "golden"
+    source = golden / f"{name}_input.json"
+    assert source.read_text() == _one_per_line(build_graph(*star_with_tail(center, leaves, tail)))
+    code, out, _ = _run(capsys, ["analyze", str(source), "--json"])
+    assert (code, out) == (0, (golden / f"{name}_analyze.json").read_text())
 
 
 def test_long_arm_fork_pullback_is_pinned(capsys):

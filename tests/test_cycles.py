@@ -15,7 +15,6 @@ from conftest import (
 )
 from singinv.cycles import (
     BoundaryData,
-    _laufer,
     arithmetic_genus,
     boundary_component,
     boundary_cycle,
@@ -83,14 +82,14 @@ def test_fundamental_cycle_decrement_breaks_anti_nefness():
 
 
 def test_fundamental_cycle_order_independent():
+    # the reference Laufer loop reaches the rounds' Z under any step order
     rng = random.Random(31)
     graphs = [g for _, g in base_graphs()]
     graphs += [chain_graph(random_chain_weights(rng, 8, 5)) for _ in range(5)]
     for g in graphs:
-        expected = fundamental_cycle(g)
+        expected = [int(c) for c in fundamental_cycle(g)]
         for _ in range(4):
-            got = fundamental_cycle(g, tie_break=rng.choice)
-            assert got == expected
+            assert dense_laufer(g, rng.choice)[0] == expected
 
 
 def _multi_edge_star(rng):
@@ -112,9 +111,10 @@ def _multi_edge_star(rng):
 
 def test_laufer_sequence_with_steps():
     # multi-edge stars and a heavy-leaf graph, where Z is far above
-    # (1, ..., 1): Z does not depend on the order of the steps, is
-    # anti-nef, stops being so when any coefficient above 1 drops, and
-    # is the only anti-nef cycle in the box [1, Z] where that is small
+    # (1, ..., 1): the reference Laufer loop reaches the rounds' Z in any
+    # step order, and Z is anti-nef, stops being so when any coefficient
+    # above 1 drops, and is the only anti-nef cycle in the box [1, Z]
+    # where that is small
     rng = random.Random(41)
     heavy = build_graph(*star_with_tail(2, [(600, 12)] * 4, 12))
     validate(heavy)
@@ -122,7 +122,7 @@ def test_laufer_sequence_with_steps():
     for g in [_multi_edge_star(rng) for _ in range(40)] + [heavy]:
         z = [int(c) for c in fundamental_cycle(g)]
         for tie_break in (lambda v: v[0], lambda v: v[-1], rng.choice):
-            assert [int(c) for c in fundamental_cycle(g, tie_break=tie_break)] == z
+            assert dense_laufer(g, tie_break)[0] == z
         assert min(z) >= 1 and _anti_nef(g, z)
         for j in range(g.n):
             if z[j] > 1:
@@ -135,50 +135,43 @@ def test_laufer_sequence_with_steps():
     assert searched >= 20
 
 
-def _recording(seed):
-    """A seeded random tie_break and the list of every choice set it saw."""
-    rng = random.Random(seed)
-    seen = []
-
-    def pick(violations):
-        seen.append(list(violations))
-        return rng.choice(violations)
-
-    return pick, seen
-
-
 def test_laufer_worklist_matches_dense_reference():
     # the graphs of test_laufer_sequence_with_steps, and the 4-leaf
-    # heavy-leaf graph at the input caps (97,274 steps)
+    # heavy-leaf graph at the input caps (97,274 steps): Z and N Z of the
+    # boundary pass equal the reference loop's, in its default order and
+    # in a seeded random one
     rng = random.Random(41)
     graphs = [_multi_edge_star(rng) for _ in range(40)]
     graphs.append(build_graph(*star_with_tail(2, [(600, 12)] * 4, 12)))
     for k, g in enumerate(graphs):
         validate(g)
-        assert _laufer(g) == dense_laufer(g)
-        # same choice sets, in increasing order, step by step
-        pick, seen = _recording(k)
-        ref_pick, ref_seen = _recording(k)
-        assert _laufer(g, pick) == dense_laufer(g, ref_pick)
-        assert seen == ref_seen and all(v == sorted(v) for v in seen)
+        cs = boundary_cycle(g)
+        expected = (list(cs.z), list(cs.s))
+        assert dense_laufer(g) == expected
+        assert dense_laufer(g, random.Random(k).choice) == expected
     heavy = build_graph(*star_with_tail(2, [(10**6, 502)] * 4, 95))
     validate(heavy)
-    z, s = _laufer(heavy)
-    assert sum(z) - heavy.n == 97_274
-    assert (z, s) == dense_laufer(heavy)
+    cs = boundary_cycle(heavy)
+    assert sum(cs.z) - heavy.n == 97_274
+    assert (list(cs.z), list(cs.s)) == dense_laufer(heavy)
 
 
 def test_laufer_rejects_a_non_violating_choice():
+    # the reference loop refuses a step where N Z already meets E_j
+    # nonnegatively, and a valid order reaches the rounds' Z
     g = ade_graph("D", 4)  # only the center violates at the start
     with pytest.raises(ValueError, match="tie_break returned a non-violating index"):
-        fundamental_cycle(g, tie_break=lambda violations: 1)
-    with pytest.raises(ValueError, match="non-violating"):
         dense_laufer(g, tie_break=lambda violations: 1)
+    cs = boundary_cycle(g)
+    assert dense_laufer(g, tie_break=lambda violations: violations[-1]) == (
+        list(cs.z),
+        list(cs.s),
+    )
 
 
 def test_laufer_reads_the_columns_of_n():
-    # the Laufer row sums and steps read the sparse columns of N, which
-    # graph.factor reads too
+    # the row sums for Z and its rounds read the sparse columns of N,
+    # which graph.factor reads too
     g = chain_graph((7, 2, 2, 2, 5))
     analyze(g)
     assert [sum(c for _, c in column) for column in g.columns] == [6, 0, 0, 0, 4]
@@ -195,11 +188,11 @@ def test_laufer_reads_the_columns_of_n():
 def test_laufer_step_cap(monkeypatch):
     import singinv.cycles as cycles_module
 
-    g = ade_graph("D", 4)  # Z = (2, 1, 1, 1): one step
-    monkeypatch.setattr(cycles_module, "_LAUFER_CAP", 1)
+    g = ade_graph("D", 4)  # Z = (2, 1, 1, 1): one round
+    monkeypatch.setattr(cycles_module, "_ROUND_CAP", 1)
     assert fundamental_cycle(g).coeffs == (2, 1, 1, 1)
-    monkeypatch.setattr(cycles_module, "_LAUFER_CAP", 0)
-    with pytest.raises(ValueError, match=r"cap of 0 steps \(steps = sum\(Z\) - n\)"):
+    monkeypatch.setattr(cycles_module, "_ROUND_CAP", 0)
+    with pytest.raises(ValueError, match=r"cap of 0 rounds of its least-element solver"):
         fundamental_cycle(g)
 
 
@@ -328,7 +321,7 @@ def test_boundary_part_monotone_in_coefficients():
 
 def test_solves_refuse_indefinite_forms():
     # the leading 2x2 minor of (1,1,1) and the full 3x3 minor of the
-    # weight-2 triangle vanish; no Laufer step or solve may run on them
+    # weight-2 triangle vanish; no round for Z or solve may run on them
     triangle = build_graph(
         [("a", 2), ("b", 2), ("c", 2)], [("a", "b"), ("b", "c"), ("c", "a")]
     )

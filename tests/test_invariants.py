@@ -551,7 +551,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "__init__",
         lambda factor, rows: [sorted(r) for r in rows] == n_pairs,
     )
-    count("laufer", cycles_module, "_laufer")
+    count("fundamental cycle", cycles_module, "_fundamental")
     count(
         "canonical solve",
         Factor,
@@ -568,7 +568,7 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         (
             "edge walk",
             "N eliminated",
-            "laufer",
+            "fundamental cycle",
             "canonical solve",
             "boundary pass",
             "delta_min",

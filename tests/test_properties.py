@@ -1,18 +1,29 @@
 """Property tests on generated graphs: the factor of N's sparse columns
 against the dense elimination, the delta_min LCP against the
-exhaustive oracle, its KKT certificate beyond the oracle's range, and
-the report's equivariance under a reordering of the vertices.
+exhaustive oracle, its KKT certificate beyond the oracle's range, the
+rounds for Z against the step-by-step Laufer loop on stars where Z
+grows, and the report's equivariance under a reordering of the
+vertices.
 
 The registered profile is derandomized with a fixed number of examples,
 so every run checks the same graphs and takes the same time."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAPH_KINDS, assert_kkt, base_graphs, dense_eliminate, dense_form
-from singinv.cycles import BoundaryData, boundary_component
+from conftest import (
+    GRAPH_KINDS,
+    assert_kkt,
+    base_graphs,
+    dense_eliminate,
+    dense_form,
+    dense_laufer,
+    star_with_tail,
+)
+from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
 from singinv.graph import build_graph, validate
 from singinv.invariants import analyze, delta_min_exhaustive
 from singinv.linalg import Factor
@@ -120,6 +131,36 @@ def test_lcp_equals_exhaustive_search(case):
 def test_lcp_kkt_beyond_the_exhaustive_range(case):
     graph, boundary = case
     assert_kkt(graph, boundary, analyze(graph, boundary).delta_min)
+
+
+@st.composite
+def heavy_stars(draw):
+    """A star near the definiteness bound, where Z grows: a center of
+    weight 3 or 4, 1 to 4 leaves joined to it by edges of multiplicity
+    2 to 12, and a tail of up to 10 weight-2 vertices.  N > 0 iff the
+    center's weight exceeds the sum over its arms of the corner entry of
+    the arm's inverse: m^2 / w for a leaf and t / (t + 1) for the tail.
+    Each leaf weight is the least that keeps m^2 / w under an equal share
+    of that margin, plus a slack of 0 to 2; so the reference loop takes
+    at most about 8,000 steps."""
+    center = draw(st.integers(3, 4))
+    mult = draw(st.lists(st.integers(2, 12), min_size=1, max_size=4))
+    tail = draw(st.integers(0, 10))
+    share = (center - Fraction(tail, tail + 1)) / len(mult)
+    slack = st.sampled_from((0, 0, 1, 2))
+    leaves = [(math.floor(m * m / share) + 1 + draw(slack), m) for m in mult]
+    graph = build_graph(*star_with_tail(center, leaves, tail))
+    validate(graph)
+    return graph
+
+
+@PROFILE
+@given(heavy_stars(), st.randoms(use_true_random=False))
+def test_rounds_for_z_equal_the_laufer_loop(graph, rnd):
+    # Z and N Z from the rounds of the least-element solver equal the
+    # step-by-step reference loop's, in a drawn step order
+    cs = boundary_cycle(graph)
+    assert (list(cs.z), list(cs.s)) == dense_laufer(graph, rnd.choice)
 
 
 def _by_vertex(doc):
