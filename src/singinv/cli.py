@@ -50,11 +50,12 @@ class ParsedInput(NamedTuple):
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
 # Input caps.  At MAX_VERTICES the worst known inputs take under half
-# a second (README, "Limits").  Together they keep every
-# reported number within Python's 4300-digit string conversion limit:
-# det N <= 10^600 (Hadamard) and the boundary denominator <= 10^192, so
-# the largest printed value, (1 - mu)^2 * delta, has a denominator of
-# about 3,200 digits at most.
+# a second, apart from stars whose fundamental cycle needs thousands of
+# rounds: one of 95 vertices takes about two minutes (README, "Limits").
+# Together the caps keep every reported number within Python's
+# 4300-digit string conversion limit: det N <= 10^600 (Hadamard) and the
+# boundary denominator <= 10^192, so the largest printed value,
+# (1 - mu)^2 * delta, has a denominator of about 3,200 digits at most.
 MAX_VERTICES = 100
 MAX_COMPONENTS = 32  # boundary components
 # one edge per vertex pair; parallel edges are written as one multiplicity

@@ -29,7 +29,10 @@ from typing import NamedTuple, Sequence
 
 
 def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(weights)
+    for w in ws:
+        if type(w) is not int:  # exact ints only, as for DualGraph: none is truncated
+            raise ValueError(f"chain weights must be integers, got {w!r}")
     if any(w < 2 for w in ws):
         raise ValueError("chain weights must all be >= 2")
     return ws

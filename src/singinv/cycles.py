@@ -67,9 +67,10 @@ from .graph import (
     Record,
     canonical_degrees,
     definite_factor,
+    form_image,
     solve_exceptional,
 )
-from .linalg import Factor, quadratic_form
+from .linalg import Factor
 
 # The rounds for Z end on every negative-definite graph (`_fundamental`
 # refuses any other) after at most sum(Z) - n rounds; no smaller bound is
@@ -102,7 +103,14 @@ EMPTY_BOUNDARY = BoundaryData()
 def boundary_component(
     name: str, coeff: Fraction | int | str, meets: Sequence[int]
 ) -> BoundaryComponent:
-    return BoundaryComponent(name, Fraction(coeff), tuple(int(m) for m in meets))
+    counts = tuple(meets)
+    for m in counts:
+        if type(m) is not int:  # exact ints only, as for DualGraph: none is truncated
+            raise ValueError(
+                f"boundary component {name!r}: intersection count must be an integer, "
+                f"got {m!r}"
+            )
+    return BoundaryComponent(name, Fraction(coeff), counts)
 
 
 class CycleSet(Record):
@@ -302,7 +310,7 @@ def arithmetic_genus(graph: DualGraph, z: ExcDivisor) -> Fraction:
     if not z.is_integral() or not z.is_effective():
         raise ValueError("cycle must be effective and integral")
     zk = sum(zj * kj for zj, kj in zip(z, canonical_degrees(graph)))
-    zz = -quadratic_form(graph.positive_form, z.coeffs)
+    zz = -sum(map(mul, z, form_image(graph, z.coeffs)))
     return Fraction(zk + zz, 2) + 1
 
 

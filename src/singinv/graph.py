@@ -8,9 +8,10 @@ intersection matrix (E_i . E_j) is negative definite.  Weight 1 is
 reserved for the single-vertex configuration that models a blown-up
 smooth point.
 
-N = -(E_i . E_j) is held as its sparse `columns`, summed from one walk
-over the edge list; the dense `positive_form` is spread from them only
-for the public matrix views and the exhaustive oracle.
+N = -(E_i . E_j) is held in one form, its sparse `columns`, summed from
+one walk over the edge list.  Every reader of N goes through them:
+`form_image` gives N v, and `intersection_matrix` spreads them into the
+dense matrix its contract returns.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -219,17 +220,6 @@ class DualGraph(Record):
         return tuple([((j, v.weight), *col) for j, (v, col) in pairs])
 
     @cached_property
-    def positive_form(self) -> tuple[tuple[int, ...], ...]:
-        """N = -(E_i . E_j) as a dense n x n matrix, spread from `columns`;
-        the analysis pass reads `columns` instead."""
-        n = self.n
-        m = [[0] * n for _ in range(n)]
-        for j, column in enumerate(self.columns):
-            for i, c in column:
-                m[i][j] = c
-        return tuple(map(tuple, m))
-
-    @cached_property
     def connected(self) -> bool:
         """A walk over the nonzeros of N from vertex 0 reaches every vertex."""
         off_diagonal = self.off_diagonal
@@ -332,10 +322,19 @@ class IntersectionMatrix(NamedTuple):
 
 
 def intersection_matrix(graph: DualGraph) -> IntersectionMatrix:
-    """E_i . E_j = -N_ij: diagonal -w_j, off-diagonal the total edge multiplicity."""
-    return IntersectionMatrix(
-        tuple(tuple(-x for x in row) for row in graph.positive_form)
-    )
+    """E_i . E_j = -N_ij: diagonal -w_j, off-diagonal the total edge
+    multiplicity, spread from the `columns` of N."""
+    n = graph.n
+    entries = [[0] * n for _ in range(n)]
+    for j, column in enumerate(graph.columns):
+        for i, c in column:
+            entries[i][j] = -c
+    return IntersectionMatrix(tuple(map(tuple, entries)))
+
+
+def form_image(graph: DualGraph, v: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """N v, exactly, through the nonzeros of N; v.(N v) is -v^2."""
+    return [sum(c * v[i] for i, c in column) for column in graph.columns]
 
 
 def validate(graph: DualGraph) -> None:

@@ -19,9 +19,9 @@ N v is integral over dq alone, so its integers carry no factor det N:
 x_S = y / (dq det N_SS) with y integral, and v.(N v), an integer over
 det N dq^2, joins x_S.(N v)_S in one fraction at the end, as
 N_SS x_S = -(N v)_S makes the minimum v.(N v) + x_S.(N v)_S.
-`delta_min_exhaustive` instead scans all 2^n supports in fractions and
-compares objectives only, giving an independent route to the same
-answer.
+`delta_min_exhaustive` instead scans all 2^n supports in fractions,
+solving each principal block N_SS on its own, and compares objectives
+only, giving an independent route to the same answer.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import NamedTuple, Sequence
 
 from .classify import Classification, ShapeKind, classify
 from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle, least_element
-from .graph import DualGraph, ExcDivisor, Record
-from .linalg import clear_denominators, matvec, quadratic_form, solve
+from .graph import DualGraph, ExcDivisor, Record, form_image
+from .linalg import clear_denominators, solve
 
 DEFAULT_EPSILON = Fraction(1, 1000)
 
@@ -112,17 +112,19 @@ def quadratic_norm(graph: DualGraph, v: ExcDivisor) -> Fraction:
         raise ValueError(
             f"dimension mismatch: graph has {graph.n} vertices, divisor has {len(v)}"
         )
-    return quadratic_form(graph.positive_form, v.coeffs)
+    ints, d = clear_denominators(v.coeffs)
+    return Fraction(sum(map(mul, ints, form_image(graph, ints))), d * d)
 
 
 def _stationary_on(
-    form: Sequence[Sequence[int]], nv: Sequence[Fraction | int], subset: Sequence[int]
+    graph: DualGraph, nv: Sequence[Fraction | int], subset: Sequence[int]
 ) -> list[Fraction] | None:
     """Solve the stationarity equations on `subset`; None if some x_j < 0."""
     n = len(nv)
     x = [Fraction(0)] * n
     if subset:
-        sub_form = [[form[i][j] for j in subset] for i in subset]
+        rows = [dict(graph.columns[i]) for i in subset]  # N symmetric: column i is row i
+        sub_form = [[row.get(j, 0) for j in subset] for row in rows]
         rhs = [-nv[i] for i in subset]
         sol = solve(sub_form, rhs)
         if any(s < 0 for s in sol):
@@ -214,15 +216,14 @@ def delta_min_exhaustive(
         raise ValueError(f"exhaustive enumeration is capped at {EXHAUSTIVE_LIMIT} vertices")
     cs = boundary_cycle(graph, boundary)
     v = cs.fundamental - cs.boundary_canonical
-    form = graph.positive_form
-    nv = matvec(form, v.coeffs)
+    nv = form_image(graph, v.coeffs)
     best: tuple[Fraction, list[Fraction]] | None = None
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
-            x = _stationary_on(form, nv, subset)
+            x = _stationary_on(graph, nv, subset)
             if x is None:
                 continue
-            value = quadratic_form(form, [a + b for a, b in zip(v, x)])
+            value = quadratic_norm(graph, v + ExcDivisor(tuple(x)))
             if best is None or value < best[0]:
                 best = (value, x)
     assert best is not None  # the empty set always yields x = 0

@@ -40,6 +40,12 @@ Comput. 1988), and can later complete what it left out.  So an
 iteration of the delta_min LCP costs one border, the forward values of
 its entering rows and the back substitution of the rows its entering
 test reads; only the last solve covers the whole block.
+
+Besides the kernel the module holds `solve`, a checked solve of a dense
+symmetric matrix, which the exhaustive delta_min oracle runs on the
+principal blocks of N, and `clear_denominators`.  No product with N is
+here: N is held only as `DualGraph.columns`, and `graph.form_image`
+multiplies through them.
 """
 
 from __future__ import annotations
@@ -50,14 +56,6 @@ from typing import Iterable, Sequence
 
 IntMatrix = Sequence[Sequence[int]]
 SparseRows = Iterable[Iterable[tuple[int, int]]]  # row i: its pairs (j, a_ij)
-
-
-def _square_size(rows: IntMatrix) -> int:
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    return n
 
 
 class Factor:
@@ -223,7 +221,8 @@ class Factor:
 def solve(rows: IntMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
     """Solve rows * x = rhs exactly for a positive-definite matrix;
     ValueError on a dimension mismatch or any other matrix."""
-    _square_size(rows)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
     if any(row[j] != rows[j][i] for i, row in enumerate(rows) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     return Factor([[(j, v) for j, v in enumerate(row) if v] for row in rows]).solve(rhs)
@@ -233,27 +232,3 @@ def clear_denominators(v: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(d*v as integers, d) for the least common denominator d."""
     d = lcm(*(x.denominator for x in v))
     return [x.numerator * (d // x.denominator) for x in v], d
-
-
-def int_matvec(rows: IntMatrix, v: Sequence[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in rows]
-
-
-def _cleared(rows: IntMatrix, v: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    n = _square_size(rows)
-    if len(v) != n:
-        raise ValueError(
-            f"dimension mismatch: matrix is {n}x{n}, vector has length {len(v)}"
-        )
-    return clear_denominators(v)
-
-
-def matvec(rows: IntMatrix, v: Sequence[Fraction | int]) -> list[Fraction]:
-    ints, d = _cleared(rows, v)
-    return [Fraction(w, d) for w in int_matvec(rows, ints)]
-
-
-def quadratic_form(rows: IntMatrix, v: Sequence[Fraction | int]) -> Fraction:
-    """v^T * rows * v, exactly."""
-    ints, d = _cleared(rows, v)
-    return Fraction(sum(a * b for a, b in zip(ints, int_matvec(rows, ints))), d * d)

@@ -17,7 +17,6 @@ from singinv.families import (
 )
 from singinv.graph import build_graph, validate
 from singinv.invariants import quadratic_norm
-from singinv.linalg import matvec
 
 GRAPH_KINDS = ("tree", "cycle", "multi", "genus")
 
@@ -47,8 +46,8 @@ def cofactor_determinant(rows):
 def dense_form(graph):
     """N as a dense n x n list, summed from the edge list here: diagonal
     w_j, off-diagonal minus the total multiplicity of the edges joining
-    the pair.  Independent of `DualGraph.columns`, from which the
-    library's own `positive_form` is spread."""
+    the pair.  Independent of `DualGraph.columns`, the one form in which
+    the library holds N."""
     index = {v.id: j for j, v in enumerate(graph.vertices)}
     form = [[0] * graph.n for _ in graph.vertices]
     for j, v in enumerate(graph.vertices):
@@ -58,6 +57,20 @@ def dense_form(graph):
         form[i][j] -= multiplicity
         form[j][i] -= multiplicity
     return form
+
+
+def matvec(rows, v):
+    """rows * v for a dense matrix, exactly: integers for an integer v,
+    fractions for a fractional one.  The reference for products that the
+    library takes through the nonzeros of N (`graph.form_image`)."""
+    if any(len(row) != len(v) for row in rows):
+        raise ValueError(f"dimension mismatch: vector has length {len(v)}")
+    return [sum(a * b for a, b in zip(row, v)) for row in rows]
+
+
+def quadratic_form(rows, v):
+    """v^T * rows * v, exactly, as a Fraction."""
+    return Fraction(sum(a * b for a, b in zip(v, matvec(rows, v))))
 
 
 def dense_eliminate(a):

@@ -14,6 +14,7 @@ from pathlib import Path
 from conftest import (
     base_graphs,
     cofactor_determinant,
+    matvec,
     random_boundary,
     random_chain_weights,
 )
@@ -58,7 +59,6 @@ from singinv.invariants import (
     mu,
     quadratic_norm,
 )
-from singinv.linalg import matvec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = REPO_ROOT / "samples"

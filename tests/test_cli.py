@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import dense_form, star_with_tail
+from conftest import dense_form, matvec, star_with_tail
 from singinv.cli import (
     MAX_COMPONENTS,
     MAX_EDGES,
@@ -22,8 +22,7 @@ from singinv.cli import (
     parse_rational,
 )
 from singinv.families import chain_family_size, fork_graph, iter_chain_weights
-from singinv.graph import build_graph
-from singinv.linalg import matvec
+from singinv.graph import build_graph, intersection_matrix
 from singinv.report import NefData
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -138,7 +137,8 @@ def test_edge_cap():
     # two vertices count one entry each
     doc = json.loads(_chain_doc(2))
     doc["edges"] = [["E1", "E2"]] * MAX_EDGES
-    assert parse_input(json.dumps(doc)).graph.positive_form[0][1] == -MAX_EDGES == -4950
+    graph = parse_input(json.dumps(doc)).graph
+    assert intersection_matrix(graph).entries[0][1] == MAX_EDGES == 4950
     doc["edges"].append(["E1", "E2"])
     with pytest.raises(InputError, match="'edges' has 4951 entries, more than the cap of 4950"):
         parse_input(json.dumps(doc))
@@ -814,6 +814,23 @@ def test_long_arm_fork_pullback_is_pinned(capsys):
     g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
     x = [Fraction(c) for c in json.loads(out)["exceptional_part"]]
     assert matvec(dense_form(g), x) == [int(m) for m in meets]
+
+
+@pytest.mark.parametrize("name", ["smooth", "a1", "chain_2_3", "chain_2_5_2_boundary"])
+def test_sample_oracle_reports_are_pinned(capsys, name):
+    # each sample's report with the exhaustive oracle's value beside the
+    # LCP's; CI diffs the installed console script against it too
+    argv = ["analyze", str(SAMPLES / f"{name}.json"), "--json", "--oracle"]
+    code, out, _ = _run(capsys, argv)
+    golden = REPO_ROOT / "tests" / "golden" / f"{name}_oracle.json"
+    assert (code, out) == (0, golden.read_text())
+
+
+def test_continuant_json_is_pinned(capsys):
+    # the one subcommand with no analysis pass; CI diffs it too
+    code, out, _ = _run(capsys, ["continuant", "2,3,5", "--inverse", "1", "3", "--json"])
+    golden = REPO_ROOT / "tests" / "golden" / "continuant_2_3_5_inverse_1_3.json"
+    assert (code, out) == (0, golden.read_text())
 
 
 def test_long_arm_fork_oracle_is_pinned(capsys):

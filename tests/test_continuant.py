@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,23 @@ def test_continuant_base_cases():
 def test_continuant_rejects_small_weights():
     with pytest.raises(ValueError, match=">= 2"):
         continuant((1, 3))
+
+
+def test_continuant_refuses_non_integer_weights():
+    # a weight is an exact int, as a DualGraph's is: 2.7 is not read as 2,
+    # nor True as 1, nor a Fraction or a string as the int it names
+    for bad in (2.7, 3.0, True, Fraction(5, 2), Fraction(3), "3"):
+        message = re.escape(f"chain weights must be integers, got {bad!r}")
+        for call in (
+            continuant,
+            inverse_matrix,
+            chain_delta_y,
+            lambda ws: inverse_entry(ws, 1, 2),
+            lambda ws: discrepancy_complement(ws, 1),
+            lambda ws: pullback_end_bound(ws, [1, 0]),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call([bad, 3])
 
 
 def test_continuant_matches_cofactor_determinant_exhaustive_small():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import (
     base_graphs,
     dense_form,
     dense_laufer,
+    matvec,
     random_boundary,
     random_chain_weights,
     star_with_tail,
@@ -31,11 +33,10 @@ from singinv.graph import (
     validate,
 )
 from singinv.invariants import analyze
-from singinv.linalg import int_matvec
 
 
 def _anti_nef(graph, z):
-    return all(s >= 0 for s in int_matvec(dense_form(graph), list(z)))
+    return all(s >= 0 for s in matvec(dense_form(graph), list(z)))
 
 
 def test_fundamental_cycle_single_vertex():
@@ -298,6 +299,16 @@ def test_boundary_validation_errors():
         boundary_cycle(g, BoundaryData((boundary_component("C", "1/2", [1]),)))
     with pytest.raises(ValueError, match="negative intersection"):
         boundary_cycle(g, BoundaryData((boundary_component("C", "1/2", [-1, 0]),)))
+
+
+def test_boundary_component_refuses_non_integer_counts():
+    # an intersection count is an exact int, as an edge multiplicity is:
+    # 1.9 is not read as 1, nor True as 1, nor a Fraction or a string
+    for bad in (1.9, 1.0, True, Fraction(1), Fraction(3, 2), "1"):
+        message = re.escape(f"'C': intersection count must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            boundary_component("C", "1/2", [0, bad])
+    assert boundary_component("C", "1/2", (m for m in [0, 2])).meets == (0, 2)
 
 
 def test_boundary_part_monotone_in_coefficients():

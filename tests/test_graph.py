@@ -9,6 +9,7 @@ from conftest import (
     cofactor_determinant,
     dense_form,
     dense_graph_shape,
+    matvec,
     random_chain_weights,
     random_graph,
 )
@@ -30,7 +31,6 @@ from singinv.graph import (
     validate,
 )
 from singinv.invariants import Analysis, analyze
-from singinv.linalg import matvec
 
 
 def test_intersection_matrix_single_vertex():
@@ -44,7 +44,7 @@ def test_intersection_matrix_chain():
     assert m.entries == ((-2, 1), (1, -3))
     assert m.positive_form == ((2, -1), (-1, 3))
     assert cofactor_determinant(m.positive_form) == 5
-    assert g.positive_form == m.positive_form
+    assert m.positive_form == tuple(map(tuple, dense_form(g)))
 
 
 def test_intersection_matrix_edge_multiplicity():
@@ -153,9 +153,10 @@ def _edge_structure_inputs():
 
 def test_edge_derived_structure_matches_dense_form():
     # the off-diagonal nonzeros summed in one walk of the edge list, the
-    # columns and the dense N spread from them, connectivity by a walk
-    # over them, and graph_shape's multiple-edge test, each against N
-    # summed from the edges by the tests or the edges read independently
+    # columns and the intersection matrix spread from them, connectivity
+    # by a walk over them, and graph_shape's multiple-edge test, each
+    # against N summed from the edges by the tests or the edges read
+    # independently
     disconnected = 0
     for g in _edge_structure_inputs():
         form = dense_form(g)
@@ -164,7 +165,7 @@ def test_edge_derived_structure_matches_dense_form():
             assert len(g.off_diagonal[i]) == len(nonzeros)
             assert set(g.off_diagonal[i]) == nonzeros
             assert g.columns[i] == ((i, form[i][i]), *g.off_diagonal[i])
-        assert g.positive_form == tuple(map(tuple, form))
+        assert intersection_matrix(g).positive_form == tuple(map(tuple, form))
         connected = _connected_by_union_find(g)
         assert g.connected is connected
         if connected:
@@ -182,7 +183,7 @@ def test_edge_derived_structure_matches_dense_form():
 
 
 WEIGHT_FREE = ("index", "off_diagonal", "connected", "branches")
-WEIGHTED = {"positive_form", "columns", "factor"}
+WEIGHTED = {"columns", "factor"}
 
 
 def _outcome(graph):

@@ -12,6 +12,7 @@ from conftest import (
     assert_kkt,
     base_graphs,
     dense_form,
+    matvec,
     random_boundary,
     random_graph,
 )
@@ -53,7 +54,7 @@ from singinv.invariants import (
     mu,
     quadratic_norm,
 )
-from singinv.linalg import Factor, matvec
+from singinv.linalg import Factor
 from singinv.report import NefData, build_report
 
 
@@ -540,10 +541,8 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     # chain(2, 5, 2), built afresh: no view shared with a cached skeleton
     g = build_graph([("E1", 2), ("E2", 5), ("E3", 2)], [("E1", "E2"), ("E2", "E3")])
     n_pairs = [[(0, 2), (1, -1)], [(0, -1), (1, 5), (2, -1)], [(1, -1), (2, 2)]]
-    # the edge list is walked once, by the cached DualGraph.off_diagonal;
-    # the dense N is not built at all
+    # the edge list is walked once, by the cached DualGraph.off_diagonal
     count("edge walk", graph_module.DualGraph.__dict__["off_diagonal"], "func")
-    count("dense N", graph_module.DualGraph.__dict__["positive_form"], "func")
     count("matrix", graph_module, "intersection_matrix")
     count(
         "N eliminated",
@@ -577,10 +576,15 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     )
 
 
+# every view a DualGraph caches: N is held in one form, its sparse columns
+GRAPH_VIEWS = {"index", "off_diagonal", "columns", "connected", "branches", "factor"}
+
+
 def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
     # validate and build_report, with boundaries and nef data, over trees,
-    # cyclic, multi-edge and genus > 0 graphs, and every graph `enumerate`
-    # analyzes, read N through its sparse columns only
+    # cyclic, multi-edge and genus > 0 graphs, cache exactly the views
+    # above (but `branches` on genus > 0, whose shape is unsupported
+    # before it is read), and so does every graph `enumerate` analyzes
     import singinv.cli as cli_module
 
     rng = random.Random(61)
@@ -591,19 +595,21 @@ def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
         g = build_graph(g.vertices, g.edges)  # fresh, with no view computed
         validate(g)
         build_report(g, random_boundary(g, rng, strict=False), nef)
-        assert "positive_form" not in vars(g)
-    dense = []
+        genus = any(v.genus for v in g.vertices)
+        views = GRAPH_VIEWS - {"branches"} if genus else GRAPH_VIEWS
+        assert vars(g).keys() - {"vertices", "edges"} == views
+    seen = []
     real = cli_module.analyze
 
     def analyze_and_look(graph):
         result = real(graph)
-        dense.append("positive_form" in vars(graph))
+        seen.append(vars(graph).keys() - {"vertices", "edges"})
         return result
 
     monkeypatch.setattr(cli_module, "analyze", analyze_and_look)
     assert cli_module.main(["enumerate", "--max-length", "3", "--forks", "--json"]) == 0
     capsys.readouterr()
-    assert len(dense) > 100 and not any(dense)
+    assert len(seen) > 100 and all(views == GRAPH_VIEWS for views in seen)
 
 
 def test_public_helpers_read_the_analysis():

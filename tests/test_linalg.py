@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cofactor_determinant, dense_eliminate, dense_scaled_solve
-from singinv.linalg import (
-    Factor,
-    clear_denominators,
+from conftest import (
+    cofactor_determinant,
+    dense_eliminate,
+    dense_form,
+    dense_scaled_solve,
     matvec,
     quadratic_form,
-    solve,
 )
+from singinv.families import chain_graph, smooth_graph
+from singinv.graph import ExcDivisor
+from singinv.invariants import quadratic_norm
+from singinv.linalg import Factor, clear_denominators, solve
 
 
 def _pairs(rows, rng=None):
@@ -115,19 +119,27 @@ def test_solve_errors():
         solve([[0, 1], [1, 0]], [Fraction(1), Fraction(2)])
 
 
+def _norms(graph, v):
+    """v^T N v through the library's sparse columns, checked against the
+    tests' dense reference."""
+    q = quadratic_norm(graph, ExcDivisor.from_values(v))
+    assert q == quadratic_form(dense_form(graph), v)
+    return q
+
+
 def test_quadratic_form_values():
-    form = [[2, -1], [-1, 3]]
-    assert quadratic_form(form, [Fraction(0), Fraction(0)]) == 0
-    assert quadratic_form(form, [Fraction(4, 5), Fraction(3, 5)]) == Fraction(7, 5)
-    assert quadratic_form([[1]], [Fraction(2)]) == 4
+    g = chain_graph((2, 3))  # N = [[2, -1], [-1, 3]]
+    assert _norms(g, [Fraction(0), Fraction(0)]) == 0
+    assert _norms(g, [Fraction(4, 5), Fraction(3, 5)]) == Fraction(7, 5)
+    assert _norms(smooth_graph(), [Fraction(2)]) == 4  # N = [[1]]
 
 
 def test_quadratic_form_positive_on_nonzero():
     rng = random.Random(14)
-    form = [[2, -1, 0], [-1, 5, -1], [0, -1, 2]]
+    g = chain_graph((2, 5, 2))  # N = [[2, -1, 0], [-1, 5, -1], [0, -1, 2]]
     for _ in range(50):
         v = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)]
-        q = quadratic_form(form, v)
+        q = _norms(g, v)
         if any(v):
             assert q > 0
         else:

@@ -2,13 +2,14 @@
 against the dense elimination, the delta_min LCP against the
 exhaustive oracle, its KKT certificate beyond the oracle's range, the
 rounds for Z against the step-by-step Laufer loop on stars where Z
-grows, and the report's equivariance under a reordering of the
-vertices.
+grows, the report's equivariance under a reordering of the vertices,
+and the lossless serialisation of every rational the report emits.
 
 The registered profile is derandomized with a fixed number of examples,
 so every run checks the same graphs and takes the same time."""
 
 import math
+import re
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
@@ -212,3 +213,97 @@ def test_reordering_the_vertices_permutes_every_vector(case, data):
     active = before.delta_min.active_set
     assert after.delta_min.active_set == {p for p, j in enumerate(order) if j in active}
     assert _by_vertex(report_to_dict(after)) == _by_vertex(report_to_dict(before))
+
+
+def _emitted(report, doc):
+    """(string, value) for every rational `report_to_dict` writes into
+    `doc`, paired with the value of `report` it was written from."""
+    cs, dmin = report.cycles, report.delta_min
+    pairs = [
+        (doc["arithmetic_genus"], cs.fundamental_genus),
+        (doc["delta_y"], report.delta_y),
+        (doc["delta_b_y"], report.delta_by),
+        (doc["delta"], report.delta),
+        (doc["delta_min"]["value"], dmin.value),
+    ]
+    for key, divisor in (
+        ("fundamental_cycle", cs.fundamental),
+        ("canonical_cycle", cs.canonical),
+        ("boundary_pullback", cs.boundary_part),
+        ("boundary_canonical_cycle", cs.boundary_canonical),
+    ):
+        pairs += zip(doc[key], divisor, strict=True)
+    pairs += zip(doc["delta_min"]["minimizer"], dmin.minimizer, strict=True)
+    if report.delta_min_oracle is not None:
+        pairs.append((doc["delta_min"]["oracle"]["value"], report.delta_min_oracle.value))
+    if report.mu is not None:
+        pairs.append((doc["mu"], report.mu))
+    for c, echoed in zip(report.boundary.components, doc["input"]["boundary"], strict=True):
+        pairs.append((echoed["coeff"], c.coeff))
+    if report.nef is not None:
+        nef = doc["input"]["nef"]
+        pairs += [(nef["M2"], report.nef.m2), (nef["minMC"], report.nef.min_mc)]
+    dps = [(doc["delta_prime"], report.delta_prime)]
+    theorem = report.theorem
+    if theorem is not None:
+        t = doc["theorem"]
+        pairs += [(t["M2"], theorem.m2), (t["min_MC"], theorem.min_mc),
+                  (t["delta"], theorem.delta)]
+        dps.append((t["delta_prime"], theorem.delta_prime))
+        if theorem.scaled is not None:
+            pairs.append((t["scaled"]["mu"], theorem.scaled.mu))
+            for key, variant in (("delta_y_basis", theorem.scaled.delta_y_variant),
+                                 ("delta_basis", theorem.scaled.delta_variant)):
+                for field in ("basis", "m2_threshold", "mc_threshold"):
+                    pairs.append((t["scaled"][key][field], getattr(variant, field)))
+    for emitted, dp in dps:
+        for field in ("value", "epsilon"):
+            if getattr(dp, field) is not None:
+                pairs.append((emitted[field], getattr(dp, field)))
+    return pairs
+
+
+def _strings(node):
+    """Every string in a JSON-like tree, keys excluded."""
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _strings(value)
+
+
+RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+
+
+@PROFILE
+@given(st.one_of(inputs(1, 8, kinds=GRAPH_KINDS), corpus_inputs()), st.data())
+def test_every_emitted_rational_reparses_to_its_value(case, data):
+    # README: reports serialise every rational losslessly.  Each rational
+    # string reads back as the exact value it was written from, and is
+    # "p" for an integer and "p/q" in lowest terms with q > 1 otherwise;
+    # no other string of the report looks like a rational
+    graph, boundary = case
+    nef = data.draw(st.none() | st.builds(
+        NefData,
+        m2=st.fractions(Fraction(1, 30), 40, max_denominator=30),
+        min_mc=st.fractions(0, 3, max_denominator=30),
+    ))
+    epsilon = data.draw(st.fractions(Fraction(1, 10**6), 1, max_denominator=10**6))
+    report = build_report(graph, boundary, nef, epsilon=epsilon,
+                          verify_delta_min=data.draw(st.booleans()))
+    doc = report_to_dict(report)
+    pairs = _emitted(report, doc)
+    for text, value in pairs:
+        assert isinstance(value, Fraction)
+        assert RATIONAL.fullmatch(text), text
+        num, slash, den = text.partition("/")
+        assert Fraction(text) == value
+        if value.denominator == 1:
+            assert not slash
+        else:
+            assert int(den) > 1 and math.gcd(int(num), int(den)) == 1
+    rationals = [s for s in _strings(doc) if RATIONAL.fullmatch(s)]
+    assert sorted(rationals) == sorted(s for s, _ in pairs)
