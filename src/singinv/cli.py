@@ -277,13 +277,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise InputError(
             f"--max-length {args.max_length} exceeds the vertex cap {MAX_VERTICES}"
         )
-    weights = families.iter_chain_weights(args.max_length, args.max_weight)
     # the first draw checks --max-weight: draw it before any output
-    first = next(weights, None)
-    weights = itertools.chain((first,), weights) if first else ()
-    chains = (
-        ("chain(" + ",".join(map(str, w)) + ")", families.chain_graph(w)) for w in weights
-    )
+    next(families.iter_chain_weights(args.max_length, args.max_weight), None)
+    sweep = families.chain_sweep(args.max_length, args.max_weight)
+    chains = (("chain(" + ",".join(map(str, w)) + ")", graph) for w, graph in sweep)
     # each row is written as soon as it is checked: memory stays flat in
     # the family size, and a reader that stops early stops the sweep
     write = sys.stdout.write

@@ -67,6 +67,7 @@ from .graph import (
     Record,
     canonical_degrees,
     definite_factor,
+    exact_fraction,
     form_image,
     solve_exceptional,
 )
@@ -110,7 +111,9 @@ def boundary_component(
                 f"boundary component {name!r}: intersection count must be an integer, "
                 f"got {m!r}"
             )
-    return BoundaryComponent(name, Fraction(coeff), counts)
+    return BoundaryComponent(
+        name, exact_fraction(coeff, f"boundary component {name!r}: coefficient"), counts
+    )
 
 
 class CycleSet(Record):
@@ -332,7 +335,7 @@ def exceptional_pullback(
     E_j; the result is the unique correction making the total transform
     orthogonal to every exceptional curve.
     """
-    values = [Fraction(m) for m in meets]
+    values = [exact_fraction(m, f"meets[{j}]") for j, m in enumerate(meets)]
     if any(m < 0 for m in values):
         raise ValueError("negative entry in meets vector")
     return solve_exceptional(graph, values)

@@ -105,6 +105,25 @@ def iter_chain_weights(
         yield from itertools.product(range(2, max_weight + 1), repeat=length)
 
 
+def chain_sweep(
+    max_length: int, max_weight: int
+) -> Iterator[tuple[tuple[int, ...], DualGraph]]:
+    """(w, chain_graph(w)) for each w of `iter_chain_weights`, in its
+    order.  Only the first chain of each length comes from the skeleton;
+    each later one is reweighted from the chain before it, so it shares
+    that chain's vertices, columns of N and factor rows before its first
+    changed weight (`DualGraph.reweighted`).  The factor rows are shared
+    only if the chain before was factored by the time the next is drawn,
+    as `enumerate` does by validating each row first."""
+    graph = None
+    for weights in iter_chain_weights(max_length, max_weight):
+        if graph is None or graph.n != len(weights):
+            graph = chain_graph(weights)
+        else:
+            graph = graph.reweighted(weights)
+        yield weights, graph
+
+
 def chain_family_size(max_length: int, max_weight: int, stop: int | None = None) -> int:
     """How many tuples `iter_chain_weights` yields; with `stop`, counting
     ends at the first partial sum above it, after about log(stop) steps

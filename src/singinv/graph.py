@@ -99,6 +99,17 @@ class Edge(NamedTuple):
     multiplicity: int = 1
 
 
+def exact_fraction(value: Fraction | int | str, what: str) -> Fraction:
+    """Fraction(value), refusing a float or a bool: Fraction would read a
+    float's binary expansion (0.1 as 3602879701896397/2**55), where the
+    caller meant a decimal, and a bool is no number here."""
+    if isinstance(value, (float, bool)):
+        raise ValueError(
+            f"{what} must be exact (an int, a Fraction or a 'p/q' string), got {value!r}"
+        )
+    return Fraction(value)
+
+
 class ExcDivisor(Record):
     """Exceptional Q-divisor: exact coefficients in vertex order."""
 
@@ -110,7 +121,7 @@ class ExcDivisor(Record):
 
     @classmethod
     def from_values(cls, values: Iterable[Fraction | int | str]) -> "ExcDivisor":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(exact_fraction(v, "divisor coefficient") for v in values))
 
     @classmethod
     def zero(cls, n: int) -> "ExcDivisor":
@@ -165,12 +176,7 @@ class DualGraph(Record):
             if vid in seen:
                 raise GraphValidationError(f"duplicate vertex id {vid!r}")
             seen.add(vid)
-            # exact ints only: a bool is no weight, and a float or a
-            # Fraction would reach the integer kernel's floor divisions
-            if type(weight) is not int or weight < 1:
-                raise GraphValidationError(
-                    f"vertex {vid!r}: weight must be a positive integer, got {weight!r}"
-                )
+            _check_weight(vid, weight)
             if type(genus) is not int or genus < 0:
                 raise GraphValidationError(
                     f"vertex {vid!r}: genus must be a nonnegative integer, got {genus!r}"
@@ -216,8 +222,7 @@ class DualGraph(Record):
         """The nonzeros (i, N_ij) of each column j of N, diagonal first:
         w_j and the neighbours, so a sparse update costs deg(j) + 1.  N is
         symmetric, so column j is also row j, as `Factor` reads it."""
-        pairs = enumerate(zip(self.vertices, self.off_diagonal))
-        return tuple([((j, v.weight), *col) for j, (v, col) in pairs])
+        return _columns(self.vertices, self.off_diagonal)
 
     @cached_property
     def connected(self) -> bool:
@@ -267,23 +272,65 @@ class DualGraph(Record):
 
     def reweighted(self, weights: Sequence[int]) -> "DualGraph":
         """The graph on the same ids, genera and edges with the given
-        weights, in vertex order, checked as any new graph is.  It takes
-        over the weight-free views this graph has already computed
-        (``index``, ``off_diagonal``, ``connected``, ``branches``), so a sweep
-        over weights computes them once; no view that reads a weight is
-        shared."""
-        if len(weights) != self.n:
-            raise ValueError(f"{len(weights)} weights for {self.n} vertices")
-        ids, _, genera = zip(*self.vertices)
-        graph = DualGraph(tuple(map(Vertex, ids, weights, genera)), self.edges)
+        weights, in vertex order, checked as any new graph is.  Only the
+        new weights need a check: the rest passed `__init__` on this graph.
+
+        With p the first vertex whose weight changes, it shares, without
+        a copy, what this graph holds and the change leaves as it is:
+        - the vertices before p;
+        - the weight-free views this graph has computed (``index``,
+          ``off_diagonal``, ``connected``, ``branches``);
+        - the ``columns`` of N before p, if computed, with the rest built;
+        - the first p rows of the ``factor``, if computed
+          (`Factor.prefix`), bordered by the rows from p on.
+        So a sweep over weights computes the weight-free views once, and
+        a graph reweighted from its predecessor eliminates only its rows
+        from p on.  A graph that has computed nothing hands on nothing
+        weighted."""
+        vertices, n = self.vertices, self.n
+        if len(weights) != n:
+            raise ValueError(f"{len(weights)} weights for {n} vertices")
+        p = 0
+        for v, w in zip(vertices, weights):
+            if w != v.weight or type(w) is not int:
+                break
+            p += 1
+        changed = []
+        for j in range(p, n):
+            vid, _, genus = vertices[j]
+            _check_weight(vid, weights[j])
+            changed.append(Vertex(vid, weights[j], genus))
+        graph = DualGraph.__new__(DualGraph)
+        shared = graph.__dict__
+        shared.update(vertices=vertices[:p] + tuple(changed), edges=self.edges)
         cached = self.__dict__
-        graph.__dict__.update({k: cached[k] for k in _WEIGHT_FREE_VIEWS if k in cached})
+        shared.update({k: cached[k] for k in _WEIGHT_FREE_VIEWS if k in cached})
+        if "columns" in cached:
+            new = _columns(changed, cached["off_diagonal"], p)
+            shared["columns"] = cached["columns"][:p] + new
+            if "factor" in cached:
+                factor = shared["factor"] = cached["factor"].prefix(p)
+                factor.border(new)
         return graph
 
 
 # the views that read neither weights nor genera: `reweighted` hands them
 # on, so one object may serve many graphs and nothing may write to it
 _WEIGHT_FREE_VIEWS = ("index", "off_diagonal", "connected", "branches")
+
+
+def _columns(vertices: Sequence[Vertex], off_diagonal: Sequence[tuple], start: int = 0):
+    """The columns of N of `vertices`, the first of them vertex `start`."""
+    return tuple([((j, v.weight), *off_diagonal[j]) for j, v in enumerate(vertices, start)])
+
+
+def _check_weight(vid: str, weight: object) -> None:
+    # exact ints only: a bool is no weight, and a float or a Fraction
+    # would reach the integer kernel's floor divisions
+    if type(weight) is not int or weight < 1:
+        raise GraphValidationError(
+            f"vertex {vid!r}: weight must be a positive integer, got {weight!r}"
+        )
 
 
 def _walk(off_diagonal: Sequence[tuple], prev: int, cur: int) -> tuple[int, ...]:

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .classify import Classification, ShapeKind, classify
 from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle, least_element
-from .graph import DualGraph, ExcDivisor, Record, form_image
+from .graph import DualGraph, ExcDivisor, Record, exact_fraction, form_image
 from .linalg import clear_denominators, solve
 
 DEFAULT_EPSILON = Fraction(1, 1000)
@@ -354,8 +354,8 @@ def check_hypotheses_from(
     is log-terminal the report also carries the mu-scaled sufficient
     checks, in both the delta_y and the delta basis.
     """
-    m2 = Fraction(m2)
-    min_mc = Fraction(min_mc)
+    m2 = exact_fraction(m2, "M^2")
+    min_mc = exact_fraction(min_mc, "min M.C")
     if m2 <= 0:
         raise InvalidNefError("M^2 must be positive for nef and big M")
     if min_mc < 0:

@@ -30,7 +30,13 @@ row i is stored up to its diagonal, and the pivot row's entry a_kj is
 read as a_jk.  Row i comes in as its nonzero pairs (j, a_ij), as
 `DualGraph.columns` holds N.  `Factor(rows)` borders the empty factor,
 and `border` takes only the new rows; a border appends rows and never
-changes an old one.  A solve is two calls.  `carry` forward-eliminates
+changes an old one.  Row i and the pivots up to M_{i+1} are minors of
+the leading (i + 1) x (i + 1) block alone, so two matrices that agree on
+their leading p x p block have the same first p rows, bit for bit.
+`prefix(p)` hands them on, shared, not copied: as no border writes to an
+old row, one row list can serve many factors, and a graph reweighted
+from vertex p on pays only for rows p on (`DualGraph.reweighted`).
+A solve is two calls.  `carry` forward-eliminates
 the entries of a right-hand side added since its last call and keeps the
 old ones.
 `back_substitute` can stop at given rows and the rows their
@@ -50,6 +56,7 @@ multiplies through them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -78,6 +85,23 @@ class Factor:
         self._piv = [1]  # M_0 and the positive pivots M_1, M_2, ...
         self.first_nonpositive: int | None = None
         self._extend(rows)
+
+    def prefix(self, p: int) -> "Factor":
+        """The factor of the leading p x p block.  Rows 0..p-1 and the
+        pivots M_0..M_p are that block's own, so the rows are shared, not
+        copied; only the lists of the later rows that read each of them
+        (`_upper`, in increasing order) are cut to the rows below p.
+        `border` then appends the rows of any symmetric matrix that
+        agrees with this one on the block."""
+        bad = self.first_nonpositive
+        f = Factor.__new__(Factor)
+        f._a = self._a[:p]
+        f._lower = self._lower[:p]
+        f._upper = [below[: bisect_left(below, p)] for below in self._upper[:p]]
+        f._piv = self._piv[: p + 1]
+        f.first_nonpositive = bad if bad is not None and bad <= p else None
+        f.det = f._piv[-1] if f.first_nonpositive is None else 1
+        return f
 
     def border(self, rows: SparseRows) -> None:
         """Extend the symmetric m x m matrix by r new rows.  By symmetry a
@@ -135,7 +159,7 @@ class Factor:
                     done += 1
                 else:
                     self.first_nonpositive = i + 1
-        self.det = a[-1][-1] if a and self.first_nonpositive is None else 1
+        self.det = piv[-1] if self.first_nonpositive is None else 1  # M_m, M_0 = 1
 
     def _reached(self, rows: Iterable[int]) -> list[int]:
         """`rows` and every row a back substitution at `rows` reads, in

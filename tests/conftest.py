@@ -93,6 +93,13 @@ def dense_eliminate(a):
     return None
 
 
+def factor_state(factor):
+    """Every field of a `Factor`: two factors with equal states are the
+    same elimination, bit for bit."""
+    return (factor._a, factor._lower, factor._upper, factor._piv, factor.det,
+            factor.first_nonpositive)
+
+
 def dense_scaled_solve(a, b):
     """det * a^-1 b from a dense-eliminated positive-definite array `a`:
     the right-hand side replayed through every step, then substituted

@@ -733,9 +733,24 @@ def test_enumerate_json_is_pinned(capsys):
 def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     # the default family: 19,530 chains on 6 skeletons, so 6 walks for
     # connectedness and 6 edge-structure passes; each chain pays only for
-    # its weights.  The whole document is pinned, as CI pins it
+    # its weights, and of its factor only for the rows from its first
+    # weight that differs from the chain before it: 24,405 rows appended
+    # where a fresh factor per chain appends all 112,305.  The whole
+    # document is pinned, as CI pins it
     from singinv import families
     from singinv.graph import DualGraph
+    from singinv.linalg import Factor
+
+    appended = 0
+    real_extend = Factor._extend
+
+    def extend(factor, rows):
+        nonlocal appended
+        rows = list(rows)
+        appended += len(rows)
+        return real_extend(factor, rows)
+
+    monkeypatch.setattr(Factor, "_extend", extend)
 
     calls = {}
     for view in ("connected", "branches"):
@@ -751,6 +766,7 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["count"] == 19_530
     assert calls == {"connected": 6, "branches": 6}
+    assert appended == 24_405
     expected = (REPO_ROOT / "tests" / "golden" / "enumerate_json_default.sha256").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()
 

@@ -311,6 +311,28 @@ def test_boundary_component_refuses_non_integer_counts():
     assert boundary_component("C", "1/2", (m for m in [0, 2])).meets == (0, 2)
 
 
+def test_boundary_component_refuses_inexact_coefficients():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: a
+    # float coefficient is refused, as is a bool; an int, a Fraction and
+    # a "p/q" string are exact
+    for bad in (0.1, 1.0, True):
+        message = re.escape(f"'C': coefficient must be exact (an int, a Fraction or a 'p/q' "
+                            f"string), got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            boundary_component("C", bad, [0, 1, 0])
+    for good in (1, Fraction(1, 10), "1/10"):
+        assert boundary_component("C", good, [0, 1, 0]).coeff == Fraction(good)
+
+
+def test_exceptional_pullback_refuses_inexact_meets():
+    g = chain_graph((2, 3))
+    for bad in (0.5, 1.0, False):
+        with pytest.raises(ValueError, match=rf"meets\[1\] must be exact .*got {bad!r}"):
+            exceptional_pullback(g, [1, bad])
+    half = exceptional_pullback(g, ["1/2", Fraction(0)])
+    assert half.coeffs == (Fraction(3, 10), Fraction(1, 10))
+
+
 def test_boundary_part_monotone_in_coefficients():
     rng = random.Random(33)
     for name, g in base_graphs():

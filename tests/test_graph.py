@@ -1,4 +1,6 @@
+import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from conftest import (
     cofactor_determinant,
     dense_form,
     dense_graph_shape,
+    factor_state,
     matvec,
     random_chain_weights,
     random_graph,
@@ -205,8 +208,12 @@ def _outcome(graph):
 
 def test_reweighted_equals_a_fresh_build():
     # the same graph under new weights, built either way, over trees,
-    # cyclic, multi-edge, genus > 0 and ADE graphs; it shares exactly the
-    # weight-free views its source has computed, and none is written to
+    # cyclic, multi-edge, genus > 0 and ADE graphs, each reweighted from
+    # the one before as a sweep does.  A graph equals a fresh build view
+    # for view.  It shares the weight-free views its source has computed,
+    # and of the weighted views only what precedes p, the first changed
+    # weight: the vertices, the columns of N and the factor's rows, and
+    # only if the source has computed them.  No source is written to
     rng = random.Random(83)
     sources = [g for _, g in rdp_family()]
     sources += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
@@ -214,26 +221,51 @@ def test_reweighted_equals_a_fresh_build():
     for g in sources:
         source = DualGraph(g.vertices, g.edges)
         assert source.reweighted(range(1, g.n + 1)).__dict__.keys() == {"vertices", "edges"}
+        source.branches
+        assert not source.reweighted(range(1, g.n + 1)).__dict__.keys() & WEIGHTED
         for view in (*WEIGHT_FREE, *WEIGHTED):
             getattr(source, view)
-        index = dict(source.index)
+        index, before = dict(source.index), copy.deepcopy(factor_state(source.factor))
+        graph = source
         for _ in range(8):
-            weights = [rng.randint(1, 2 + len(nbrs)) for nbrs in source.off_diagonal]
-            graph = source.reweighted(weights)
+            p = rng.randint(0, g.n - 1)
+            weights = [v.weight for v in graph.vertices[:p]]
+            weights += [rng.randint(1, 2 + len(nbrs)) for nbrs in source.off_diagonal[p:]]
+            p = next((j for j, v in enumerate(graph.vertices) if v.weight != weights[j]), g.n)
+            prev, graph = graph, graph.reweighted(weights)
             fresh = build_graph(
                 [(v.id, w, v.genus) for v, w in zip(g.vertices, weights)], g.edges
             )
             assert graph == fresh
             for view in WEIGHT_FREE:
                 assert graph.__dict__[view] is source.__dict__[view]
-            assert not graph.__dict__.keys() & WEIGHTED
+            assert graph.__dict__.keys() >= WEIGHTED
+            assert graph.columns == fresh.columns
+            assert factor_state(graph.factor) == factor_state(fresh.factor)
+            for mine, theirs in ((graph.vertices, prev.vertices), (graph.columns, prev.columns),
+                                 (graph.factor._a, prev.factor._a)):
+                assert all(x is y for x, y in zip(mine[:p], theirs[:p]))
+                assert not any(x is y for x, y in zip(mine[p:], theirs[p:]))
             outcome = _outcome(graph)
             assert outcome == _outcome(fresh)
             seen.add("valid" if isinstance(outcome[0], Analysis) else outcome[0][0])
         assert source.index == index
+        assert factor_state(source.factor) == before
     assert seen == {"valid", NotNegativeDefiniteError, IllegalWeightError}
     with pytest.raises(ValueError, match="2 weights for 3 vertices"):
         chain_graph((2, 2, 2)).reweighted((2, 2))
+
+
+def test_reweighted_checks_the_weights_as_a_fresh_build():
+    # a weight equal to the old one but not an int is a change, refused
+    # as `__init__` refuses it, even before the first real change
+    source = chain_graph((1, 2, 3))
+    source.factor
+    for weights in ((1, 2.0, 3), (True, 2, 3), (1, 2, Fraction(3)), (1, 0, 3)):
+        with pytest.raises(GraphValidationError) as fresh:
+            build_graph([(f"E{j + 1}", w) for j, w in enumerate(weights)])
+        with pytest.raises(GraphValidationError, match=re.escape(str(fresh.value))):
+            source.reweighted(weights)
 
 
 def test_validate_rejects_degenerate_pair():
@@ -300,6 +332,17 @@ def test_solve_exceptional_roundtrip_and_positivity():
             x = solve_exceptional(g, rhs)
             assert matvec(form, x.coeffs) == rhs
             assert x.is_effective()
+
+
+def test_exc_divisor_refuses_inexact_values():
+    # a float would become its binary expansion, silently; a bool is no
+    # coefficient
+    for bad in (0.1, 2.0, True):
+        with pytest.raises(ValueError, match=f"divisor coefficient must be exact .*got {bad!r}"):
+            ExcDivisor.from_values([1, bad])
+    assert ExcDivisor.from_values([1, Fraction(1, 10), "1/10"]).coeffs == (
+        1, Fraction(1, 10), Fraction(1, 10)
+    )
 
 
 def test_exc_divisor_arithmetic():

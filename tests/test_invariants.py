@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -249,6 +250,22 @@ def test_check_hypotheses_input_errors():
         check_hypotheses(g, None, 0, 1)
     with pytest.raises(NegativeIntersectionError):
         check_hypotheses(g, None, 1, -1)
+
+
+def test_check_hypotheses_refuses_inexact_nef_data():
+    # M^2 and min M.C are exact rationals: a float or a bool is refused,
+    # directly and through the report's NefData, before any comparison
+    g = chain_graph((2, 3))
+    for m2, min_mc, what, bad in ((0.5, 1, "M^2", 0.5), (1, 0.1, "min M.C", 0.1),
+                                  (True, 1, "M^2", True)):
+        match = re.escape(f"{what} must be exact (an int, a Fraction or a 'p/q' string), "
+                          f"got {bad!r}")
+        with pytest.raises(ValueError, match=match):
+            check_hypotheses(g, None, m2, min_mc)
+        with pytest.raises(ValueError, match=match):
+            build_report(g, nef=NefData(m2, min_mc))
+    exact = check_hypotheses(g, None, "1/2", Fraction(1, 10))
+    assert (exact.m2, exact.min_mc) == (Fraction(1, 2), Fraction(1, 10))
 
 
 def test_delta_by_upper_bounds_by_kind():

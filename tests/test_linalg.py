@@ -9,6 +9,7 @@ from conftest import (
     dense_eliminate,
     dense_form,
     dense_scaled_solve,
+    factor_state,
     matvec,
     quadratic_form,
 )
@@ -249,6 +250,34 @@ def test_border_matches_fresh_factor_at_every_split():
             _assert_same_factor(_bordered(rows, [m, n]), rows, oracle)
         cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
         _assert_same_factor(_bordered(rows, [0, *cuts, n]), rows, oracle)
+
+
+def test_prefix_then_border_is_a_fresh_factor_at_every_p():
+    # a matrix that agrees with another on its leading p x p block: the
+    # other's factor cut to p rows and bordered by the rest is the fresh
+    # factor, bit for bit, with the first nonpositive minor of the source
+    # before p, at p, past p or nowhere, and the source is left as it was
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(80):
+        n = 1 + trial % 7
+        rows = (_random_stieltjes if trial % 2 else _random_symmetric)(rng, n)
+        source = Factor(_pairs(rows))
+        before = copy.deepcopy(factor_state(source))
+        bad = source.first_nonpositive
+        for p in range(n + 1):
+            other = _random_symmetric(rng, n)
+            for i in range(p):
+                other[i][:p] = rows[i][:p]
+            factor = source.prefix(p)
+            assert factor_state(factor) == factor_state(Factor(_pairs(rows[:p])))
+            factor.border(_pairs(other[p:]))
+            assert factor_state(factor) == factor_state(Factor(_pairs(other)))
+            assert all(mine is theirs for mine, theirs in zip(factor._a[:p], source._a))
+            seen.add("none" if bad is None else "before" if bad < p else
+                     "at" if bad == p else "past")
+        assert factor_state(source) == before
+    assert seen == {"none", "before", "at", "past"}
 
 
 def test_border_finds_a_bad_minor_in_the_new_rows():

@@ -1,5 +1,7 @@
 """Property tests on generated graphs: the factor of N's sparse columns
-against the dense elimination, the delta_min LCP against the
+against the dense elimination, a factor bordered from another's prefix
+against a fresh one along a weight sweep, the `continuant` closed forms
+against the general pass on chains, the delta_min LCP against the
 exhaustive oracle, its KKT certificate beyond the oracle's range, the
 rounds for Z against the step-by-step Laufer loop on stars where Z
 grows, the report's equivariance under a reordering of the vertices,
@@ -8,11 +10,12 @@ and the lossless serialisation of every rational the report emits.
 The registered profile is derandomized with a fixed number of examples,
 so every run checks the same graphs and takes the same time."""
 
+import copy
 import math
 import re
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,14 +25,20 @@ from conftest import (
     dense_eliminate,
     dense_form,
     dense_laufer,
+    factor_state,
     star_with_tail,
 )
+from singinv.continuant import chain_delta_y, continuant, inverse_entry
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
+from singinv.families import chain_graph, chain_sweep
 from singinv.graph import build_graph, validate
 from singinv.invariants import analyze, delta_min_exhaustive
 from singinv.linalg import Factor
 from singinv.report import NefData, build_report, report_to_dict
 
+# no explain phase: it runs only after a failure, and it imports libcst,
+# whose DeprecationWarnings under `python -W error` would replace the
+# falsifying example with an INTERNALERROR
 settings.register_profile(
     "singinv",
     derandomize=True,
@@ -37,6 +46,7 @@ settings.register_profile(
     deadline=None,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
+    phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 PROFILE = settings.get_profile("singinv")
 
@@ -114,6 +124,76 @@ def test_factor_of_the_columns_is_the_dense_elimination(graph, data):
     for m, k in zip(splits[1:], splits[2:]):
         bordered.border(graph.columns[m:k])
     assert (bordered._a, bordered.first_nonpositive, bordered.det) == (lower, bad, factor.det)
+
+
+@PROFILE
+@given(graphs(1, 10, GRAPH_KINDS), st.data())
+def test_a_factor_bordered_from_a_prefix_is_a_fresh_factor(graph, data):
+    # a weight sweep: a graph in a random vertex order under weights drawn
+    # down to 1, so that N is often indefinite with its first nonpositive
+    # minor anywhere, then up to four siblings, each keeping its
+    # predecessor's weights before a drawn p.  The predecessor's factor
+    # cut to p rows and bordered by the sibling's columns from p on is
+    # the sibling's fresh factor, bit for bit, and so is the factor that
+    # `reweighted` hands on; no source changes
+    order = data.draw(st.permutations(range(graph.n)))
+    vertices = [graph.vertices[j] for j in order]
+
+    def drawn(keep):
+        weights = [v.weight for v in keep]
+        for v in vertices[len(keep):]:
+            degree = len(graph.off_diagonal[graph.index[v.id]])
+            weights.append(data.draw(st.integers(1, degree + 2)))
+        return build_graph([v._replace(weight=w) for v, w in zip(vertices, weights)],
+                           graph.edges)
+
+    prev = drawn([])
+    states = [(prev.factor, copy.deepcopy(factor_state(prev.factor)))]
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(st.integers(0, graph.n))
+        fresh = drawn(prev.vertices[:p])
+        bordered = prev.factor.prefix(p)
+        bordered.border(fresh.columns[p:])
+        assert factor_state(bordered) == factor_state(fresh.factor)
+        prev = prev.reweighted([v.weight for v in fresh.vertices])
+        assert factor_state(prev.factor) == factor_state(fresh.factor)
+        states.append((prev.factor, copy.deepcopy(factor_state(prev.factor))))
+    for factor, before in states:
+        assert factor_state(factor) == before
+
+
+def _assert_closed_forms(weights, graph):
+    """The `continuant` closed forms of a chain against the one
+    elimination of `graph`, its chain graph, and the analysis pass."""
+    validate(graph)
+    factor, n = graph.factor, len(weights)
+    assert continuant(weights) == factor.det
+    assert chain_delta_y(weights) == analyze(graph).delta_y
+    for j in range(n):
+        column = factor.solve([int(i == j) for i in range(n)])
+        assert [inverse_entry(weights, i + 1, j + 1) for i in range(n)] == column
+
+
+@PROFILE
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(2, 7), min_size=n, max_size=n),
+                       min_size=2, max_size=2)))
+def test_continuant_closed_forms_equal_the_general_pass(pair):
+    # on a drawn chain built fresh, and reweighted from a drawn chain of
+    # its length whose factor is computed, as the enumerate sweep builds
+    # each chain from the one before
+    before, weights = pair
+    _assert_closed_forms(weights, chain_graph(weights))
+    predecessor = chain_graph(before)
+    validate(predecessor)
+    _assert_closed_forms(weights, predecessor.reweighted(weights))
+
+
+def test_continuant_closed_forms_along_the_enumerate_sweep():
+    # every chain of length 1 to 4 with weights 2 to 5, in the sweep's
+    # order, each factored before the next is drawn, as enumerate does
+    for weights, graph in chain_sweep(4, 5):
+        _assert_closed_forms(weights, graph)
 
 
 @PROFILE
