@@ -22,6 +22,7 @@ from .graph import DualGraph, GraphValidationError, build_graph, validate
 from .invariants import DEFAULT_EPSILON, analyze
 from .report import (
     NefData,
+    SingularityReport,
     build_report,
     fraction_str,
     render_text,
@@ -227,6 +228,14 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
         print(text, end="")
 
 
+def _emit_report(args: argparse.Namespace, report: SingularityReport) -> None:
+    # only the form that is printed is built
+    if args.json:
+        print(json.dumps(report_to_dict(report), indent=2))
+    else:
+        print(render_text(report), end="")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     parsed = _read_input(args.file)
     report = build_report(
@@ -236,7 +245,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         verify_delta_min=args.oracle,
     )
-    _emit(args, report_to_dict(report), render_text(report))
+    _emit_report(args, report)
     if report.oracle_matches is False:
         print("error: delta_min oracle disagrees with the LCP solution",
               file=sys.stderr)
@@ -251,7 +260,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = build_report(
         parsed.graph, parsed.boundary, parsed.nef, epsilon=args.epsilon
     )
-    _emit(args, report_to_dict(report), render_text(report))
+    _emit_report(args, report)
     return 0
 
 
@@ -285,9 +294,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # the family size, and a reader that stops early stops the sweep
     write = sys.stdout.write
     if args.json:
-        # indent=2 runs the pure-Python encoder; one C encoder, row by row
-        # with these separators, writes the same bytes
-        encode = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+        # json.dumps(..., indent=2) lays each row out as the f-string below
+        # does, and quotes a str with encode_basestring_ascii, the C
+        # function behind its default ensure_ascii=True, and a bool as true
+        # or false: the bytes are the same, without a dict and an encoder
+        # per row.  An f-string also builds the row at its exact size
+        quote = json.encoder.encode_basestring_ascii
         write('{\n  "rows": [')
     else:
         print(f"{'label':<28} {'shape':<12} {'kind':<9} {'lt':<3} {'delta_y':<10} delta_min")
@@ -306,21 +318,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             rule = "log-terminal point must have 0 < delta_y < 2"
         if not ok:
             failures.append(f"{label}: {rule}, got {dy}")
-        row = {
-            "label": label,
-            "shape": cls.shape.kind.value,
-            "kind": cls.kind.value,
-            "log_terminal": cls.log_terminal,
-            "delta_y": fraction_str(dy),
-            "delta_min": fraction_str(a.delta_min.value),
-        }
+        shape, kind, lt = cls.shape.kind.value, cls.kind.value, cls.log_terminal
+        delta_y, delta_min = fraction_str(dy), fraction_str(a.delta_min.value)
         if args.json:
-            write(("," if count else "") + "\n    {\n      " + encode(row)[1:-1] + "\n    }")
+            write(
+                f'{"," if count else ""}\n    {{\n      "label": {quote(label)},'
+                f'\n      "shape": {quote(shape)},\n      "kind": {quote(kind)},'
+                f'\n      "log_terminal": {"true" if lt else "false"},'
+                f'\n      "delta_y": {quote(delta_y)},'
+                f'\n      "delta_min": {quote(delta_min)}\n    }}'
+            )
         else:
-            lt = "yes" if cls.log_terminal else "no"
             print(
-                f"{label:<28} {row['shape']:<12} {row['kind']:<9} "
-                f"{lt:<3} {row['delta_y']:<10} {row['delta_min']}"
+                f"{label:<28} {shape:<12} {kind:<9} "
+                f"{'yes' if lt else 'no':<3} {delta_y:<10} {delta_min}"
             )
         count += 1
     if args.json:

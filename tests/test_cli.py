@@ -311,6 +311,24 @@ def test_analyze_malformed_json_is_validation_error(tmp_path, capsys):
     assert "syntax error" in err
 
 
+def test_analyze_and_check_build_only_the_printed_form(monkeypatch, capsys):
+    import singinv.cli as cli_module
+
+    def unused(report):
+        raise AssertionError("built a form that is not printed")
+
+    sample = str(SAMPLES / "chain_2_3.json")
+    for command in ("analyze", "check"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "render_text", unused)
+            code, out, _ = _run(capsys, [command, sample, "--json"])
+            assert code == 0 and json.loads(out)["input"]["nef"] == {"M2": "2", "minMC": "1"}
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "report_to_dict", unused)
+            code, out, _ = _run(capsys, [command, sample])
+            assert code == 0 and out.startswith("configuration: 2 vertices")
+
+
 def test_check_requires_nef(capsys):
     code, _, err = _run(capsys, ["check", str(SAMPLES / "a1.json")])
     assert code == 1
@@ -410,18 +428,38 @@ def test_check_dihedral_needs_positive_mc(tmp_path, capsys):
     assert json.loads(out)["theorem"]["hypotheses_satisfied"] is True
 
 
+def _as_json_dumps_writes_it(out):
+    # the rows are written by hand, one at a time; the whole document must
+    # be what json.dumps(..., indent=2) writes for the value it parses to
+    return out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_enumerate_tiny_families(capsys):
     code, out, _ = _run(capsys, ["enumerate", "--max-length", "1", "--max-weight", "2", "--json"])
-    assert code == 0
+    assert code == 0 and _as_json_dumps_writes_it(out)
     doc = json.loads(out)
     assert doc["count"] == 1
     assert doc["rows"][0]["delta_y"] == "2"
     assert doc["rows"][0]["kind"] == "rdp"
     code, out, _ = _run(capsys, ["enumerate", "--max-length", "2", "--max-weight", "3", "--json"])
-    assert code == 0
+    assert code == 0 and _as_json_dumps_writes_it(out)
     rows = {row["label"]: row for row in json.loads(out)["rows"]}
     assert rows["chain(2,3)"]["delta_y"] == "7/5"
     assert all(Fraction(row["delta_y"]) <= 4 for row in rows.values())
+    # no rows at all: the empty list spliced into the tail
+    code, out, _ = _run(capsys, ["enumerate", "--max-length", "0", "--json"])
+    assert code == 0 and _as_json_dumps_writes_it(out)
+    assert json.loads(out) == {"rows": [], "count": 0, "failures": []}
+    # the forks alone, no chains: their labels, shapes and kinds
+    code, out, _ = _run(capsys, ["enumerate", "--max-length", "0", "--forks", "--json"])
+    assert code == 0 and _as_json_dumps_writes_it(out)
+    doc = json.loads(out)
+    assert [row["label"] for row in doc["rows"]] == [
+        "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8", "smooth"
+    ]
+    assert [row["shape"] for row in doc["rows"]] == ["fork_d"] * 5 + ["fork_e"] * 3 + ["chain"]
+    assert [row["kind"] for row in doc["rows"]] == ["rdp"] * 8 + ["smooth"]
+    assert (doc["count"], doc["failures"]) == (9, [])
 
 
 def test_enumerate_long_rdp_chains(capsys):
@@ -512,6 +550,7 @@ def test_enumerate_json_detects_violations(monkeypatch, capsys):
     failure = "chain(2,3): log-terminal point must have 0 < delta_y < 2, got 99"
     assert code == 2
     assert err == f"assertion failed: {failure}\n"
+    assert _as_json_dumps_writes_it(out)
     doc = json.loads(out)
     assert doc["failures"] == [failure] and doc["count"] == 6
     labels = [row["label"] for row in doc["rows"]]
@@ -718,8 +757,8 @@ def test_limits_chain_check_is_pinned(capsys):
 
 
 def test_enumerate_json_is_pinned(capsys):
-    # the JSON rows, pinned like the table above, and the small family
-    # that CI also diffs through the installed console script
+    # the JSON rows, pinned like the table above, and the two small
+    # families that CI also diffs through the installed console script
     golden = REPO_ROOT / "tests" / "golden"
     code, out, _ = _run(capsys, ["enumerate", "--max-length", "4", "--forks", "--json"])
     assert code == 0
@@ -728,6 +767,9 @@ def test_enumerate_json_is_pinned(capsys):
     argv = ["enumerate", "--max-length", "2", "--max-weight", "3", "--json"]
     code, out, _ = _run(capsys, argv)
     assert (code, out) == (0, (golden / "enumerate_l2_w3.json").read_text())
+    argv = ["enumerate", "--max-length", "0", "--forks", "--json"]
+    code, out, _ = _run(capsys, argv)
+    assert (code, out) == (0, (golden / "enumerate_forks_l0.json").read_text())
 
 
 def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):

@@ -5,12 +5,17 @@ against the general pass on chains, the delta_min LCP against the
 exhaustive oracle, its KKT certificate beyond the oracle's range, the
 rounds for Z against the step-by-step Laufer loop on stars where Z
 grows, the report's equivariance under a reordering of the vertices,
-and the lossless serialisation of every rational the report emits.
+the lossless serialisation of every rational the report emits, and
+generated input documents, valid and bent, through `parse_input`,
+`build_report` and the CLI, which end in a report or a documented error.
 
 The registered profile is derandomized with a fixed number of examples,
 so every run checks the same graphs and takes the same time."""
 
+import contextlib
 import copy
+import io
+import json
 import math
 import re
 from fractions import Fraction
@@ -28,10 +33,11 @@ from conftest import (
     factor_state,
     star_with_tail,
 )
+from singinv.cli import MAX_INTEGER, InputError, main, parse_input
 from singinv.continuant import chain_delta_y, continuant, inverse_entry
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
 from singinv.families import chain_graph, chain_sweep
-from singinv.graph import build_graph, validate
+from singinv.graph import GraphValidationError, build_graph, validate
 from singinv.invariants import analyze, delta_min_exhaustive
 from singinv.linalg import Factor
 from singinv.report import NefData, build_report, report_to_dict
@@ -387,3 +393,131 @@ def test_every_emitted_rational_reparses_to_its_value(case, data):
             assert int(den) > 1 and math.gcd(int(num), int(den)) == 1
     rationals = [s for s in _strings(doc) if RATIONAL.fullmatch(s)]
     assert sorted(rationals) == sorted(s for s, _ in pairs)
+
+
+# Fuzzing the input path (README "Input format"): a valid document bent
+# by up to three edits.  HUGE stands for an integer literal of 5,000
+# digits, past Python's own conversion limit, which json.dumps cannot
+# write and is spliced into the text.
+HUGE = "<huge integer>"
+EDITS = ("swap",) * 6 + ("add",) * 4 + ("drop",) * 2 + ("root", "cut")
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(MAX_INTEGER + 2), MAX_INTEGER + 2),
+    st.sampled_from((0, 1, 2, -1, MAX_INTEGER + 1, -MAX_INTEGER - 1, 10**12, HUGE)),
+    st.sampled_from(("", "x", "E1", "1/0", "0/0", "-1/0", "1/2", "3/2", "-1/3", "2/4",
+                     "01/2", "1/-2", "1/1000001", "NaN", "1e3", " 1")),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.sampled_from(("E1", "E2", "x")), st.integers(-1, 2), max_size=2),
+)
+
+
+def _slots(node, field=()):
+    """(field, container, key) for every value below `node`, where the
+    field is its path with list indices and `meets` ids written "*"."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        here = (*field, "*" if isinstance(node, list) or field[-1:] == ("meets",) else key)
+        yield here, node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key], here)
+
+
+def _base_documents():
+    """The log-terminal corpus and three graphs of other kinds (genus 1, a
+    cycle, a double edge), each with one or two boundary components and
+    nef data: valid input documents, as JSON text (README "Input format")."""
+    others = [
+        build_graph([("E1", 2, 1)], []),
+        build_graph([(f"E{j}", 3, 0) for j in (1, 2, 3)],
+                    [("E1", "E2", 1), ("E2", "E3", 1), ("E3", "E1", 1)]),
+        build_graph([("E1", 3, 0), ("E2", 3, 0)], [("E1", "E2", 2)]),
+    ]
+    docs = []
+    for k, graph in enumerate([g for _, g in base_graphs()] + others):
+        ids = [v.id for v in graph.vertices]
+        boundary = [{"name": "C1", "coeff": "1/2", "meets": {ids[0]: 1}}]
+        if k % 2:
+            boundary.append({"name": "C2", "coeff": 1, "meets": {ids[-1]: 2}})
+        docs.append(json.dumps({
+            "vertices": [{"id": v.id, "weight": v.weight, "genus": v.genus}
+                         for v in graph.vertices],
+            "edges": [[e.a, e.b, e.multiplicity] for e in graph.edges],
+            "boundary": boundary,
+            "nef": {"M2": "2", "minMC": "1/3"},
+        }))
+    return docs
+
+
+@st.composite
+def documents(draw):
+    """(text, edits): a JSON text and how many edits bent it.  An edit
+    swaps a value, adds a key or an entry, drops one, replaces the whole
+    document or cuts the text short.  It first picks a field of the
+    format, then a place where it occurs, so the one `nef.M2` is bent as
+    often as all the vertex weights."""
+    doc = json.loads(draw(st.sampled_from(BASE_DOCUMENTS)))
+    edits = draw(st.sampled_from((1, 1, 1, 2, 3, 0)))
+    cut = False
+    for _ in range(edits):
+        action = draw(st.sampled_from(EDITS))
+        if action == "root":
+            doc = draw(ODD_VALUES)
+            break
+        if action == "cut":
+            cut = True
+            break
+        fields: dict = {}
+        for field, node, key in _slots(doc):
+            fields.setdefault(field, []).append((node, key))
+        node, key = doc, None
+        if fields:
+            node, key = draw(st.sampled_from(fields[draw(st.sampled_from(list(fields)))]))
+        if action == "swap" and key is not None:
+            node[key] = draw(ODD_VALUES)
+        elif action == "drop" and key is not None:
+            del node[key]
+        elif isinstance(node, dict):
+            name = draw(st.sampled_from(("E1", "E99", "x", "id", "weight", "meets", "nef")))
+            node[name] = draw(ODD_VALUES)
+        else:
+            node.insert(key, draw(ODD_VALUES))
+    text = json.dumps(doc).replace(json.dumps(HUGE), "-" * draw(st.booleans()) + "9" * 5000)
+    if cut:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text, edits
+
+
+BASE_DOCUMENTS = _base_documents()
+
+
+@settings(PROFILE, max_examples=300)
+@given(documents())
+def test_any_document_is_a_report_or_an_input_error(case):
+    # parse_input and build_report either return, or refuse the document
+    # with the errors main() turns into exit code 1; never another error.
+    # A document no edit has bent is a valid input and gives a report
+    text, edits = case
+    try:
+        parsed = parse_input(text)
+        build_report(parsed.graph, parsed.boundary, parsed.nef)
+    except (InputError, GraphValidationError, ValueError):
+        assert edits
+
+
+@settings(PROFILE, max_examples=20)
+@given(documents(), st.sampled_from((["analyze"], ["analyze", "--json"], ["check", "--json"])))
+def test_the_cli_exits_with_a_documented_code_on_any_document(tmp_path_factory, case, command):
+    # the module docstring of singinv.cli: exit 0, 1, 2 or 3, an error
+    # message on stderr whenever it is not 0, and never a traceback
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(case[0], encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command[:1], str(path), *command[1:]])
+    assert code in (0, 1, 2, 3)
+    assert (code == 0) == (err.getvalue() == "")
+    if code:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
