@@ -111,12 +111,14 @@ def classify(
     boundary = EMPTY_BOUNDARY if boundary is None else boundary
     if cycles is None:
         cycles = boundary_cycle(graph, boundary)
-    # e_j < 1 (<= 1) exactly when its numerator over det * dq is below it
+    # every e_j < 1 (<= 1) exactly when the largest numerator over
+    # det * dq is below it
     d = cycles.det * cycles.dq
+    top = max(cycles.ye)
     coeffs = [c.coeff for c in boundary.components]
     return Classification(
         kind=singularity_kind(graph),
         shape=graph_shape(graph),
-        log_terminal=all(c < 1 for c in coeffs) and all(e < d for e in cycles.ye),
-        log_canonical=all(c <= 1 for c in coeffs) and all(e <= d for e in cycles.ye),
+        log_terminal=all(c < 1 for c in coeffs) and top < d,
+        log_canonical=all(c <= 1 for c in coeffs) and top <= d,
     )

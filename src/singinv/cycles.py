@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .graph import (
@@ -210,11 +210,11 @@ def least_element(
     x_S = y / (d det N_SS) and x = 0 off S, and det N_SS.  On S,
     w = N(v + x) has numerators nv det(N_SS) + N y over d det(N_SS).
     """
+    if min(v) >= 0 and min(nv) >= 0:  # x = 0 satisfies the KKT conditions
+        return [], [], 1
     n = len(nv)
     entering = [j for j in range(n) if v[j] < 0 or nv[j] < 0]
     support: list[int] = []  # in entry order: each block borders the last
-    if not entering:  # v >= 0 and N v >= 0: x = 0 satisfies the KKT conditions
-        return support, [], 1
     where = [-1] * n  # position in the support, -1 outside it
     links: dict[int, list[tuple[int, int]]] = {}  # j next to S: [(position, N_ij)]
     block: Factor | None = None
@@ -275,8 +275,8 @@ def _fundamental(graph: DualGraph) -> tuple[list[int], list[int]]:
     definite_factor(graph)
     columns = graph.columns
     z = [1] * graph.n
-    # s = N z, summed down the columns of the symmetric N; anti-nef is s >= 0
-    s = [sum(map(itemgetter(1), column)) for column in columns]
+    # s = N z, the column sums of the symmetric N; anti-nef is s >= 0
+    s = [w + o for (_, w, _), o in zip(graph.vertices, graph.off_sums)]
     rounds = 0
     while min(s, default=0) < 0:
         if rounds == _ROUND_CAP:
@@ -360,7 +360,7 @@ def boundary_cycle(graph: DualGraph, boundary: BoundaryData | None = None) -> Cy
             q[j] += scaled * m
     z, s = _fundamental(graph)
     k = canonical_degrees(graph)
-    yk = factor.scaled_solve(k)
+    yk = factor.back_substitute(graph.canonical_forward)
     if meeting:
         yq = factor.scaled_solve(q)
         ye = [dq * a + b for a, b in zip(yk, yq)]

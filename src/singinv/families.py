@@ -16,6 +16,7 @@ def _chain_skeleton(length: int, prefix: str) -> DualGraph:
     ids = tuple(f"{prefix}{k + 1}" for k in range(length))
     skeleton = DualGraph(tuple(Vertex(vid, 2) for vid in ids), tuple(map(Edge, ids, ids[1:])))
     skeleton.branches  # computes index, off_diagonal and connected on the way
+    skeleton.off_sums
     return skeleton
 
 

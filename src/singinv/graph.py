@@ -11,7 +11,9 @@ smooth point.
 N = -(E_i . E_j) is held in one form, its sparse `columns`, summed from
 one walk over the edge list.  Every reader of N goes through them:
 `form_image` gives N v, and `intersection_matrix` spreads them into the
-dense matrix its contract returns.
+dense matrix its contract returns.  The canonical degrees are carried
+through the factor once (`canonical_forward`), and a weight sweep
+shares that prefix as it shares the factor's rows (`reweighted`).
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -218,6 +220,12 @@ class DualGraph(Record):
         return tuple(tuple(column.items()) for column in summed)
 
     @cached_property
+    def off_sums(self) -> tuple[int, ...]:
+        """The sum of the off-diagonal entries of each column of N, so
+        column j sums to w_j + off_sums[j].  It reads no weight."""
+        return tuple(sum(c for _, c in column) for column in self.off_diagonal)
+
+    @cached_property
     def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The nonzeros (i, N_ij) of each column j of N, diagonal first:
         w_j and the neighbours, so a sparse update costs deg(j) + 1.  N is
@@ -270,6 +278,15 @@ class DualGraph(Record):
         solve against N read it."""
         return Factor(self.columns)
 
+    @cached_property
+    def canonical_forward(self) -> tuple[int, ...]:
+        """The canonical degrees k forward-eliminated by the factor
+        (`Factor.carry`): the canonical cycle is one back substitution of
+        it.  Entry j reads only k_0..k_j and the factor's leading block,
+        so a graph reweighted from vertex p on keeps the first p.  Needs
+        N > 0, as every solve does."""
+        return _carry_canonical(self.factor, (), canonical_degrees(self))
+
     def reweighted(self, weights: Sequence[int]) -> "DualGraph":
         """The graph on the same ids, genera and edges with the given
         weights, in vertex order, checked as any new graph is.  Only the
@@ -279,14 +296,17 @@ class DualGraph(Record):
         a copy, what this graph holds and the change leaves as it is:
         - the vertices before p;
         - the weight-free views this graph has computed (``index``,
-          ``off_diagonal``, ``connected``, ``branches``);
+          ``off_diagonal``, ``off_sums``, ``connected``, ``branches``);
         - the ``columns`` of N before p, if computed, with the rest built;
         - the first p rows of the ``factor``, if computed
-          (`Factor.prefix`), bordered by the rows from p on.
+          (`Factor.prefix`), bordered by the rows from p on;
+        - the first p entries of ``canonical_forward``, if computed, with
+          the rest carried (`Factor.carry`), when the new factor is
+          definite.
         So a sweep over weights computes the weight-free views once, and
-        a graph reweighted from its predecessor eliminates only its rows
-        from p on.  A graph that has computed nothing hands on nothing
-        weighted."""
+        a graph reweighted from its predecessor eliminates and carries
+        only its rows from p on.  A graph that has computed nothing hands
+        on nothing weighted."""
         vertices, n = self.vertices, self.n
         if len(weights) != n:
             raise ValueError(f"{len(weights)} weights for {n} vertices")
@@ -311,12 +331,26 @@ class DualGraph(Record):
             if "factor" in cached:
                 factor = shared["factor"] = cached["factor"].prefix(p)
                 factor.border(new)
+                if "canonical_forward" in cached and factor.first_nonpositive is None:
+                    shared["canonical_forward"] = _carry_canonical(
+                        factor, cached["canonical_forward"][:p], canonical_degrees(graph, p)
+                    )
         return graph
 
 
 # the views that read neither weights nor genera: `reweighted` hands them
 # on, so one object may serve many graphs and nothing may write to it
-_WEIGHT_FREE_VIEWS = ("index", "off_diagonal", "connected", "branches")
+_WEIGHT_FREE_VIEWS = ("index", "off_diagonal", "off_sums", "connected", "branches")
+
+
+def _carry_canonical(
+    factor: Factor, prefix: Sequence[int], degrees: Sequence[int]
+) -> tuple[int, ...]:
+    """`prefix`, the forward values of the leading canonical degrees,
+    extended by those of `degrees`, the canonical degrees that follow."""
+    forward = list(prefix)
+    factor.carry(forward, degrees)
+    return tuple(forward)
 
 
 def _columns(vertices: Sequence[Vertex], off_diagonal: Sequence[tuple], start: int = 0):
@@ -422,9 +456,9 @@ def canonical_degree(graph: DualGraph, j: int) -> int:
     return canonical_degrees(graph)[j]
 
 
-def canonical_degrees(graph: DualGraph) -> list[int]:
-    """[K_X . E_j for every j], in vertex order."""
-    return [weight + 2 * genus - 2 for _, weight, genus in graph.vertices]
+def canonical_degrees(graph: DualGraph, start: int = 0) -> list[int]:
+    """[K_X . E_j for every j from `start` on], in vertex order."""
+    return [weight + 2 * genus - 2 for _, weight, genus in graph.vertices[start:]]
 
 
 def solve_exceptional(

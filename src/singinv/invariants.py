@@ -7,9 +7,10 @@ q = dq N b'.  All of them are integer numerators over the denominators
 det N and dq, so the pass stays in integers and builds one fraction per
 reported scalar.  With u = Z - Delta and v = Z - Delta_B, N v =
 s - k - q / dq, so delta_y = u.(s - k) and delta_by = v.(N v) need no
-further matrix product, mu = min_j b'_j / u_j is found by
-cross-multiplication, and the log-terminal tests compare numerators
-with the denominator.
+further matrix product.  Where no boundary meets the fiber, dq = 1 and
+Delta_B = Delta, so v, N v and delta_by are u, N u and delta_y, reused,
+not rebuilt.  mu = min_j b'_j / u_j is found by cross-multiplication,
+and the log-terminal tests compare numerators with the denominator.
 
 delta_min minimizes -(v + x)^2 = (v + x)^T N (v + x) over effective
 exceptional x.  N is a Stieltjes matrix, so the KKT conditions x >= 0,
@@ -135,14 +136,21 @@ def _stationary_on(
 
 
 def _monotone_lcp(
-    graph: DualGraph, v: Sequence[int], nv: Sequence[int], vnv: int, det: int, dq: int
+    graph: DualGraph,
+    v: Sequence[int],
+    nv: Sequence[int],
+    vnv: int,
+    det: int,
+    dq: int,
+    dby: Fraction,
 ) -> DeltaMinResult:
     """min (v + x)^T N (v + x) over x >= 0: x from `least_element`, and the
     objective in one fraction (module docstring).  N v = nv / dq and
-    v.(N v) = vnv / (det dq^2), all integers."""
+    v.(N v) = vnv / (det dq^2), all integers; dby is that quotient, the
+    objective at x = 0."""
     support, y, det_s = least_element(graph.columns, v, nv)
     if not support:  # x = 0 satisfies the KKT conditions
-        return DeltaMinResult(Fraction(vnv, det * dq * dq), frozenset(), (0,) * len(nv), 1)
+        return DeltaMinResult(dby, frozenset(), (0,) * len(nv), 1)
     x_den = dq * det_s
     num = det_s * vnv + det * sum(nv[j] * t for j, t in zip(support, y))
     value = Fraction(num, det * dq * x_den)
@@ -173,13 +181,17 @@ def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
     det, dq = cs.det, cs.dq
     u = [det * z - a for z, a in zip(cs.z, cs.yk)]  # det * (Z - Delta)
     nu = [s - k for s, k in zip(cs.s, cs.k)]  # N (Z - Delta)
-    dy = Fraction(sum(map(mul, u, nu)), det)
-    den = det * dq
-    v = [den * z - e for z, e in zip(cs.z, cs.ye)]  # den * (Z - Delta_B)
-    nv = [dq * a - q for a, q in zip(nu, cs.q)]  # dq * N (Z - Delta_B)
-    vnv = sum(map(mul, v, nv))  # over den * dq
-    dby = Fraction(vnv, den * dq) if any(cs.q) else dy
-    dmin = _monotone_lcp(graph, v, nv, vnv, det, dq)
+    unu = sum(map(mul, u, nu))
+    dy = Fraction(unu, det)
+    if any(cs.q):
+        den = det * dq
+        v = [den * z - e for z, e in zip(cs.z, cs.ye)]  # den * (Z - Delta_B)
+        nv = [dq * a - q for a, q in zip(nu, cs.q)]  # dq * N (Z - Delta_B)
+        vnv = sum(map(mul, v, nv))  # over den * dq
+        dby = Fraction(vnv, den * dq)
+    else:  # no boundary meets the fiber: dq = 1 and Delta_B = Delta
+        v, nv, vnv, dby = u, nu, unu, dy
+    dmin = _monotone_lcp(graph, v, nv, vnv, det, dq, dby)
     log_terminal = cls.log_terminal
     return Analysis(
         cycles=cs,

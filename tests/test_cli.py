@@ -774,17 +774,21 @@ def test_enumerate_json_is_pinned(capsys):
 
 def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     # the default family: 19,530 chains on 6 skeletons, so 6 walks for
-    # connectedness and 6 edge-structure passes; each chain pays only for
-    # its weights, and of its factor only for the rows from its first
-    # weight that differs from the chain before it: 24,405 rows appended
-    # where a fresh factor per chain appends all 112,305.  The whole
-    # document is pinned, as CI pins it
+    # connectedness, 6 edge-structure passes and 6 sums of the columns'
+    # off-diagonal entries; each chain pays only for its weights, and of
+    # its factor and its canonical forward values only for the rows from
+    # its first weight that differs from the chain before it: 24,405 rows
+    # appended and 24,405 canonical degrees carried, where a fresh build
+    # per chain does 112,305 of each.  The whole document is pinned, as
+    # CI pins it
     from singinv import families
+    from singinv import graph as graph_module
     from singinv.graph import DualGraph
     from singinv.linalg import Factor
 
-    appended = 0
+    appended = carried = 0
     real_extend = Factor._extend
+    real_carry = graph_module._carry_canonical
 
     def extend(factor, rows):
         nonlocal appended
@@ -792,10 +796,16 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
         appended += len(rows)
         return real_extend(factor, rows)
 
+    def carry(factor, prefix, degrees):
+        nonlocal carried
+        carried += len(degrees)
+        return real_carry(factor, prefix, degrees)
+
     monkeypatch.setattr(Factor, "_extend", extend)
+    monkeypatch.setattr(graph_module, "_carry_canonical", carry)
 
     calls = {}
-    for view in ("connected", "branches"):
+    for view in ("connected", "branches", "off_sums"):
         prop = DualGraph.__dict__[view]
 
         def counting(graph, real=prop.func, view=view):
@@ -807,8 +817,8 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     code, out, _ = _run(capsys, ["enumerate", "--json"])
     assert code == 0
     assert json.loads(out)["count"] == 19_530
-    assert calls == {"connected": 6, "branches": 6}
-    assert appended == 24_405
+    assert calls == {"connected": 6, "branches": 6, "off_sums": 6}
+    assert appended == carried == 24_405
     expected = (REPO_ROOT / "tests" / "golden" / "enumerate_json_default.sha256").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()
 

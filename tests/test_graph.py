@@ -34,6 +34,7 @@ from singinv.graph import (
     validate,
 )
 from singinv.invariants import Analysis, analyze
+from singinv.linalg import Factor
 
 
 def test_intersection_matrix_single_vertex():
@@ -185,8 +186,8 @@ def test_edge_derived_structure_matches_dense_form():
     assert disconnected == 60
 
 
-WEIGHT_FREE = ("index", "off_diagonal", "connected", "branches")
-WEIGHTED = {"columns", "factor"}
+WEIGHT_FREE = ("index", "off_diagonal", "off_sums", "connected", "branches")
+WEIGHTED = {"columns", "factor", "canonical_forward"}
 
 
 def _outcome(graph):
@@ -206,14 +207,25 @@ def _outcome(graph):
     return out
 
 
-def test_reweighted_equals_a_fresh_build():
+def test_reweighted_equals_a_fresh_build(monkeypatch):
     # the same graph under new weights, built either way, over trees,
     # cyclic, multi-edge, genus > 0 and ADE graphs, each reweighted from
     # the one before as a sweep does.  A graph equals a fresh build view
     # for view.  It shares the weight-free views its source has computed,
     # and of the weighted views only what precedes p, the first changed
-    # weight: the vertices, the columns of N and the factor's rows, and
-    # only if the source has computed them.  No source is written to
+    # weight: the vertices, the columns of N, the factor's rows and the
+    # canonical forward values, and only if the source has computed
+    # them; it forward-eliminates only the canonical degrees from p on,
+    # and only onto a definite factor.  No source is written to
+    carried = []
+    real_carry = Factor.carry
+
+    def carry(factor, forward, b):
+        b = list(b)
+        carried.append(len(b))
+        return real_carry(factor, forward, b)
+
+    monkeypatch.setattr(Factor, "carry", carry)
     rng = random.Random(83)
     sources = [g for _, g in rdp_family()]
     sources += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
@@ -232,6 +244,7 @@ def test_reweighted_equals_a_fresh_build():
             weights = [v.weight for v in graph.vertices[:p]]
             weights += [rng.randint(1, 2 + len(nbrs)) for nbrs in source.off_diagonal[p:]]
             p = next((j for j, v in enumerate(graph.vertices) if v.weight != weights[j]), g.n)
+            carried.clear()
             prev, graph = graph, graph.reweighted(weights)
             fresh = build_graph(
                 [(v.id, w, v.genus) for v, w in zip(g.vertices, weights)], g.edges
@@ -239,19 +252,37 @@ def test_reweighted_equals_a_fresh_build():
             assert graph == fresh
             for view in WEIGHT_FREE:
                 assert graph.__dict__[view] is source.__dict__[view]
-            assert graph.__dict__.keys() >= WEIGHTED
+            definite = fresh.factor.first_nonpositive is None
+            forward = "canonical_forward" in prev.__dict__ and definite
+            held = WEIGHTED if forward else WEIGHTED - {"canonical_forward"}
+            assert graph.__dict__.keys() & WEIGHTED == held
+            assert carried == ([g.n - p] if forward else [])
+            assert graph.off_sums == fresh.off_sums
             assert graph.columns == fresh.columns
             assert factor_state(graph.factor) == factor_state(fresh.factor)
             for mine, theirs in ((graph.vertices, prev.vertices), (graph.columns, prev.columns),
                                  (graph.factor._a, prev.factor._a)):
                 assert all(x is y for x, y in zip(mine[:p], theirs[:p]))
                 assert not any(x is y for x, y in zip(mine[p:], theirs[p:]))
+            if forward:
+                mine, theirs = graph.canonical_forward, prev.canonical_forward
+                assert mine[:p] == theirs[:p]
+                assert all(x is y for x, y in zip(mine[:p], theirs[:p]))
+            if definite:
+                seen.add("carried" if forward else "fresh forward")
+                assert graph.canonical_forward == fresh.canonical_forward
             outcome = _outcome(graph)
             assert outcome == _outcome(fresh)
             seen.add("valid" if isinstance(outcome[0], Analysis) else outcome[0][0])
         assert source.index == index
         assert factor_state(source.factor) == before
-    assert seen == {"valid", NotNegativeDefiniteError, IllegalWeightError}
+    assert seen == {
+        "valid",
+        NotNegativeDefiniteError,
+        IllegalWeightError,
+        "carried",
+        "fresh forward",
+    }
     with pytest.raises(ValueError, match="2 weights for 3 vertices"):
         chain_graph((2, 2, 2)).reweighted((2, 2))
 

@@ -29,6 +29,8 @@ from singinv.cycles import (
     BoundaryData,
     boundary_component,
     boundary_cycle,
+    canonical_cycle,
+    fundamental_cycle,
 )
 from singinv.families import ade_graph, chain_graph, fork_graph, smooth_graph
 from singinv.graph import (
@@ -567,9 +569,21 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "__init__",
         lambda factor, rows: [sorted(r) for r in rows] == n_pairs,
     )
+    # the rounds for Z start from the column sums w + off_sums, summed once
+    count("column sums", graph_module.DualGraph.__dict__["off_sums"], "func")
     count("fundamental cycle", cycles_module, "_fundamental")
+    # the canonical solve: k is forward-eliminated once, into the cached
+    # DualGraph.canonical_forward, and back-substituted once from there;
+    # it is never solved afresh
+    count("canonical carry", graph_module.DualGraph.__dict__["canonical_forward"], "func")
     count(
         "canonical solve",
+        Factor,
+        "back_substitute",
+        lambda factor, forward, *rest: forward is g.__dict__.get("canonical_forward"),
+    )
+    count(
+        "canonical solve afresh",
         Factor,
         "scaled_solve",
         lambda factor, b: list(b) == canonical_degrees(g),
@@ -584,7 +598,9 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         (
             "edge walk",
             "N eliminated",
+            "column sums",
             "fundamental cycle",
+            "canonical carry",
             "canonical solve",
             "boundary pass",
             "delta_min",
@@ -594,7 +610,16 @@ def test_build_report_runs_each_stage_once(monkeypatch):
 
 
 # every view a DualGraph caches: N is held in one form, its sparse columns
-GRAPH_VIEWS = {"index", "off_diagonal", "columns", "connected", "branches", "factor"}
+GRAPH_VIEWS = {
+    "index",
+    "off_diagonal",
+    "off_sums",
+    "columns",
+    "connected",
+    "branches",
+    "factor",
+    "canonical_forward",
+}
 
 
 def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
@@ -627,6 +652,32 @@ def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
     assert cli_module.main(["enumerate", "--max-length", "3", "--forks", "--json"]) == 0
     capsys.readouterr()
     assert len(seen) > 100 and all(views == GRAPH_VIEWS for views in seen)
+
+
+def test_a_boundary_off_the_fiber_reuses_the_boundary_free_pass():
+    # with no boundary, an empty one, or components that miss the fiber
+    # (coefficient 0, or meeting no curve), dq = 1 and Delta_B = Delta:
+    # delta_by and delta_min, which the pass takes from delta_y's vectors,
+    # equal the norm of Z - Delta summed afresh through N, with Delta from
+    # its own solve, and the exhaustive search over every active set
+    rng = random.Random(97)
+    graphs = [g for _, g in base_graphs()]
+    graphs += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 10)]
+    for g in graphs:
+        meets = [rng.choice((0, 1, 2)) for _ in range(g.n)]
+        meets[rng.randrange(g.n)] = 1
+        zero = boundary_component("C1", 0, meets)
+        apart = boundary_component("C2", Fraction(rng.randint(1, 4), 4), [0] * g.n)
+        canonical = canonical_cycle(g)
+        norm = quadratic_norm(g, fundamental_cycle(g) - canonical)
+        for b in (None, EMPTY_BOUNDARY, BoundaryData((zero,)), BoundaryData((apart,)),
+                  BoundaryData((zero, apart))):
+            a = analyze(g, b)
+            assert a.cycles.dq == 1 and a.cycles.boundary_canonical == canonical
+            assert a.delta_by == a.delta_y == norm
+            exhaustive = delta_min_exhaustive(g, b)
+            assert a.delta_min == exhaustive
+            assert a.delta_min.minimizer == exhaustive.minimizer
 
 
 def test_public_helpers_read_the_analysis():

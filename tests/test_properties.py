@@ -1,13 +1,16 @@
 """Property tests on generated graphs: the factor of N's sparse columns
 against the dense elimination, a factor bordered from another's prefix
-against a fresh one along a weight sweep, the `continuant` closed forms
-against the general pass on chains, the delta_min LCP against the
-exhaustive oracle, its KKT certificate beyond the oracle's range, the
-rounds for Z against the step-by-step Laufer loop on stars where Z
-grows, the report's equivariance under a reordering of the vertices,
-the lossless serialisation of every rational the report emits, and
-generated input documents, valid and bent, through `parse_input`,
-`build_report` and the CLI, which end in a report or a documented error.
+and the canonical forward values carried along a weight sweep against
+fresh ones, the `continuant` closed forms against the general pass on
+chains, the delta_min LCP against the exhaustive oracle, its KKT
+certificate beyond the oracle's range, the rounds for Z against the
+step-by-step Laufer loop on stars where Z grows, the report's
+equivariance under a reordering of the vertices, the lossless
+serialisation of every rational the report emits, and generated input
+documents, valid and bent, and every field of the base documents bent by
+each edit kind, through `parse_input`, `build_report` and the CLI, which
+end in a report or a documented error, and generated argument lists
+through the CLI, which end in a documented exit code.
 
 The registered profile is derandomized with a fixed number of examples,
 so every run checks the same graphs and takes the same time."""
@@ -15,11 +18,14 @@ so every run checks the same graphs and takes the same time."""
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +43,7 @@ from singinv.cli import MAX_INTEGER, InputError, main, parse_input
 from singinv.continuant import chain_delta_y, continuant, inverse_entry
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
 from singinv.families import chain_graph, chain_sweep
-from singinv.graph import GraphValidationError, build_graph, validate
+from singinv.graph import GraphValidationError, build_graph, canonical_degrees, validate
 from singinv.invariants import analyze, delta_min_exhaustive
 from singinv.linalg import Factor
 from singinv.report import NefData, build_report, report_to_dict
@@ -132,32 +138,44 @@ def test_factor_of_the_columns_is_the_dense_elimination(graph, data):
     assert (bordered._a, bordered.first_nonpositive, bordered.det) == (lower, bad, factor.det)
 
 
-@PROFILE
-@given(graphs(1, 10, GRAPH_KINDS), st.data())
-def test_a_factor_bordered_from_a_prefix_is_a_fresh_factor(graph, data):
-    # a weight sweep: a graph in a random vertex order under weights drawn
-    # down to 1, so that N is often indefinite with its first nonpositive
-    # minor anywhere, then up to four siblings, each keeping its
-    # predecessor's weights before a drawn p.  The predecessor's factor
-    # cut to p rows and bordered by the sibling's columns from p on is
-    # the sibling's fresh factor, bit for bit, and so is the factor that
-    # `reweighted` hands on; no source changes
-    order = data.draw(st.permutations(range(graph.n)))
+@st.composite
+def weight_sweeps(draw):
+    """(first, [(p, sibling), ...]), every graph built fresh: a graph of
+    any kind in a random vertex order under weights drawn down to 1, so
+    that N is often indefinite with its first nonpositive minor anywhere,
+    then one to four siblings, each keeping its predecessor's weights
+    before a drawn p."""
+    graph = draw(graphs(1, 10, GRAPH_KINDS))
+    order = draw(st.permutations(range(graph.n)))
     vertices = [graph.vertices[j] for j in order]
 
     def drawn(keep):
         weights = [v.weight for v in keep]
         for v in vertices[len(keep):]:
             degree = len(graph.off_diagonal[graph.index[v.id]])
-            weights.append(data.draw(st.integers(1, degree + 2)))
+            weights.append(draw(st.integers(1, degree + 2)))
         return build_graph([v._replace(weight=w) for v, w in zip(vertices, weights)],
                            graph.edges)
 
-    prev = drawn([])
+    first = prev = drawn([])
+    siblings = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(st.integers(0, graph.n))
+        prev = drawn(prev.vertices[:p])
+        siblings.append((p, prev))
+    return first, siblings
+
+
+@PROFILE
+@given(weight_sweeps())
+def test_a_factor_bordered_from_a_prefix_is_a_fresh_factor(sweep):
+    # along a weight sweep, the predecessor's factor cut to p rows and
+    # bordered by the sibling's columns from p on is the sibling's fresh
+    # factor, bit for bit, and so is the factor that `reweighted` hands
+    # on; no source changes
+    prev, siblings = sweep
     states = [(prev.factor, copy.deepcopy(factor_state(prev.factor)))]
-    for _ in range(data.draw(st.integers(1, 4))):
-        p = data.draw(st.integers(0, graph.n))
-        fresh = drawn(prev.vertices[:p])
+    for p, fresh in siblings:
         bordered = prev.factor.prefix(p)
         bordered.border(fresh.columns[p:])
         assert factor_state(bordered) == factor_state(fresh.factor)
@@ -166,6 +184,37 @@ def test_a_factor_bordered_from_a_prefix_is_a_fresh_factor(graph, data):
         states.append((prev.factor, copy.deepcopy(factor_state(prev.factor))))
     for factor, before in states:
         assert factor_state(factor) == before
+
+
+@PROFILE
+@given(weight_sweeps(), st.data())
+def test_the_canonical_forward_values_reweighted_are_a_fresh_carry(sweep, data):
+    # along a weight sweep whose graphs have genus > 0 vertices among
+    # their kinds, and whose predecessor's factor is definite or has its
+    # first nonpositive minor before, at or past p: a graph with a
+    # definite factor, reweighted from one that has read its canonical
+    # forward values, holds its predecessor's first p of them with the
+    # rest carried, and reads the same as a fresh carry of its canonical
+    # degrees by its fresh factor.  One with an indefinite factor holds
+    # none, and reading them raises, as on a fresh build
+    prev, siblings = sweep
+    for p, fresh in siblings:
+        if prev.factor.first_nonpositive is None and data.draw(st.booleans()):
+            prev.canonical_forward
+        graph = prev.reweighted([v.weight for v in fresh.vertices])
+        definite = fresh.factor.first_nonpositive is None
+        held = "canonical_forward" in prev.__dict__ and definite
+        assert ("canonical_forward" in graph.__dict__) == held
+        if held:
+            assert graph.canonical_forward[:p] == prev.canonical_forward[:p]
+        if definite:
+            forward = []
+            fresh.factor.carry(forward, canonical_degrees(fresh))
+            assert graph.canonical_forward == tuple(forward)
+        else:
+            with pytest.raises(ValueError, match="not positive definite"):
+                graph.canonical_forward
+        prev = graph
 
 
 def _assert_closed_forms(weights, graph):
@@ -521,3 +570,125 @@ def test_the_cli_exits_with_a_documented_code_on_any_document(tmp_path_factory, 
     assert (code == 0) == (err.getvalue() == "")
     if code:
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
+SWAPS = (None, True, 0.5, math.nan, -1, 0, 2, MAX_INTEGER + 1, HUGE, "1/0", "2/3", "x", [], {})
+
+
+def test_every_edit_at_every_field_is_a_report_or_an_input_error():
+    # the fuzz above reaches only the fields its derandomized draws pick;
+    # this sweep bends every field of every base document, at the first
+    # place it occurs, by each edit kind: a swap for each value in SWAPS,
+    # an unknown key added next to it or an entry inserted before it
+    # (None, or a copy of it), and a drop.  Every result is a report or
+    # one of the errors main() turns into exit code 1
+    edits = [("swap", value) for value in SWAPS] + [("add", None), ("add", "copy"), ("drop", None)]
+    reached = 0
+    for text in BASE_DOCUMENTS:
+        first: dict = {}
+        for k, (field, _, _) in enumerate(_slots(json.loads(text))):
+            first.setdefault(field, k)
+        for k in first.values():
+            for action, value in edits:
+                doc = json.loads(text)
+                _, node, key = next(itertools.islice(_slots(doc), k, None))
+                if action == "swap":
+                    node[key] = value
+                elif action == "drop":
+                    del node[key]
+                elif isinstance(node, dict):
+                    node["x" if value is None else "E99"] = 1
+                else:
+                    node.insert(key, None if value is None else copy.deepcopy(node[key]))
+                bent = json.dumps(doc).replace(json.dumps(HUGE), "9" * 5000)
+                try:
+                    parsed = parse_input(bent)
+                    build_report(parsed.graph, parsed.boundary, parsed.nef)
+                except (InputError, GraphValidationError, ValueError):
+                    pass
+                reached += 1
+    assert reached == 17 * 553  # 553 fields over the 33 base documents
+
+
+SAMPLES = sorted(str(p) for p in (Path(__file__).resolve().parent.parent / "samples").glob("*.json"))
+# (values a flag takes, its edge cases); an enumerate family stays small:
+# a length above 2 is refused by the vertex cap, and a weight above 6 by
+# the row limit
+HARD_NUMBERS = ("0", "-1", "1/0", "2/4", "", "x", "1e3", " 2", str(MAX_INTEGER + 1), "9" * 5000)
+FLAG_VALUES = {
+    "--epsilon": (("1/1000", "1", "1/2", "3", str(MAX_INTEGER)), HARD_NUMBERS),
+    "--inverse": (("1", "2", "3"), HARD_NUMBERS),
+    "--max-length": (("0", "1", "2"), ("-1", "101", *HARD_NUMBERS)),
+    "--max-weight": (("2", "3", "6", str(MAX_INTEGER)), ("1", *HARD_NUMBERS)),
+    "--limit": (("5", "100000"), ("-1", *HARD_NUMBERS)),
+    "--meets": (("1", "0", "1,0", "2,1/3", "1,0,1", "0,1/2,2"),
+                ("1,0,0,0", "-1,0,0", "1/0,1,1", "2,,3", *HARD_NUMBERS)),
+    "weights": (("2,3,5", "2", "7,1000000", ",".join([str(MAX_INTEGER)] * 100)),
+                ("1,1", "-1,2", "2,x", "2/3", "2,,3", ",".join(["2"] * 101), *HARD_NUMBERS)),
+}
+COMMANDS = {  # positional argument, flags
+    "analyze": ("file", ("--json", "--oracle", "--epsilon")),
+    "check": ("file", ("--json", "--epsilon")),
+    "enumerate": (None, ("--json", "--forks", "--max-length", "--max-weight", "--limit")),
+    "continuant": ("weights", ("--json", "--inverse")),
+    "pullback": ("file", ("--json", "--meets")),
+}
+
+
+@st.composite
+def argvs(draw, files):
+    """An argument list for `main`: a subcommand, or none or an unknown
+    one, then its flags in a random order, each present or not, with
+    values taken mostly from what the flag accepts and otherwise from its
+    edge cases; a value or the required argument left out at times, and
+    an extra argument added at times."""
+
+    def value(name):
+        good, bad = FLAG_VALUES[name]
+        return draw(st.sampled_from(bad if not draw(st.integers(0, 2)) else good))
+
+    command = draw(st.sampled_from([*COMMANDS, "bogus", "--help", "-h", "--json"]))
+    argv = [command]
+    if command in COMMANDS:
+        positional, flags = COMMANDS[command]
+        groups = []
+        if positional is not None and draw(st.integers(0, 7)):  # else left out
+            groups.append([draw(st.sampled_from(files)) if positional == "file"
+                           else value(positional)])
+        for flag in flags:
+            # enumerate's default family is large: its length is always
+            # given; --meets, which pullback needs, is left out at times
+            required = flag == "--max-length" or flag == "--meets" and draw(st.integers(0, 7))
+            if required or draw(st.booleans()):
+                arity = 2 if flag == "--inverse" else flag in FLAG_VALUES
+                if arity and not draw(st.integers(0, 7)):
+                    arity -= 1  # a value left out
+                groups.append([flag, *(value(flag) for _ in range(arity))])
+        for group in draw(st.permutations(groups)):
+            argv += group
+    if not draw(st.integers(0, 7)):
+        extra = ("extra", "--bogus", "-x", "--json", "--", "-1", *files)
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(extra)))
+    return argv
+
+
+@settings(PROFILE, max_examples=200)
+@given(st.data())
+def test_the_cli_exits_with_a_documented_code_on_any_argv(tmp_path_factory, data):
+    # the module docstring of singinv.cli on generated argument lists:
+    # exit 0, 1, 2 or 3, an error line on stderr exactly when it is not
+    # 0, and never a traceback (main would raise)
+    tmp = tmp_path_factory.getbasetemp()
+    garbage, nef = tmp / "garbage.json", tmp / "nef.json"
+    garbage.write_text('{"vertices": [', encoding="utf-8")
+    nef.write_text(BASE_DOCUMENTS[2], encoding="utf-8")  # with a boundary and nef data
+    files = [*SAMPLES, str(nef), str(tmp / "missing.json"), str(tmp), str(garbage)]
+    argv = data.draw(argvs(files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    errors = [line for line in err.getvalue().splitlines()
+              if re.match(r"(singinv( \w+)?: )?error: ", line)]
+    assert bool(errors) == (code != 0), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
