@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .continuant import continuant
 from .cycles import EMPTY_BOUNDARY, BoundaryData, CycleSet, boundary_cycle
-from .graph import DualGraph, ExcDivisor
+from .graph import DualGraph, ExcDivisor, canonical_degrees
 
 
 class SingularityKind(enum.Enum):
@@ -68,11 +68,17 @@ def is_log_canonical(boundary: BoundaryData, e: ExcDivisor) -> bool:
 
 
 def singularity_kind(graph: DualGraph) -> SingularityKind:
-    first = graph.vertices[0]
-    if graph.n == 1 and first.weight == 1 and first.genus == 0:
+    return _kind(tuple(canonical_degrees(graph)))
+
+
+def _kind(k: tuple[int, ...]) -> SingularityKind:
+    """The kind read off the canonical degrees k_j = w_j + 2 g_j - 2.
+    Every w_j >= 1, so k = (-1,) is the single weight-1 genus-0 curve,
+    and k_j = 0 only for w_j = 2 and g_j = 0: k = 0 is the all-(-2)
+    genus-0 graph, whose canonical cycle vanishes."""
+    if k == (-1,):
         return SingularityKind.SMOOTH
-    if all(weight == 2 and genus == 0 for _, weight, genus in graph.vertices):
-        # equivalent to a vanishing canonical cycle
+    if not any(k):
         return SingularityKind.RDP
     return SingularityKind.SINGULAR
 
@@ -115,10 +121,14 @@ def classify(
     # det * dq is below it
     d = cycles.det * cycles.dq
     top = max(cycles.ye)
-    coeffs = [c.coeff for c in boundary.components]
+    log_terminal, log_canonical = top < d, top <= d
+    if boundary.components:
+        coeffs = [c.coeff for c in boundary.components]
+        log_terminal = log_terminal and all(c < 1 for c in coeffs)
+        log_canonical = log_canonical and all(c <= 1 for c in coeffs)
     return Classification(
-        kind=singularity_kind(graph),
+        kind=_kind(cycles.k),
         shape=graph_shape(graph),
-        log_terminal=all(c < 1 for c in coeffs) and top < d,
-        log_canonical=all(c <= 1 for c in coeffs) and top <= d,
+        log_terminal=log_terminal,
+        log_canonical=log_canonical,
     )

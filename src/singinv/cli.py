@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classify import SingularityKind
+from .classify import ShapeKind, SingularityKind
 from .continuant import continuant, inverse_entry
 from .cycles import BoundaryData, boundary_component, exceptional_pullback
 from .graph import DualGraph, GraphValidationError, build_graph, validate
@@ -303,6 +303,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         write('{\n  "rows": [')
     else:
         print(f"{'label':<28} {'shape':<12} {'kind':<9} {'lt':<3} {'delta_y':<10} delta_min")
+    shapes = {member: member.value for member in ShapeKind}
+    kinds = {member: member.value for member in SingularityKind}
     count = 0
     failures = []
     for label, graph in itertools.chain(chains, forks):
@@ -313,12 +315,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             ok, rule = dy == 4, "smooth point must have delta_y = 4"
         elif cls.kind is SingularityKind.RDP:
             ok, rule = dy == 2, "RDP must have delta_y = 2"
-        else:
-            ok = not cls.log_terminal or 0 < dy < 2
+        else:  # 0 < dy < 2 in integers: a Fraction's denominator is positive
+            ok = not cls.log_terminal or 0 < dy.numerator < 2 * dy.denominator
             rule = "log-terminal point must have 0 < delta_y < 2"
         if not ok:
             failures.append(f"{label}: {rule}, got {dy}")
-        shape, kind, lt = cls.shape.kind.value, cls.kind.value, cls.log_terminal
+        shape, kind, lt = shapes[cls.shape.kind], kinds[cls.kind], cls.log_terminal
         delta_y, delta_min = fraction_str(dy), fraction_str(a.delta_min.value)
         if args.json:
             write(

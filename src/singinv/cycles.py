@@ -123,8 +123,9 @@ class CycleSet(Record):
     integer numerators over one denominator: ``det`` = det N and ``dq``,
     a common denominator of the boundary counts.  ``s``, ``k`` and ``q``
     are the images N Z, N Delta and dq * N b', which the rounds for Z
-    and the input give for free.  The ExcDivisor views are built on
-    first read; ``boundary_canonical`` always equals ``canonical +
+    and the input give for free; ``k`` is the graph's own
+    ``DualGraph.canonical``, not a copy.  The ExcDivisor views are built
+    on first read; ``boundary_canonical`` always equals ``canonical +
     boundary_part`` componentwise (e_j = a_j + b'_j).
     """
 
@@ -166,10 +167,6 @@ class CycleSet(Record):
         zk = sum(map(mul, self.z, self.k))
         zz = -sum(map(mul, self.z, self.s))
         return Fraction(zk + zz + 2, 2)
-
-    @cached_property
-    def boundary_image(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.dq) for v in self.q)
 
 
 def check_boundary(graph: DualGraph, boundary: BoundaryData) -> None:
@@ -359,7 +356,6 @@ def boundary_cycle(graph: DualGraph, boundary: BoundaryData | None = None) -> Cy
         for j, m in enumerate(c.meets):
             q[j] += scaled * m
     z, s = _fundamental(graph)
-    k = canonical_degrees(graph)
     yk = factor.back_substitute(graph.canonical_forward)
     if meeting:
         yq = factor.scaled_solve(q)
@@ -369,7 +365,7 @@ def boundary_cycle(graph: DualGraph, boundary: BoundaryData | None = None) -> Cy
     return CycleSet(
         z=tuple(z),
         s=tuple(s),
-        k=tuple(k),
+        k=graph.canonical,
         q=tuple(q),
         det=factor.det,
         dq=dq,

@@ -75,26 +75,6 @@ def rdp_family() -> list[tuple[str, DualGraph]]:
     return out
 
 
-def log_terminal_forks() -> list[tuple[str, DualGraph]]:
-    """Quotient-singularity forks that are log-terminal but not RDPs.
-
-    Dihedral shapes (two single weight-2 arms) with assorted weights on
-    the center and tail, plus forks with arm determinants (2,3,3),
-    (2,3,4) and (2,3,5) realized by non-uniform weights.
-    """
-    samples = [
-        ("D-fork center 3", fork_graph(3, [(2,), (2,), (2,)])),
-        ("D-fork center 5", fork_graph(5, [(2,), (2,), (2,)])),
-        ("D-fork tail (3,2)", fork_graph(2, [(2,), (2,), (3, 2)])),
-        ("D-fork tail (2,4)", fork_graph(3, [(2,), (2,), (2, 4)])),
-        ("E-fork dets (2,3,3)", fork_graph(2, [(2,), (3,), (3,)])),
-        ("E-fork dets (2,3,4)", fork_graph(2, [(2,), (3,), (4,)])),
-        ("E-fork dets (2,3,5)", fork_graph(2, [(2,), (3,), (5,)])),
-        ("E-fork dets (2,3,5) long arm", fork_graph(2, [(2,), (3,), (3, 2)])),
-    ]
-    return samples
-
-
 def iter_chain_weights(
     max_length: int, max_weight: int
 ) -> Iterator[tuple[int, ...]]:

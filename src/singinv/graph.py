@@ -11,9 +11,10 @@ smooth point.
 N = -(E_i . E_j) is held in one form, its sparse `columns`, summed from
 one walk over the edge list.  Every reader of N goes through them:
 `form_image` gives N v, and `intersection_matrix` spreads them into the
-dense matrix its contract returns.  The canonical degrees are carried
-through the factor once (`canonical_forward`), and a weight sweep
-shares that prefix as it shares the factor's rows (`reweighted`).
+dense matrix its contract returns.  The canonical degrees are computed
+once (`canonical`) and carried through the factor once
+(`canonical_forward`), and a weight sweep shares the prefix of both as
+it shares the factor's rows (`reweighted`).
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -163,12 +164,13 @@ class ExcDivisor(Record):
 
 
 class DualGraph(Record):
-    """The vertices and edges, checked on construction; the views below
-    are computed on first read and cached."""
+    """The vertices and edges, checked on construction, and their count
+    ``n``; the views below are computed on first read and cached."""
 
     _fields = ("vertices", "edges")
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
+    n: int
 
     def __init__(self, vertices, edges) -> None:
         if not vertices:
@@ -196,11 +198,7 @@ class DualGraph(Record):
                     f"edge ({a!r}, {b!r}): multiplicity must be a positive integer, "
                     f"got {multiplicity!r}"
                 )
-        self.__dict__.update(vertices=vertices, edges=edges)
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
+        self.__dict__.update(vertices=vertices, edges=edges, n=len(vertices))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -279,13 +277,20 @@ class DualGraph(Record):
         return Factor(self.columns)
 
     @cached_property
+    def canonical(self) -> tuple[int, ...]:
+        """The canonical degrees k_j = K_X . E_j (`canonical_degrees`).
+        Entry j reads only vertex j, so a graph reweighted from vertex p
+        on keeps the first p."""
+        return tuple(canonical_degrees(self))
+
+    @cached_property
     def canonical_forward(self) -> tuple[int, ...]:
         """The canonical degrees k forward-eliminated by the factor
         (`Factor.carry`): the canonical cycle is one back substitution of
         it.  Entry j reads only k_0..k_j and the factor's leading block,
         so a graph reweighted from vertex p on keeps the first p.  Needs
         N > 0, as every solve does."""
-        return _carry_canonical(self.factor, (), canonical_degrees(self))
+        return _carry_canonical(self.factor, (), self.canonical)
 
     def reweighted(self, weights: Sequence[int]) -> "DualGraph":
         """The graph on the same ids, genera and edges with the given
@@ -298,11 +303,13 @@ class DualGraph(Record):
         - the weight-free views this graph has computed (``index``,
           ``off_diagonal``, ``off_sums``, ``connected``, ``branches``);
         - the ``columns`` of N before p, if computed, with the rest built;
+        - the first p entries of ``canonical``, if computed, with the
+          rest computed;
         - the first p rows of the ``factor``, if computed
           (`Factor.prefix`), bordered by the rows from p on;
         - the first p entries of ``canonical_forward``, if computed, with
-          the rest carried (`Factor.carry`), when the new factor is
-          definite.
+          the rest carried (`Factor.carry`) from those of ``canonical``,
+          when the new factor is definite.
         So a sweep over weights computes the weight-free views once, and
         a graph reweighted from its predecessor eliminates and carries
         only its rows from p on.  A graph that has computed nothing hands
@@ -322,18 +329,22 @@ class DualGraph(Record):
             changed.append(Vertex(vid, weights[j], genus))
         graph = DualGraph.__new__(DualGraph)
         shared = graph.__dict__
-        shared.update(vertices=vertices[:p] + tuple(changed), edges=self.edges)
+        shared.update(vertices=vertices[:p] + tuple(changed), edges=self.edges, n=n)
         cached = self.__dict__
         shared.update({k: cached[k] for k in _WEIGHT_FREE_VIEWS if k in cached})
+        if "canonical" in cached:
+            tail = tuple(canonical_degrees(graph, p))
+            shared["canonical"] = cached["canonical"][:p] + tail
         if "columns" in cached:
             new = _columns(changed, cached["off_diagonal"], p)
             shared["columns"] = cached["columns"][:p] + new
             if "factor" in cached:
                 factor = shared["factor"] = cached["factor"].prefix(p)
                 factor.border(new)
+                # canonical_forward reads canonical, so `tail` is set
                 if "canonical_forward" in cached and factor.first_nonpositive is None:
                     shared["canonical_forward"] = _carry_canonical(
-                        factor, cached["canonical_forward"][:p], canonical_degrees(graph, p)
+                        factor, cached["canonical_forward"][:p], tail
                     )
         return graph
 

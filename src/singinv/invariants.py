@@ -9,8 +9,9 @@ reported scalar.  With u = Z - Delta and v = Z - Delta_B, N v =
 s - k - q / dq, so delta_y = u.(s - k) and delta_by = v.(N v) need no
 further matrix product.  Where no boundary meets the fiber, dq = 1 and
 Delta_B = Delta, so v, N v and delta_by are u, N u and delta_y, reused,
-not rebuilt.  mu = min_j b'_j / u_j is found by cross-multiplication,
-and the log-terminal tests compare numerators with the denominator.
+not rebuilt, and b' = 0, so mu = 0.  Otherwise mu = min_j b'_j / u_j
+is found by cross-multiplication.  The log-terminal tests compare
+numerators with the denominator.
 
 delta_min minimizes -(v + x)^2 = (v + x)^T N (v + x) over effective
 exceptional x.  N is a Stieltjes matrix, so the KKT conditions x >= 0,
@@ -41,6 +42,8 @@ from .graph import DualGraph, ExcDivisor, Record, exact_fraction, form_image
 from .linalg import clear_denominators, solve
 
 DEFAULT_EPSILON = Fraction(1, 1000)
+
+_ZERO = Fraction(0)  # immutable, so one serves every analysis
 
 EXHAUSTIVE_LIMIT = 16
 
@@ -183,24 +186,26 @@ def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
     nu = [s - k for s, k in zip(cs.s, cs.k)]  # N (Z - Delta)
     unu = sum(map(mul, u, nu))
     dy = Fraction(unu, det)
+    log_terminal = cls.log_terminal
     if any(cs.q):
         den = det * dq
         v = [den * z - e for z, e in zip(cs.z, cs.ye)]  # den * (Z - Delta_B)
         nv = [dq * a - q for a, q in zip(nu, cs.q)]  # dq * N (Z - Delta_B)
         vnv = sum(map(mul, v, nv))  # over den * dq
         dby = Fraction(vnv, den * dq)
-    else:  # no boundary meets the fiber: dq = 1 and Delta_B = Delta
+        mu_value = _mu(cs, u) if log_terminal else None
+    else:  # no boundary meets the fiber: dq = 1, Delta_B = Delta and b' = 0
         v, nv, vnv, dby = u, nu, unu, dy
+        mu_value = _ZERO if log_terminal else None
     dmin = _monotone_lcp(graph, v, nv, vnv, det, dq, dby)
-    log_terminal = cls.log_terminal
     return Analysis(
         cycles=cs,
         classification=cls,
         delta_y=dy,
         delta_by=dby,
         delta_min=dmin,
-        mu=_mu(cs, u) if log_terminal else None,
-        delta=dmin.value if log_terminal else Fraction(0),
+        mu=mu_value,
+        delta=dmin.value if log_terminal else _ZERO,
     )
 
 

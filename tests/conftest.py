@@ -6,15 +6,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from singinv.classify import GraphShape, ShapeKind, is_log_canonical, is_log_terminal
+from singinv.classify import (
+    GraphShape,
+    ShapeKind,
+    SingularityKind,
+    is_log_canonical,
+    is_log_terminal,
+)
 from singinv.continuant import continuant
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
-from singinv.families import (
-    chain_graph,
-    log_terminal_forks,
-    rdp_family,
-    smooth_graph,
-)
+from singinv.families import chain_graph, fork_graph, rdp_family, smooth_graph
 from singinv.graph import build_graph, validate
 from singinv.invariants import quadratic_norm
 
@@ -193,6 +194,19 @@ def dense_graph_shape(graph):
     return GraphShape(ShapeKind.OTHER)
 
 
+def scanned_kind(graph):
+    """Reference `singinv.classify.singularity_kind`, by a scan of the
+    vertices: the single weight-1 genus-0 curve is smooth, an all-(-2)
+    genus-0 graph is an RDP.  Independent of the canonical degrees that
+    the library reads the kind from."""
+    first = graph.vertices[0]
+    if graph.n == 1 and first.weight == 1 and first.genus == 0:
+        return SingularityKind.SMOOTH
+    if all(weight == 2 and genus == 0 for _, weight, genus in graph.vertices):
+        return SingularityKind.RDP
+    return SingularityKind.SINGULAR
+
+
 def assert_kkt(graph, boundary, result):
     """The delta_min certificate, in fractions with a dense product:
     x >= 0, w = N(v + x) >= 0, x.w = 0, and the value is the objective.
@@ -213,6 +227,25 @@ def assert_kkt(graph, boundary, result):
 def random_chain_weights(rng: random.Random, max_length=10, max_weight=9):
     length = rng.randint(1, max_length)
     return tuple(rng.randint(2, max_weight) for _ in range(length))
+
+
+def log_terminal_forks():
+    """Quotient-singularity forks that are log-terminal but not RDPs.
+
+    Dihedral shapes (two single weight-2 arms) with assorted weights on
+    the center and tail, plus forks with arm determinants (2,3,3),
+    (2,3,4) and (2,3,5) realized by non-uniform weights.
+    """
+    return [
+        ("D-fork center 3", fork_graph(3, [(2,), (2,), (2,)])),
+        ("D-fork center 5", fork_graph(5, [(2,), (2,), (2,)])),
+        ("D-fork tail (3,2)", fork_graph(2, [(2,), (2,), (3, 2)])),
+        ("D-fork tail (2,4)", fork_graph(3, [(2,), (2,), (2, 4)])),
+        ("E-fork dets (2,3,3)", fork_graph(2, [(2,), (3,), (3,)])),
+        ("E-fork dets (2,3,4)", fork_graph(2, [(2,), (3,), (4,)])),
+        ("E-fork dets (2,3,5)", fork_graph(2, [(2,), (3,), (5,)])),
+        ("E-fork dets (2,3,5) long arm", fork_graph(2, [(2,), (3,), (3, 2)])),
+    ]
 
 
 def base_graphs():

@@ -14,6 +14,7 @@ from pathlib import Path
 from conftest import (
     base_graphs,
     cofactor_determinant,
+    log_terminal_forks,
     matvec,
     random_boundary,
     random_chain_weights,
@@ -38,7 +39,6 @@ from singinv.cycles import (
 from singinv.families import (
     chain_graph,
     iter_chain_weights,
-    log_terminal_forks,
     rdp_family,
     smooth_graph,
 )

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+from conftest import GRAPH_KINDS, base_graphs, random_graph, scanned_kind
 from singinv.classify import (
     ShapeKind,
     SingularityKind,
@@ -43,6 +45,28 @@ def test_singularity_kind():
     assert singularity_kind(build_graph([("E1", 2)])) is SingularityKind.RDP
     # positive genus is never an RDP here
     assert singularity_kind(build_graph([("E1", 2, 1)])) is SingularityKind.SINGULAR
+
+
+def test_the_kind_read_off_the_canonical_degrees_is_the_vertex_scan():
+    # classify reads the kind off k = w + 2g - 2, the cycle set's
+    # canonical degrees, and singularity_kind off a fresh list of them:
+    # both equal the scan of the weights and genera, on the log-terminal
+    # corpus, random graphs of every kind (genus > 0 among them), the
+    # weight-1 smooth graph, and single curves and a chain that look
+    # like it or like an RDP but are neither
+    rng = random.Random(22)
+    graphs = [g for _, g in base_graphs()]
+    graphs += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
+    graphs += [smooth_graph(), build_graph([("E1", 1, 1)]), build_graph([("E1", 2, 1)])]
+    graphs += [build_graph([("E1", 1), ("E2", 2)], [("E1", "E2")])]
+    seen = set()
+    for g in graphs:
+        kind = scanned_kind(g)
+        assert singularity_kind(g) is kind
+        assert classify(g).kind is kind
+        assert boundary_cycle(g).k == g.canonical
+        seen.add(kind)
+    assert seen == set(SingularityKind)
 
 
 def test_graph_shape_chains():

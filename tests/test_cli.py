@@ -558,6 +558,36 @@ def test_enumerate_json_detects_violations(monkeypatch, capsys):
     assert doc["rows"][3]["delta_y"] == "99"
 
 
+def test_enumerate_checks_the_log_terminal_band_exactly(monkeypatch, capsys):
+    # the row check 0 < delta_y < 2, taken in integers, reports a
+    # log-terminal row at either bound, below 0 or just above 2, and
+    # passes one just inside either bound
+    import singinv.cli as cli_module
+
+    real = cli_module.analyze
+    argv = ["enumerate", "--max-length", "1", "--max-weight", "3", "--json"]
+    for text, reported in (("0", True), ("2", True), ("-1/3", True), ("201/100", True),
+                           ("1/1000", False), ("199/100", False)):
+        value = Fraction(text)
+
+        def analyze(graph):
+            a = real(graph)
+            if [v.weight for v in graph.vertices] == [3]:
+                assert a.classification.log_terminal
+                return a._replace(delta_y=value)
+            return a
+
+        monkeypatch.setattr(cli_module, "analyze", analyze)
+        code, out, err = _run(capsys, argv)
+        doc = json.loads(out)
+        assert doc["rows"][1]["delta_y"] == text
+        failure = f"chain(3): log-terminal point must have 0 < delta_y < 2, got {text}"
+        if reported:
+            assert (code, doc["failures"], err) == (2, [failure], f"assertion failed: {failure}\n")
+        else:
+            assert (code, doc["failures"], err) == (0, [], "")
+
+
 def test_enumerate_bad_max_weight_prints_nothing(capsys):
     # the weight check runs when the first chain is drawn; rows are
     # written as they come, so it must still come before any output
@@ -776,19 +806,20 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     # the default family: 19,530 chains on 6 skeletons, so 6 walks for
     # connectedness, 6 edge-structure passes and 6 sums of the columns'
     # off-diagonal entries; each chain pays only for its weights, and of
-    # its factor and its canonical forward values only for the rows from
-    # its first weight that differs from the chain before it: 24,405 rows
-    # appended and 24,405 canonical degrees carried, where a fresh build
-    # per chain does 112,305 of each.  The whole document is pinned, as
-    # CI pins it
+    # its factor, its canonical degrees and their forward values only for
+    # the rows from its first weight that differs from the chain before
+    # it: 24,405 rows appended, 24,405 canonical degrees computed and
+    # 24,405 carried, where a fresh build per chain does 112,305 of each.
+    # The whole document is pinned, as CI pins it
     from singinv import families
     from singinv import graph as graph_module
     from singinv.graph import DualGraph
     from singinv.linalg import Factor
 
-    appended = carried = 0
+    appended = carried = computed = 0
     real_extend = Factor._extend
     real_carry = graph_module._carry_canonical
+    real_degrees = graph_module.canonical_degrees
 
     def extend(factor, rows):
         nonlocal appended
@@ -801,8 +832,15 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
         carried += len(degrees)
         return real_carry(factor, prefix, degrees)
 
+    def degrees(graph, start=0):
+        nonlocal computed
+        out = real_degrees(graph, start)
+        computed += len(out)
+        return out
+
     monkeypatch.setattr(Factor, "_extend", extend)
     monkeypatch.setattr(graph_module, "_carry_canonical", carry)
+    monkeypatch.setattr(graph_module, "canonical_degrees", degrees)
 
     calls = {}
     for view in ("connected", "branches", "off_sums"):
@@ -818,7 +856,7 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["count"] == 19_530
     assert calls == {"connected": 6, "branches": 6, "off_sums": 6}
-    assert appended == carried == 24_405
+    assert appended == computed == carried == 24_405
     expected = (REPO_ROOT / "tests" / "golden" / "enumerate_json_default.sha256").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()
 

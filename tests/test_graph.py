@@ -187,7 +187,7 @@ def test_edge_derived_structure_matches_dense_form():
 
 
 WEIGHT_FREE = ("index", "off_diagonal", "off_sums", "connected", "branches")
-WEIGHTED = {"columns", "factor", "canonical_forward"}
+WEIGHTED = {"canonical", "columns", "factor", "canonical_forward"}
 
 
 def _outcome(graph):
@@ -211,28 +211,39 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
     # the same graph under new weights, built either way, over trees,
     # cyclic, multi-edge, genus > 0 and ADE graphs, each reweighted from
     # the one before as a sweep does.  A graph equals a fresh build view
-    # for view.  It shares the weight-free views its source has computed,
-    # and of the weighted views only what precedes p, the first changed
-    # weight: the vertices, the columns of N, the factor's rows and the
-    # canonical forward values, and only if the source has computed
-    # them; it forward-eliminates only the canonical degrees from p on,
-    # and only onto a definite factor.  No source is written to
-    carried = []
+    # for view, and holds its vertex count n from the start.  It shares
+    # the weight-free views its source has computed, and of the weighted
+    # views only what precedes p, the first changed weight: the
+    # vertices, the canonical degrees, the columns of N, the factor's
+    # rows and the canonical forward values, and only if the source has
+    # computed them; it computes the canonical degrees only from p on,
+    # and forward-eliminates them only onto a definite factor.  No source
+    # is written to
+    import singinv.graph as graph_module
+
+    carried, computed = [], []
     real_carry = Factor.carry
+    real_degrees = graph_module.canonical_degrees
 
     def carry(factor, forward, b):
         b = list(b)
         carried.append(len(b))
         return real_carry(factor, forward, b)
 
+    def degrees(graph, start=0):
+        computed.append((start, graph.n - start))
+        return real_degrees(graph, start)
+
     monkeypatch.setattr(Factor, "carry", carry)
+    monkeypatch.setattr(graph_module, "canonical_degrees", degrees)
     rng = random.Random(83)
     sources = [g for _, g in rdp_family()]
     sources += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
     seen = set()
     for g in sources:
         source = DualGraph(g.vertices, g.edges)
-        assert source.reweighted(range(1, g.n + 1)).__dict__.keys() == {"vertices", "edges"}
+        bare = source.reweighted(range(1, g.n + 1))
+        assert bare.__dict__.keys() == {"vertices", "edges", "n"} and bare.n == g.n
         source.branches
         assert not source.reweighted(range(1, g.n + 1)).__dict__.keys() & WEIGHTED
         for view in (*WEIGHT_FREE, *WEIGHTED):
@@ -245,11 +256,13 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
             weights += [rng.randint(1, 2 + len(nbrs)) for nbrs in source.off_diagonal[p:]]
             p = next((j for j, v in enumerate(graph.vertices) if v.weight != weights[j]), g.n)
             carried.clear()
+            computed.clear()
             prev, graph = graph, graph.reweighted(weights)
+            assert computed == [(p, g.n - p)]
             fresh = build_graph(
                 [(v.id, w, v.genus) for v, w in zip(g.vertices, weights)], g.edges
             )
-            assert graph == fresh
+            assert graph == fresh and graph.n == fresh.n == g.n
             for view in WEIGHT_FREE:
                 assert graph.__dict__[view] is source.__dict__[view]
             definite = fresh.factor.first_nonpositive is None
@@ -258,6 +271,8 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
             assert graph.__dict__.keys() & WEIGHTED == held
             assert carried == ([g.n - p] if forward else [])
             assert graph.off_sums == fresh.off_sums
+            assert graph.canonical == tuple(real_degrees(fresh))
+            assert graph.canonical[:p] == prev.canonical[:p]
             assert graph.columns == fresh.columns
             assert factor_state(graph.factor) == factor_state(fresh.factor)
             for mine, theirs in ((graph.vertices, prev.vertices), (graph.columns, prev.columns),

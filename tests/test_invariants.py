@@ -57,7 +57,7 @@ from singinv.invariants import (
     mu,
     quadratic_norm,
 )
-from singinv.linalg import Factor
+from singinv.linalg import Factor, solve
 from singinv.report import NefData, build_report
 
 
@@ -320,7 +320,7 @@ def _assert_matches_fraction_route(graph, boundary, a):
     q = [sum(c.coeff * c.meets[j] for c in boundary.components) for j in range(graph.n)]
     assert matvec(form, cs.canonical.coeffs) == canonical_degrees(graph)
     assert matvec(form, cs.boundary_part.coeffs) == q
-    assert list(cs.boundary_image) == q
+    assert [Fraction(v, cs.dq) for v in cs.q] == q
     assert cs.boundary_canonical == cs.canonical + cs.boundary_part
     e = cs.boundary_canonical
     assert a.delta_y == quadratic_norm(graph, cs.fundamental - cs.canonical)
@@ -618,8 +618,11 @@ GRAPH_VIEWS = {
     "connected",
     "branches",
     "factor",
+    "canonical",
     "canonical_forward",
 }
+# what a DualGraph holds from construction on
+GRAPH_FIELDS = {"vertices", "edges", "n"}
 
 
 def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
@@ -639,13 +642,13 @@ def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
         build_report(g, random_boundary(g, rng, strict=False), nef)
         genus = any(v.genus for v in g.vertices)
         views = GRAPH_VIEWS - {"branches"} if genus else GRAPH_VIEWS
-        assert vars(g).keys() - {"vertices", "edges"} == views
+        assert vars(g).keys() - GRAPH_FIELDS == views
     seen = []
     real = cli_module.analyze
 
     def analyze_and_look(graph):
         result = real(graph)
-        seen.append(vars(graph).keys() - {"vertices", "edges"})
+        seen.append(vars(graph).keys() - GRAPH_FIELDS)
         return result
 
     monkeypatch.setattr(cli_module, "analyze", analyze_and_look)
@@ -659,25 +662,42 @@ def test_a_boundary_off_the_fiber_reuses_the_boundary_free_pass():
     # (coefficient 0, or meeting no curve), dq = 1 and Delta_B = Delta:
     # delta_by and delta_min, which the pass takes from delta_y's vectors,
     # equal the norm of Z - Delta summed afresh through N, with Delta from
-    # its own solve, and the exhaustive search over every active set
+    # its own solve, and the exhaustive search over every active set.
+    # mu, which the pass sets to 0 there without a scan, is
+    # min_j b'_j / (z_j - a_j) in fractions, b' solving N b' = q with q
+    # summed here from the components, on log-terminal inputs, and None
+    # on the others
     rng = random.Random(97)
     graphs = [g for _, g in base_graphs()]
     graphs += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 10)]
+    log_terminal = set()
     for g in graphs:
         meets = [rng.choice((0, 1, 2)) for _ in range(g.n)]
         meets[rng.randrange(g.n)] = 1
         zero = boundary_component("C1", 0, meets)
         apart = boundary_component("C2", Fraction(rng.randint(1, 4), 4), [0] * g.n)
         canonical = canonical_cycle(g)
-        norm = quadratic_norm(g, fundamental_cycle(g) - canonical)
+        u = fundamental_cycle(g) - canonical
+        norm = quadratic_norm(g, u)
         for b in (None, EMPTY_BOUNDARY, BoundaryData((zero,)), BoundaryData((apart,)),
                   BoundaryData((zero, apart))):
             a = analyze(g, b)
             assert a.cycles.dq == 1 and a.cycles.boundary_canonical == canonical
             assert a.delta_by == a.delta_y == norm
+            components = () if b is None else b.components
+            q = [sum(c.coeff * c.meets[j] for c in components) for j in range(g.n)]
+            b_prime = solve(dense_form(g), q)
+            lt = is_log_terminal(EMPTY_BOUNDARY if b is None else b, canonical)
+            assert a.classification.log_terminal is lt
+            log_terminal.add(lt)
+            if lt:
+                assert a.mu == min(bj / uj for bj, uj in zip(b_prime, u)) == 0
+            else:
+                assert a.mu is None
             exhaustive = delta_min_exhaustive(g, b)
             assert a.delta_min == exhaustive
             assert a.delta_min.minimizer == exhaustive.minimizer
+    assert log_terminal == {True, False}
 
 
 def test_public_helpers_read_the_analysis():

@@ -1,10 +1,11 @@
 """Property tests on generated graphs: the factor of N's sparse columns
 against the dense elimination, a factor bordered from another's prefix
-and the canonical forward values carried along a weight sweep against
-fresh ones, the `continuant` closed forms against the general pass on
-chains, the delta_min LCP against the exhaustive oracle, its KKT
-certificate beyond the oracle's range, the rounds for Z against the
-step-by-step Laufer loop on stars where Z grows, the report's
+and the canonical degrees and their forward values carried along a
+weight sweep against fresh ones, the kind read off those degrees against
+a scan of the vertices, the `continuant` closed forms against the
+general pass on chains, the delta_min LCP against the exhaustive oracle,
+its KKT certificate beyond the oracle's range, the rounds for Z against
+the step-by-step Laufer loop on stars where Z grows, the report's
 equivariance under a reordering of the vertices, the lossless
 serialisation of every rational the report emits, and generated input
 documents, valid and bent, and every field of the base documents bent by
@@ -37,8 +38,10 @@ from conftest import (
     dense_form,
     dense_laufer,
     factor_state,
+    scanned_kind,
     star_with_tail,
 )
+from singinv.classify import classify, singularity_kind
 from singinv.cli import MAX_INTEGER, InputError, main, parse_input
 from singinv.continuant import chain_delta_y, continuant, inverse_entry
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
@@ -196,12 +199,21 @@ def test_the_canonical_forward_values_reweighted_are_a_fresh_carry(sweep, data):
     # forward values, holds its predecessor's first p of them with the
     # rest carried, and reads the same as a fresh carry of its canonical
     # degrees by its fresh factor.  One with an indefinite factor holds
-    # none, and reading them raises, as on a fresh build
+    # none, and reading them raises, as on a fresh build.  Its canonical
+    # degrees, definite or not, are its predecessor's first p, if read,
+    # with the rest computed, and equal a fresh graph's
     prev, siblings = sweep
     for p, fresh in siblings:
+        if data.draw(st.booleans()):
+            prev.canonical
         if prev.factor.first_nonpositive is None and data.draw(st.booleans()):
             prev.canonical_forward
         graph = prev.reweighted([v.weight for v in fresh.vertices])
+        degrees = "canonical" in prev.__dict__
+        assert ("canonical" in graph.__dict__) == degrees
+        if degrees:
+            assert graph.canonical[:p] == prev.canonical[:p]
+        assert graph.canonical == tuple(canonical_degrees(fresh))
         definite = fresh.factor.first_nonpositive is None
         held = "canonical_forward" in prev.__dict__ and definite
         assert ("canonical_forward" in graph.__dict__) == held
@@ -215,6 +227,29 @@ def test_the_canonical_forward_values_reweighted_are_a_fresh_carry(sweep, data):
             with pytest.raises(ValueError, match="not positive definite"):
                 graph.canonical_forward
         prev = graph
+
+
+@PROFILE
+@given(weight_sweeps())
+def test_the_kind_along_a_weight_sweep_is_the_vertex_scan(sweep):
+    # along a weight sweep, weights down to 1 and genus > 0 among the
+    # kinds, ended by all weights 2: the kind of each graph, reweighted
+    # from one that has read its canonical degrees, equals the scan of
+    # its weights and genera, read off the carried degrees by classify
+    # where N > 0 and off a fresh list of them by singularity_kind
+    # everywhere
+    prev, siblings = sweep
+    graphs = [prev]
+    steps = [[v.weight for v in fresh.vertices] for _, fresh in siblings]
+    for weights in steps + [[2] * prev.n]:
+        prev.canonical
+        prev = prev.reweighted(weights)
+        graphs.append(prev)
+    for graph in graphs:
+        kind = scanned_kind(graph)
+        assert singularity_kind(graph) is kind
+        if graph.factor.first_nonpositive is None:
+            assert classify(graph).kind is kind
 
 
 def _assert_closed_forms(weights, graph):
