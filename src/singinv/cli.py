@@ -24,7 +24,6 @@ from .report import (
     NefData,
     SingularityReport,
     build_report,
-    fraction_str,
     render_text,
     report_to_dict,
 )
@@ -321,7 +320,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if not ok:
             failures.append(f"{label}: {rule}, got {dy}")
         shape, kind, lt = shapes[cls.shape.kind], kinds[cls.kind], cls.log_terminal
-        delta_y, delta_min = fraction_str(dy), fraction_str(a.delta_min.value)
+        delta_y, delta_min = str(dy), str(a.delta_min.value)
         if args.json:
             write(
                 f'{"," if count else ""}\n    {{\n      "label": {quote(label)},'
@@ -368,8 +367,8 @@ def _cmd_continuant(args: argparse.Namespace) -> int:
     if args.inverse is not None:
         i, j = args.inverse
         entry = inverse_entry(weights, i, j)
-        payload["inverse"] = {"i": i, "j": j, "value": fraction_str(entry)}
-        lines.append(f"inverse entry ({i}, {j}): {fraction_str(entry)}")
+        payload["inverse"] = {"i": i, "j": j, "value": str(entry)}
+        lines.append(f"inverse entry ({i}, {j}): {entry!s}")
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0
 
@@ -386,13 +385,13 @@ def _cmd_pullback(args: argparse.Namespace) -> int:
     result = exceptional_pullback(parsed.graph, meets)
     payload = {
         "vertex_ids": [v.id for v in parsed.graph.vertices],
-        "meets": [fraction_str(m) for m in meets],
-        "exceptional_part": [fraction_str(c) for c in result],
+        "meets": list(map(str, meets)),
+        "exceptional_part": list(map(str, result)),
     }
     text = (
         "exceptional part of the pullback:\n"
         + "\n".join(
-            f"  {v.id}: {fraction_str(c)}"
+            f"  {v.id}: {c!s}"
             for v, c in zip(parsed.graph.vertices, result)
         )
         + "\n"
@@ -411,17 +410,6 @@ def _epsilon_arg(text: str) -> Fraction:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
-
-
-def _inverse_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--inverse",
-        nargs=2,
-        type=int,
-        metavar=("I", "J"),
-        default=None,
-        help="also print entry (I, J) of the inverse intersection form (1-based)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -473,7 +461,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cont = sub.add_parser("continuant", help="chain determinant calculus")
     cont.add_argument("weights", help="comma-separated weights, e.g. 2,3,5")
-    _inverse_arg(cont)
+    cont.add_argument(
+        "--inverse",
+        nargs=2,
+        type=int,
+        metavar=("I", "J"),
+        default=None,
+        help="also print entry (I, J) of the inverse intersection form (1-based)",
+    )
     cont.add_argument("--json", action="store_true")
     cont.set_defaults(handler=_cmd_continuant)
 

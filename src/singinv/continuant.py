@@ -25,6 +25,7 @@ the end-coefficient bound relies on) needs w_j >= 2.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 
@@ -53,6 +54,14 @@ def continuant(weights: Sequence[int]) -> int:
     return _prefix_continuants(_check_weights(weights))[-1]
 
 
+def _continuants(weights: Sequence[int]) -> tuple[list[int], list[int]]:
+    """pre[k] = a(w_1..w_k) and suf[k] = a(w_{k+1}..w_n) for k = 0..n,
+    of weights checked once; a(w_i..w_n) = a(w_n..w_i), so the suffixes
+    are the prefixes of the reversed weights."""
+    ws = _check_weights(weights)
+    return _prefix_continuants(ws), _prefix_continuants(ws[::-1])[::-1]
+
+
 def _check_position(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise IndexError(f"position {i} out of range for a chain of length {n}")
@@ -60,56 +69,48 @@ def _check_position(n: int, i: int) -> None:
 
 def inverse_entry(weights: Sequence[int], i: int, j: int) -> Fraction:
     """Entry (i, j) of the inverse intersection form, 1-based, symmetric."""
-    ws = _check_weights(weights)
-    n = len(ws)
+    pre, suf = _continuants(weights)
+    n = len(pre) - 1
     _check_position(n, i)
     _check_position(n, j)
     if i > j:
         i, j = j, i
-    return Fraction(
-        continuant(ws[: i - 1]) * continuant(ws[j:]), continuant(ws)
-    )
+    return Fraction(pre[i - 1] * suf[j], pre[n])
 
 
 def inverse_matrix(weights: Sequence[int]) -> tuple[tuple[Fraction, ...], ...]:
     """Full inverse of the chain intersection form, via one prefix/suffix pass."""
-    ws = _check_weights(weights)
-    n = len(ws)
-    pre = _prefix_continuants(ws)
-    # a(w_i..w_n) = a(w_n..w_i): the suffixes are the reversed prefixes
-    suf = _prefix_continuants(ws[::-1])[::-1]
+    pre, suf = _continuants(weights)
+    n = len(pre) - 1
     total = pre[n]
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            lo, hi = (i, j) if i <= j else (j, i)
-            row.append(Fraction(pre[lo - 1] * suf[hi], total))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        tuple(
+            Fraction(pre[min(i, j) - 1] * suf[max(i, j)], total) for j in range(1, n + 1)
+        )
+        for i in range(1, n + 1)
+    )
 
 
 def discrepancy_complement(weights: Sequence[int], i: int) -> Fraction:
     """1 - a_i for the canonical-cycle coefficient a_i at position i."""
-    ws = _check_weights(weights)
-    n = len(ws)
+    pre, suf = _continuants(weights)
+    n = len(pre) - 1
     _check_position(n, i)
-    return Fraction(
-        continuant(ws[: i - 1]) + continuant(ws[i:]), continuant(ws)
-    )
+    return Fraction(pre[i - 1] + suf[i], pre[n])
 
 
 def chain_delta_y(weights: Sequence[int]) -> Fraction:
-    """delta_y of a chain in closed form: 2 - a_1 - a_n.
+    """delta_y of a chain in closed form: 2 - a_1 - a_n, that is
+    (1 + a(w_2..w_n) + a(w_1..w_{n-1}) + 1) / a(w_1..w_n).
 
     For n = 1 the two ends coincide and this reads 2 - 2*a_1.  Must agree
     with the quadratic form -(Z - Delta)^2 on the corresponding graph.
     """
-    ws = _check_weights(weights)
-    n = len(ws)
+    pre, suf = _continuants(weights)
+    n = len(pre) - 1
     if n == 0:
         raise ValueError("chain must be nonempty")
-    return discrepancy_complement(ws, 1) + discrepancy_complement(ws, n)
+    return Fraction(2 + suf[1] + pre[n - 1], pre[n])
 
 
 class EndBound(NamedTuple):
@@ -127,10 +128,11 @@ def pullback_end_bound(
 
     p_j are the exceptional coefficients of the pullback of an effective
     divisor whose strict transform meets E_j with multiplicity q_j; the
-    bound holds for every such q.
+    bound holds for every such q.  Only the first and last columns of
+    A^{-1} are read: c_i1 = a(w_{i+1}..w_n) / a and c_in = a(w_1..w_{i-1}) / a.
     """
-    ws = _check_weights(weights)
-    n = len(ws)
+    pre, suf = _continuants(weights)
+    n = len(pre) - 1
     if n == 0:
         raise ValueError("chain must be nonempty")
     qs = [Fraction(x) for x in q]
@@ -138,8 +140,6 @@ def pullback_end_bound(
         raise ValueError(f"dimension mismatch: chain length {n}, q has {len(qs)}")
     if any(x < 0 for x in qs):
         raise ValueError("q must be nonnegative")
-    inv = inverse_matrix(ws)
-    p_first = sum((qi * inv[i][0] for i, qi in enumerate(qs)), Fraction(0))
-    p_last = sum((qi * inv[i][n - 1] for i, qi in enumerate(qs)), Fraction(0))
-    bound = continuant(ws[:-1])
-    return EndBound(holds=p_last <= bound * p_first, first=p_first, last=p_last)
+    p_first = sum(map(mul, qs, suf[1:])) / pre[n]
+    p_last = sum(map(mul, qs, pre)) / pre[n]
+    return EndBound(holds=p_last <= pre[n - 1] * p_first, first=p_first, last=p_last)

@@ -10,19 +10,19 @@ from .graph import DualGraph, Edge, Vertex, build_graph
 
 
 @lru_cache(maxsize=128)
-def _chain_skeleton(length: int, prefix: str) -> DualGraph:
+def _chain_skeleton(length: int) -> DualGraph:
     """A path of the given length with its weight-free views computed:
     they depend only on the length.  Its own weights are never read."""
-    ids = tuple(f"{prefix}{k + 1}" for k in range(length))
+    ids = tuple(f"E{k + 1}" for k in range(length))
     skeleton = DualGraph(tuple(Vertex(vid, 2) for vid in ids), tuple(map(Edge, ids, ids[1:])))
     skeleton.branches  # computes index, off_diagonal and connected on the way
     skeleton.off_sums
     return skeleton
 
 
-def chain_graph(weights: Sequence[int], prefix: str = "E") -> DualGraph:
+def chain_graph(weights: Sequence[int]) -> DualGraph:
     """Path graph with the given weights, vertices E1-E2-...-En."""
-    return _chain_skeleton(len(weights), prefix).reweighted(weights)
+    return _chain_skeleton(len(weights)).reweighted(weights)
 
 
 def smooth_graph() -> DualGraph:
@@ -30,17 +30,15 @@ def smooth_graph() -> DualGraph:
     return build_graph([("E1", 1)])
 
 
-def fork_graph(
-    center_weight: int, arms: Sequence[Sequence[int]], prefix: str = "E"
-) -> DualGraph:
+def fork_graph(center_weight: int, arms: Sequence[Sequence[int]]) -> DualGraph:
     """A central vertex with chain arms attached, center listed first."""
-    vertices = [(f"{prefix}1", center_weight)]
+    vertices = [("E1", center_weight)]
     edges = []
     counter = 2
     for arm in arms:
-        previous = f"{prefix}1"
+        previous = "E1"
         for w in arm:
-            vid = f"{prefix}{counter}"
+            vid = f"E{counter}"
             counter += 1
             vertices.append((vid, w))
             edges.append((previous, vid))

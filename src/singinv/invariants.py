@@ -21,9 +21,13 @@ N v is integral over dq alone, so its integers carry no factor det N:
 x_S = y / (dq det N_SS) with y integral, and v.(N v), an integer over
 det N dq^2, joins x_S.(N v)_S in one fraction at the end, as
 N_SS x_S = -(N v)_S makes the minimum v.(N v) + x_S.(N v)_S.
-`delta_min_exhaustive` instead scans all 2^n supports in fractions,
-solving each principal block N_SS on its own, and compares objectives
-only, giving an independent route to the same answer.
+`delta_min_exhaustive` instead scans all 2^n supports, also in
+integers: with V = det dq (Z - Delta_B) and N V summed through the
+columns of N, it factors each principal block N_SS on its own, solves
+N_SS y = -det N_SS (N V)_S, and scores W = det N_SS V + y on the whole
+form, W.(N W) / (det dq det N_SS)^2, comparing objectives only.  It
+reads neither the images s, k, q nor `least_element`, so it is an
+independent route to the same answer.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import NamedTuple, Sequence
 from .classify import Classification, ShapeKind, classify
 from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle, least_element
 from .graph import DualGraph, ExcDivisor, Record, exact_fraction, form_image
-from .linalg import clear_denominators, solve
+from .linalg import Factor, clear_denominators
 
 DEFAULT_EPSILON = Fraction(1, 1000)
 
@@ -71,14 +75,6 @@ class DeltaMinResult(_DeltaMinFields):
     # no __slots__: the instance dict holds the cached minimizer
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
-
-    @classmethod
-    def from_fractions(
-        cls, value: Fraction, x: Sequence[Fraction]
-    ) -> "DeltaMinResult":
-        nums, den = clear_denominators(x)
-        active = frozenset(j for j, a in enumerate(nums) if a > 0)
-        return cls(value, active, tuple(nums), den)
 
     @cached_property
     def minimizer(self) -> ExcDivisor:
@@ -120,22 +116,17 @@ def quadratic_norm(graph: DualGraph, v: ExcDivisor) -> Fraction:
     return Fraction(sum(map(mul, ints, form_image(graph, ints))), d * d)
 
 
-def _stationary_on(
-    graph: DualGraph, nv: Sequence[Fraction | int], subset: Sequence[int]
-) -> list[Fraction] | None:
-    """Solve the stationarity equations on `subset`; None if some x_j < 0."""
-    n = len(nv)
-    x = [Fraction(0)] * n
-    if subset:
-        rows = [dict(graph.columns[i]) for i in subset]  # N symmetric: column i is row i
-        sub_form = [[row.get(j, 0) for j in subset] for row in rows]
-        rhs = [-nv[i] for i in subset]
-        sol = solve(sub_form, rhs)
-        if any(s < 0 for s in sol):
-            return None
-        for i, s in zip(subset, sol):
-            x[i] = s
-    return x
+def _minimizer(
+    value: Fraction, n: int, support: Sequence[int], y: Sequence[int], x_den: int
+) -> DeltaMinResult:
+    """The result with x = y / x_den on `support`, y >= 0, and x = 0 off
+    it, in lowest terms; the active set is where y > 0."""
+    x_num = [0] * n
+    g = gcd(x_den, *y)
+    for j, t in zip(support, y):
+        x_num[j] = t // g
+    active = frozenset(itertools.compress(support, y))
+    return DeltaMinResult(value, active, tuple(x_num), x_den // g)
 
 
 def _monotone_lcp(
@@ -156,13 +147,7 @@ def _monotone_lcp(
         return DeltaMinResult(dby, frozenset(), (0,) * len(nv), 1)
     x_den = dq * det_s
     num = det_s * vnv + det * sum(nv[j] * t for j, t in zip(support, y))
-    value = Fraction(num, det * dq * x_den)
-    x_num = [0] * len(nv)
-    g = gcd(x_den, *y)
-    for j, t in zip(support, y):
-        x_num[j] = t // g
-    active = frozenset(itertools.compress(support, y))  # y >= 0
-    return DeltaMinResult(value, active, tuple(x_num), x_den // g)
+    return _minimizer(Fraction(num, det * dq * x_den), len(nv), support, y, x_den)
 
 
 def _mu(cs: CycleSet, u: Sequence[int]) -> Fraction:
@@ -227,24 +212,36 @@ def delta_min(graph: DualGraph, boundary: BoundaryData | None = None) -> DeltaMi
 def delta_min_exhaustive(
     graph: DualGraph, boundary: BoundaryData | None = None
 ) -> DeltaMinResult:
-    """Same minimum by scanning every active set and comparing objectives."""
+    """Same minimum by scanning every active set and comparing objectives,
+    in integers (module docstring)."""
     n = graph.n
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive enumeration is capped at {EXHAUSTIVE_LIMIT} vertices")
     cs = boundary_cycle(graph, boundary)
-    v = cs.fundamental - cs.boundary_canonical
-    nv = form_image(graph, v.coeffs)
-    best: tuple[Fraction, list[Fraction]] | None = None
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            x = _stationary_on(graph, nv, subset)
-            if x is None:
+    den = cs.det * cs.dq
+    v = [den * z - e for z, e in zip(cs.z, cs.ye)]  # den * (Z - Delta_B)
+    nv = form_image(graph, v)
+    columns = graph.columns
+    # the objective num / dd and its support, y and det N_SS; x = 0 first
+    best = (sum(map(mul, v, nv)), den * den, (), (), 1)
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            where = {j: p for p, j in enumerate(support)}
+            block = Factor(
+                [[(where[i], c) for i, c in columns[j] if i in where] for j in support]
+            )
+            y = block.scaled_solve([-nv[j] for j in support])
+            if min(y) < 0:
                 continue
-            value = quadratic_norm(graph, v + ExcDivisor(tuple(x)))
-            if best is None or value < best[0]:
-                best = (value, x)
-    assert best is not None  # the empty set always yields x = 0
-    return DeltaMinResult.from_fractions(*best)
+            det_s = block.det
+            w = [det_s * t for t in v]  # det_s * den * (Z - Delta_B + x)
+            for j, t in zip(support, y):
+                w[j] += t
+            num, dd = sum(map(mul, w, form_image(graph, w))), (den * det_s) ** 2
+            if num * best[1] < best[0] * dd:
+                best = (num, dd, support, y, det_s)
+    num, dd, support, y, det_s = best
+    return _minimizer(Fraction(num, dd), n, support, y, den * det_s)
 
 
 def mu(graph: DualGraph, boundary: BoundaryData | None = None) -> Fraction:

@@ -47,11 +47,13 @@ iteration of the delta_min LCP costs one border, the forward values of
 its entering rows and the back substitution of the rows its entering
 test reads; only the last solve covers the whole block.
 
-Besides the kernel the module holds `solve`, a checked solve of a dense
-symmetric matrix, which the exhaustive delta_min oracle runs on the
-principal blocks of N, and `clear_denominators`.  No product with N is
-here: N is held only as `DualGraph.columns`, and `graph.form_image`
-multiplies through them.
+Besides the kernel the module holds `solve`, the public checked solve
+of a dense matrix, which refuses one that is not square or not
+symmetric, and `clear_denominators`.  No route of the library goes
+through `solve`: the exhaustive delta_min oracle factors each principal
+block of N with `Factor` directly.  No product with N is here: N is
+held only as `DualGraph.columns`, and `graph.form_image` multiplies
+through them.
 """
 
 from __future__ import annotations

@@ -94,12 +94,8 @@ def build_report(
     )
 
 
-def fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _divisor_list(d: ExcDivisor) -> list[str]:
-    return [fraction_str(c) for c in d]
+    return list(map(str, d))
 
 
 def _input_echo(report: SingularityReport) -> dict:
@@ -112,7 +108,7 @@ def _input_echo(report: SingularityReport) -> dict:
         "boundary": [
             {
                 "name": c.name,
-                "coeff": fraction_str(c.coeff),
+                "coeff": str(c.coeff),
                 "meets": {
                     g.vertices[j].id: m for j, m in enumerate(c.meets) if m != 0
                 },
@@ -123,8 +119,8 @@ def _input_echo(report: SingularityReport) -> dict:
     }
     if report.nef is not None:
         echo["nef"] = {
-            "M2": fraction_str(report.nef.m2),
-            "minMC": fraction_str(report.nef.min_mc),
+            "M2": str(report.nef.m2),
+            "minMC": str(report.nef.min_mc),
         }
     return echo
 
@@ -140,16 +136,16 @@ def _shape_dict(report: SingularityReport) -> dict:
 def _delta_prime_dict(dp: DeltaPrime) -> dict:
     return {
         "kind": dp.kind.value,
-        "value": fraction_str(dp.value) if dp.value is not None else None,
-        "epsilon": fraction_str(dp.epsilon) if dp.epsilon is not None else None,
+        "value": str(dp.value) if dp.value is not None else None,
+        "epsilon": str(dp.epsilon) if dp.epsilon is not None else None,
     }
 
 
 def _scaled_variant_dict(sv: ScaledVariant) -> dict:
     return {
-        "basis": fraction_str(sv.basis),
-        "m2_threshold": fraction_str(sv.m2_threshold),
-        "mc_threshold": fraction_str(sv.mc_threshold),
+        "basis": str(sv.basis),
+        "m2_threshold": str(sv.m2_threshold),
+        "mc_threshold": str(sv.mc_threshold),
         "m2_ok": sv.m2_ok,
         "mc_ok": sv.mc_ok,
         "satisfied": sv.satisfied,
@@ -160,14 +156,14 @@ def _theorem_dict(check: HypothesisCheck) -> dict:
     scaled = None
     if check.scaled is not None:
         scaled = {
-            "mu": fraction_str(check.scaled.mu),
+            "mu": str(check.scaled.mu),
             "delta_y_basis": _scaled_variant_dict(check.scaled.delta_y_variant),
             "delta_basis": _scaled_variant_dict(check.scaled.delta_variant),
         }
     return {
-        "M2": fraction_str(check.m2),
-        "min_MC": fraction_str(check.min_mc),
-        "delta": fraction_str(check.delta),
+        "M2": str(check.m2),
+        "min_MC": str(check.min_mc),
+        "delta": str(check.delta),
         "delta_prime": _delta_prime_dict(check.delta_prime),
         "m2_exceeds_delta": check.m2_exceeds_delta,
         "mc_meets_delta_prime": check.mc_meets_delta_prime,
@@ -179,7 +175,7 @@ def _theorem_dict(check: HypothesisCheck) -> dict:
 def report_to_dict(report: SingularityReport) -> dict:
     g = report.graph
     dmin: dict = {
-        "value": fraction_str(report.delta_min.value),
+        "value": str(report.delta_min.value),
         "minimizer": _divisor_list(report.delta_min.minimizer),
         "active_vertices": [
             g.vertices[j].id for j in sorted(report.delta_min.active_set)
@@ -187,7 +183,7 @@ def report_to_dict(report: SingularityReport) -> dict:
     }
     if report.delta_min_oracle is not None:
         dmin["oracle"] = {
-            "value": fraction_str(report.delta_min_oracle.value),
+            "value": str(report.delta_min_oracle.value),
             "matches": report.oracle_matches,
         }
     return {
@@ -201,22 +197,22 @@ def report_to_dict(report: SingularityReport) -> dict:
             "log_canonical": report.classification.log_canonical,
         },
         "fundamental_cycle": _divisor_list(report.cycles.fundamental),
-        "arithmetic_genus": fraction_str(report.cycles.fundamental_genus),
+        "arithmetic_genus": str(report.cycles.fundamental_genus),
         "canonical_cycle": _divisor_list(report.cycles.canonical),
         "boundary_pullback": _divisor_list(report.cycles.boundary_part),
         "boundary_canonical_cycle": _divisor_list(report.cycles.boundary_canonical),
-        "delta_y": fraction_str(report.delta_y),
-        "delta_b_y": fraction_str(report.delta_by),
+        "delta_y": str(report.delta_y),
+        "delta_b_y": str(report.delta_by),
         "delta_min": dmin,
-        "mu": fraction_str(report.mu) if report.mu is not None else None,
-        "delta": fraction_str(report.delta),
+        "mu": str(report.mu) if report.mu is not None else None,
+        "delta": str(report.delta),
         "delta_prime": _delta_prime_dict(report.delta_prime),
         "theorem": _theorem_dict(report.theorem) if report.theorem else None,
     }
 
 
 def _vector_text(d: ExcDivisor) -> str:
-    return "[" + ", ".join(fraction_str(c) for c in d) + "]"
+    return "[" + ", ".join(map(str, d)) + "]"
 
 
 def _yesno(flag: bool) -> str:
@@ -239,9 +235,9 @@ def _shape_text(report: SingularityReport) -> str:
 
 def _delta_prime_text(dp: DeltaPrime) -> str:
     if dp.kind is DeltaPrimeKind.CHAIN_END_VALUE:
-        return f"{fraction_str(dp.value)}  (chain-end value)"
+        return f"{dp.value!s}  (chain-end value)"
     if dp.kind is DeltaPrimeKind.ANY_POSITIVE:
-        return f"any positive number  (reporting stand-in {fraction_str(dp.epsilon)})"
+        return f"any positive number  (reporting stand-in {dp.epsilon!s})"
     return "0"
 
 
@@ -266,7 +262,7 @@ def render_text(report: SingularityReport) -> str:
                 f"{g.vertices[j].id}:{m}" for j, m in enumerate(c.meets) if m
             )
             lines.append(
-                f"  {c.name}: coefficient {fraction_str(c.coeff)}"
+                f"  {c.name}: coefficient {c.coeff!s}"
                 + (f", meets {meets}" if meets else ", misses the fiber")
             )
     cls = report.classification
@@ -278,7 +274,7 @@ def render_text(report: SingularityReport) -> str:
         f"  log canonical: {_yesno(cls.log_canonical)}",
         "cycles:",
         f"  fundamental Z:      {_vector_text(report.cycles.fundamental)}",
-        f"  p_a(Z):             {fraction_str(report.cycles.fundamental_genus)}",
+        f"  p_a(Z):             {report.cycles.fundamental_genus!s}",
         f"  canonical:          {_vector_text(report.cycles.canonical)}",
         f"  boundary part b':   {_vector_text(report.cycles.boundary_part)}",
         f"  boundary canonical: {_vector_text(report.cycles.boundary_canonical)}",
@@ -287,42 +283,42 @@ def render_text(report: SingularityReport) -> str:
     active_text = ", ".join(active) if active else "none"
     lines += [
         "invariants:",
-        f"  delta_y   = {fraction_str(report.delta_y)}",
-        f"  delta_B,y = {fraction_str(report.delta_by)}",
-        f"  delta_min = {fraction_str(report.delta_min.value)}  "
+        f"  delta_y   = {report.delta_y!s}",
+        f"  delta_B,y = {report.delta_by!s}",
+        f"  delta_min = {report.delta_min.value!s}  "
         f"(x0 = {_vector_text(report.delta_min.minimizer)}; active: {active_text})",
     ]
     if report.delta_min_oracle is not None:
         lines.append(
-            f"  delta_min oracle: {fraction_str(report.delta_min_oracle.value)}"
+            f"  delta_min oracle: {report.delta_min_oracle.value!s}"
             f"  (matches: {_yesno(bool(report.oracle_matches))})"
         )
-    mu_text = fraction_str(report.mu) if report.mu is not None else "undefined (not log-terminal)"
+    mu_text = str(report.mu) if report.mu is not None else "undefined (not log-terminal)"
     lines += [
         f"  mu        = {mu_text}",
-        f"  delta     = {fraction_str(report.delta)}",
+        f"  delta     = {report.delta!s}",
         f"  delta'    = {_delta_prime_text(report.delta_prime)}",
     ]
     if report.theorem is not None:
         t = report.theorem
         lines += [
-            f"theorem hypotheses (M^2 = {fraction_str(t.m2)}, "
-            f"min M.C = {fraction_str(t.min_mc)}):",
-            f"  M^2 > delta = {fraction_str(t.delta)}:  {_yesno(t.m2_exceeds_delta)}",
+            f"theorem hypotheses (M^2 = {t.m2!s}, "
+            f"min M.C = {t.min_mc!s}):",
+            f"  M^2 > delta = {t.delta!s}:  {_yesno(t.m2_exceeds_delta)}",
             f"  min M.C meets delta' [{_delta_prime_text(t.delta_prime)}]:  "
             f"{_yesno(t.mc_meets_delta_prime)}",
             f"  satisfied: {_yesno(t.satisfied)}",
         ]
         if t.scaled is not None:
             s = t.scaled
-            lines.append(f"  mu-scaled sufficient checks (mu = {fraction_str(s.mu)}):")
+            lines.append(f"  mu-scaled sufficient checks (mu = {s.mu!s}):")
             for label, variant in (
                 ("delta_y basis", s.delta_y_variant),
                 ("delta basis  ", s.delta_variant),
             ):
                 lines.append(
-                    f"    {label}: M^2 > {fraction_str(variant.m2_threshold)} "
+                    f"    {label}: M^2 > {variant.m2_threshold!s} "
                     f"{_yesno(variant.m2_ok)}; min M.C >= "
-                    f"{fraction_str(variant.mc_threshold)} {_yesno(variant.mc_ok)}"
+                    f"{variant.mc_threshold!s} {_yesno(variant.mc_ok)}"
                 )
     return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@ boundaries, and a small corpus of known-good graphs."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,8 +17,9 @@ from singinv.classify import (
 from singinv.continuant import continuant
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
 from singinv.families import chain_graph, fork_graph, rdp_family, smooth_graph
-from singinv.graph import build_graph, validate
-from singinv.invariants import quadratic_norm
+from singinv.graph import ExcDivisor, build_graph, validate
+from singinv.invariants import DeltaMinResult, quadratic_norm
+from singinv.linalg import clear_denominators, solve
 
 GRAPH_KINDS = ("tree", "cycle", "multi", "genus")
 
@@ -222,6 +224,85 @@ def assert_kkt(graph, boundary, result):
     assert all(xj * wj == 0 for xj, wj in zip(result.minimizer, w))
     assert result.value == quadratic_norm(graph, v + result.minimizer)
     assert result.active_set == {j for j, xj in enumerate(result.minimizer) if xj > 0}
+
+
+def fraction_delta_min_exhaustive(graph, boundary=None):
+    """Reference `singinv.invariants.delta_min_exhaustive`, in fractions:
+    on each support S, the dense principal block of N solved by the
+    checked `linalg.solve`, skipped when some x_j < 0, and v + x scored by
+    `quadratic_norm`; the first least objective wins, in the library's
+    order of supports, and x is brought to lowest terms by
+    `clear_denominators`."""
+    n = graph.n
+    cs = boundary_cycle(graph, boundary)
+    v = cs.fundamental - cs.boundary_canonical
+    form = dense_form(graph)
+    nv = matvec(form, v.coeffs)
+    best = None
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            x = [Fraction(0)] * n
+            if subset:
+                block = [[form[i][j] for j in subset] for i in subset]
+                sol = solve(block, [-nv[i] for i in subset])
+                if any(t < 0 for t in sol):
+                    continue
+                for i, t in zip(subset, sol):
+                    x[i] = t
+            value = quadratic_norm(graph, v + ExcDivisor(tuple(x)))
+            if best is None or value < best[0]:
+                best = (value, x)
+    value, x = best
+    nums, den = clear_denominators(x)
+    active = frozenset(j for j, t in enumerate(nums) if t > 0)
+    return DeltaMinResult(value, active, tuple(nums), den)
+
+
+def star_fundamental_cycle(graph, center=0):
+    """Reference Z of a star: legs that are chains hang off `center`, the
+    first edge of leg i of multiplicity mu_i and the others simple, every
+    genus 0.  Given the center's coefficient m, leg i's least completion
+    is rounded up vertex by vertex from x_0 = mu_i m:
+    x_{j+1} = max(1, ceil(x_j a(w_{j+2}..) / a(w_{j+1}..))), as N^-1 >= 0
+    bounds every later entry below by the real solution from the entry
+    before, and the rounded entries still satisfy N x >= 0 on the leg.
+    Z_center is the least m >= 1 with b m >= sum_i mu_i x_{i,1}(m).
+    Independent of the solver: only the edge list and continuants."""
+    index = {v.id: j for j, v in enumerate(graph.vertices)}
+    links = {j: [] for j in range(graph.n)}
+    for a, b, mult in graph.edges:
+        links[index[a]].append((index[b], mult))
+        links[index[b]].append((index[a], mult))
+    legs = []  # (mu_i, vertices from the center out, their suffix continuants)
+    for start, mu in links[center]:
+        path, prev = [start], center
+        while len(links[path[-1]]) == 2:
+            (u, mu_u), (w, mu_w) = links[path[-1]]
+            nxt, mult = (w, mu_w) if u == prev else (u, mu_u)
+            assert mult == 1, "only the first edge of a leg may be multiple"
+            assert nxt != center, "a leg must not return to the center"
+            prev = path[-1]
+            path.append(nxt)
+        assert len(links[path[-1]]) == 1, "a leg must be a chain"
+        weights = [graph.vertices[j].weight for j in path]
+        legs.append((mu, path, [continuant(weights[k:]) for k in range(len(path) + 1)]))
+    assert all(v.genus == 0 for v in graph.vertices)
+    assert sum(len(path) for _, path, _ in legs) == graph.n - 1, "not a star"
+
+    def first(mu, suf, m):  # x_1 from x_0 = mu m
+        return max(1, -(-mu * m * suf[1] // suf[0]))
+
+    b = graph.vertices[center].weight
+    m = 1
+    while b * m < sum(mu * first(mu, suf, m) for mu, _, suf in legs):
+        m += 1
+    z = [0] * graph.n
+    z[center] = m
+    for mu, path, suf in legs:
+        x = mu * m
+        for k, j in enumerate(path):
+            x = z[j] = max(1, -(-x * suf[k + 1] // suf[k]))
+    return z
 
 
 def random_chain_weights(rng: random.Random, max_length=10, max_weight=9):

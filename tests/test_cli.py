@@ -939,6 +939,26 @@ def test_continuant_json_is_pinned(capsys):
     assert (code, out) == (0, golden.read_text())
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["analyze", "samples/chain_2_5_2_boundary.json", "--oracle"],
+         "chain_2_5_2_boundary_oracle.txt"),
+        (["check", "samples/chain_2_3.json"], "chain_2_3_check.txt"),
+        # the theorem and mu-scaled blocks, with fractions of ~1,000 digits
+        (["check", "tests/golden/limits_chain32_input.json"], "limits_chain32_check.txt"),
+        (["pullback", "samples/chain_2_3.json", "--meets", "1,0"], "chain_2_3_pullback_1_0.txt"),
+        (["continuant", "2,3,5", "--inverse", "1", "3"], "continuant_2_3_5_inverse_1_3.txt"),
+    ],
+)
+def test_text_output_is_pinned(capsys, argv, name):
+    # the text renderers of every subcommand but enumerate (pinned by its
+    # hash above); CI diffs the installed console script against these too
+    argv = [str(REPO_ROOT / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = _run(capsys, argv)
+    assert (code, out) == (0, (REPO_ROOT / "tests" / "golden" / name).read_text())
+
+
 def test_long_arm_fork_oracle_is_pinned(capsys):
     # a fork small enough for exhaustive search on which the LCP still
     # borders: center weight 3 with arms of 4 twos, 4 threes and 4 twos,

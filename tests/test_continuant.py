@@ -18,6 +18,7 @@ from singinv.cycles import canonical_cycle
 from singinv.families import chain_graph
 from singinv.graph import solve_exceptional
 from singinv.invariants import delta_y
+from singinv.linalg import solve
 
 
 def _tridiagonal(weights):
@@ -191,3 +192,51 @@ def test_chain_end_identities():
         assert one_minus_last * alpha == 1 + alpha_prefix
         a_first = 1 - discrepancy_complement(weights, 1)
         assert a_first + inverse_entry(weights, 1, 1) == 1 - Fraction(1, alpha)
+
+
+def _times_form(weights, column):
+    """A x for the chain's tridiagonal form A, through its three diagonals."""
+    n = len(weights)
+    return [
+        w * column[i] - (column[i - 1] if i else 0) - (column[i + 1] if i + 1 < n else 0)
+        for i, w in enumerate(weights)
+    ]
+
+
+def test_chain_closed_forms_match_the_inverse_and_a_dense_solve():
+    # each closed form read off the prefix and suffix continuants equals
+    # the n x n inverse, which A times it shows to be A^-1, and a dense
+    # solve of the tridiagonal form: on random chains, n = 1, and 100
+    # weights at the 10**6 cap, constant and random
+    rng = random.Random(49)
+    chains = [(2,), (9,), (10**6,), (10**6,) * 100]
+    chains.append(tuple(rng.randint(2, 10**6) for _ in range(100)))
+    chains += [random_chain_weights(rng, 9, 12) for _ in range(40)]
+    for weights in chains:
+        n = len(weights)
+        rows = _tridiagonal(weights)
+        inv = inverse_matrix(weights)
+        for j in range(n):
+            column = [inv[i][j] for i in range(n)]
+            assert _times_form(weights, column) == [int(i == j) for i in range(n)]
+        pairs = itertools.product(range(1, n + 1), repeat=2) if n < 10 else (
+            (rng.randint(1, n), rng.randint(1, n)) for _ in range(60)
+        )
+        for i, j in itertools.chain(pairs, [(1, 1), (1, n), (n, 1), (n, n)]):
+            assert inverse_entry(weights, i, j) == inv[i - 1][j - 1]
+        canonical = solve(rows, [w - 2 for w in weights])  # N Delta = K.E_j
+        assert [discrepancy_complement(weights, i) for i in range(1, n + 1)] == [
+            1 - a for a in canonical
+        ]
+        assert chain_delta_y(weights) == 2 - canonical[0] - canonical[-1]
+        for q in ([Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in weights],
+                  [int(k == n - 1) for k in range(n)]):
+            p = solve(rows, q)
+            result = pullback_end_bound(weights, q)
+            # the n x n route it replaced: columns 1 and n of the inverse
+            first = sum((qi * inv[i][0] for i, qi in enumerate(q)), Fraction(0))
+            last = sum((qi * inv[i][n - 1] for i, qi in enumerate(q)), Fraction(0))
+            assert (result.first, result.last) == (p[0], p[-1]) == (first, last)
+            assert result.holds is (p[-1] <= continuant(weights[:-1]) * p[0]) is True
+            assert type(result.first) is type(result.last) is Fraction
+    assert chain_delta_y((10**6,)) == Fraction(4, 10**6)

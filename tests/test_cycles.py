@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,10 @@ from conftest import (
     matvec,
     random_boundary,
     random_chain_weights,
+    star_fundamental_cycle,
     star_with_tail,
 )
+from singinv.cli import parse_input
 from singinv.cycles import (
     BoundaryData,
     arithmetic_genus,
@@ -155,6 +159,20 @@ def test_laufer_worklist_matches_dense_reference():
     cs = boundary_cycle(heavy)
     assert sum(cs.z) - heavy.n == 97_274
     assert (list(cs.z), list(cs.s)) == dense_laufer(heavy)
+
+
+@pytest.mark.parametrize("name", ["star16_tail83", "star1_tail92", "star64_tail35"])
+def test_star_goldens_z_is_the_star_formula(name):
+    # the heavy-leaf stars at the caps, whose Z the step-by-step loop
+    # needs up to 464,536 steps for: the rounds, the golden report and
+    # the continuant formula agree on every coefficient
+    golden = Path(__file__).resolve().parent / "golden"
+    graph = parse_input((golden / f"{name}_input.json").read_text()).graph
+    z = [int(c) for c in fundamental_cycle(graph)]
+    assert z == star_fundamental_cycle(graph)
+    report = json.loads((golden / f"{name}_analyze.json").read_text())
+    assert report["fundamental_cycle"] == [str(c) for c in z]
+    assert sum(z) > 2 * graph.n  # far above (1, ..., 1)
 
 
 def test_laufer_rejects_a_non_violating_choice():

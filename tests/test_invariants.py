@@ -13,6 +13,7 @@ from conftest import (
     assert_kkt,
     base_graphs,
     dense_form,
+    fraction_delta_min_exhaustive,
     matvec,
     random_boundary,
     random_graph,
@@ -114,6 +115,28 @@ def test_delta_min_anchor_2_5_2():
     assert res.minimizer.coeffs == (Fraction(0), Fraction(1, 10), Fraction(0))
     assert res.active_set == frozenset({1})
     assert res.value < delta_by(g, _mid_boundary_252())
+
+
+def test_the_integer_oracle_is_the_fraction_route():
+    # the exhaustive oracle, in integers through `Factor`, equals the
+    # reference scan in fractions through dense blocks, `linalg.solve` and
+    # `quadratic_norm` field by field: value, active set and x in lowest
+    # terms, on the log-terminal corpus with random boundaries (the smooth
+    # graph among them), some with dq > 1, and at the 16-vertex cap
+    rng = random.Random(61)
+    dqs = set()
+    for name, g in base_graphs():
+        for trial in range(3):
+            b = random_boundary(g, rng, strict=trial == 1) if trial else None
+            dqs.add(boundary_cycle(g, b).dq)
+            assert delta_min_exhaustive(g, b) == fraction_delta_min_exhaustive(g, b), (name, b)
+    assert len(dqs) > 2  # dq = 1 and at least two larger boundary denominators
+    at_cap = chain_graph((3, 2, 5, 2, 2, 7, 2, 3, 2, 2, 4, 2, 2, 6, 2, 3))
+    half = BoundaryData((boundary_component("C", "1/2", [1, 0] * 8),))
+    result = delta_min_exhaustive(at_cap, half)
+    assert result.active_set and result == fraction_delta_min_exhaustive(at_cap, half)
+    with pytest.raises(ValueError, match="capped at 16 vertices"):
+        delta_min_exhaustive(chain_graph((2,) * 17))
 
 
 def test_delta_min_matches_exhaustive_and_kkt():

@@ -5,7 +5,8 @@ weight sweep against fresh ones, the kind read off those degrees against
 a scan of the vertices, the `continuant` closed forms against the
 general pass on chains, the delta_min LCP against the exhaustive oracle,
 its KKT certificate beyond the oracle's range, the rounds for Z against
-the step-by-step Laufer loop on stars where Z grows, the report's
+the step-by-step Laufer loop and the continuant formula on stars where
+Z grows, the report's
 equivariance under a reordering of the vertices, the lossless
 serialisation of every rational the report emits, and generated input
 documents, valid and bent, and every field of the base documents bent by
@@ -39,6 +40,7 @@ from conftest import (
     dense_laufer,
     factor_state,
     scanned_kind,
+    star_fundamental_cycle,
     star_with_tail,
 )
 from singinv.classify import classify, singularity_kind
@@ -332,6 +334,14 @@ def test_rounds_for_z_equal_the_laufer_loop(graph, rnd):
     # step-by-step reference loop's, in a drawn step order
     cs = boundary_cycle(graph)
     assert (list(cs.z), list(cs.s)) == dense_laufer(graph, rnd.choice)
+
+
+@PROFILE
+@given(heavy_stars())
+def test_rounds_for_z_equal_the_star_formula(graph):
+    # Z from the rounds equals the star's Z from continuants, rounded up
+    # leg by leg from the least center coefficient that carries its legs
+    assert list(boundary_cycle(graph).z) == star_fundamental_cycle(graph)
 
 
 def _by_vertex(doc):
