@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .classify import ShapeKind, SingularityKind
 from .continuant import continuant, inverse_entry
 from .cycles import BoundaryData, boundary_component, exceptional_pullback
-from .graph import DualGraph, GraphValidationError, build_graph, validate
+from .graph import DualGraph, build_graph, validate
 from .invariants import DEFAULT_EPSILON, analyze
 from .report import (
     NefData,
@@ -496,13 +496,10 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.handler(args)
-    except (InputError, GraphValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except OSError as exc:  # first: io.UnsupportedOperation is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:  # InputError, GraphValidationError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

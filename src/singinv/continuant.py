@@ -28,6 +28,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from .graph import exact_fraction
+
 
 def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     ws = tuple(weights)
@@ -135,7 +137,7 @@ def pullback_end_bound(
     n = len(pre) - 1
     if n == 0:
         raise ValueError("chain must be nonempty")
-    qs = [Fraction(x) for x in q]
+    qs = [exact_fraction(x, f"q[{j}]") for j, x in enumerate(q)]
     if len(qs) != n:
         raise ValueError(f"dimension mismatch: chain length {n}, q has {len(qs)}")
     if any(x < 0 for x in qs):

@@ -11,13 +11,11 @@ from .graph import DualGraph, Edge, Vertex, build_graph
 
 @lru_cache(maxsize=128)
 def _chain_skeleton(length: int) -> DualGraph:
-    """A path of the given length with its weight-free views computed:
-    they depend only on the length.  Its own weights are never read."""
+    """The path of the given length, weights 2: its weight-free views
+    depend only on the length, and a chain of the same length reweighted
+    from it shares them."""
     ids = tuple(f"E{k + 1}" for k in range(length))
-    skeleton = DualGraph(tuple(Vertex(vid, 2) for vid in ids), tuple(map(Edge, ids, ids[1:])))
-    skeleton.branches  # computes index, off_diagonal and connected on the way
-    skeleton.off_sums
-    return skeleton
+    return DualGraph(tuple(Vertex(vid, 2) for vid in ids), tuple(map(Edge, ids, ids[1:])))
 
 
 def chain_graph(weights: Sequence[int]) -> DualGraph:
@@ -91,9 +89,8 @@ def chain_sweep(
     order.  Only the first chain of each length comes from the skeleton;
     each later one is reweighted from the chain before it, so it shares
     that chain's vertices, columns of N and factor rows before its first
-    changed weight (`DualGraph.reweighted`).  The factor rows are shared
-    only if the chain before was factored by the time the next is drawn,
-    as `enumerate` does by validating each row first."""
+    changed weight (`DualGraph.reweighted`), whether the sweep is
+    streamed or drawn whole first."""
     graph = None
     for weights in iter_chain_weights(max_length, max_weight):
         if graph is None or graph.n != len(weights):

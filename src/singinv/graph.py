@@ -11,10 +11,12 @@ smooth point.
 N = -(E_i . E_j) is held in one form, its sparse `columns`, summed from
 one walk over the edge list.  Every reader of N goes through them:
 `form_image` gives N v, and `intersection_matrix` spreads them into the
-dense matrix its contract returns.  The canonical degrees are computed
-once (`canonical`) and carried through the factor once
-(`canonical_forward`), and a weight sweep shares the prefix of both as
-it shares the factor's rows (`reweighted`).
+dense matrix its contract returns.  A graph computes every view that
+costs O(n + m) when it is built, the canonical degrees (`canonical`)
+among them; only the elimination of N (`factor`) and the canonical
+degrees carried through it (`canonical_forward`) wait for a first read.
+A weight sweep shares the weight-free views whole, and the prefix of the
+others as it shares the factor's rows (`reweighted`).
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -164,22 +166,32 @@ class ExcDivisor(Record):
 
 
 class DualGraph(Record):
-    """The vertices and edges, checked on construction, and their count
-    ``n``; the views below are computed on first read and cached."""
+    """The vertices and edges, checked on construction, and the views of
+    them that cost O(n + m), computed there too (`_off_diagonal`,
+    `_off_sums`, `_connected`, `_branches`, `_columns`).  Only ``factor``
+    and ``canonical_forward`` wait for their first read, so input refused
+    for another reason eliminates nothing."""
 
     _fields = ("vertices", "edges")
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     n: int
+    index: dict[str, int]
+    off_diagonal: tuple[tuple[tuple[int, int], ...], ...]
+    off_sums: tuple[int, ...]
+    connected: bool
+    branches: tuple[tuple[int, ...], ...] | None
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+    canonical: tuple[int, ...]
 
     def __init__(self, vertices, edges) -> None:
         if not vertices:
             raise GraphValidationError("graph has no vertices")
-        seen: set[str] = set()
+        index: dict[str, int] = {}
         for vid, weight, genus in vertices:
-            if vid in seen:
+            if vid in index:
                 raise GraphValidationError(f"duplicate vertex id {vid!r}")
-            seen.add(vid)
+            index[vid] = len(index)
             _check_weight(vid, weight)
             if type(genus) is not int or genus < 0:
                 raise GraphValidationError(
@@ -189,7 +201,7 @@ class DualGraph(Record):
             if a == b:
                 raise GraphValidationError(f"self-loop at vertex {a!r}")
             for end in (a, b):
-                if end not in seen:
+                if end not in index:
                     raise GraphValidationError(
                         f"edge references unknown vertex id {end!r}"
                     )
@@ -198,77 +210,15 @@ class DualGraph(Record):
                     f"edge ({a!r}, {b!r}): multiplicity must be a positive integer, "
                     f"got {multiplicity!r}"
                 )
-        self.__dict__.update(vertices=vertices, edges=edges, n=len(vertices))
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {v.id: j for j, v in enumerate(self.vertices)}
-
-    @cached_property
-    def off_diagonal(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The off-diagonal nonzeros (i, N_ij) of each column j of N: minus
-        the total multiplicity of the edges joining i and j, summed in the
-        one walk over the edge list.  It reads no weight."""
-        index = self.index
-        summed: list[dict[int, int]] = [{} for _ in self.vertices]
-        for a, b, multiplicity in self.edges:
-            i, j = index[a], index[b]
-            summed[i][j] = summed[i].get(j, 0) - multiplicity
-            summed[j][i] = summed[j].get(i, 0) - multiplicity
-        return tuple(tuple(column.items()) for column in summed)
-
-    @cached_property
-    def off_sums(self) -> tuple[int, ...]:
-        """The sum of the off-diagonal entries of each column of N, so
-        column j sums to w_j + off_sums[j].  It reads no weight."""
-        return tuple(sum(c for _, c in column) for column in self.off_diagonal)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzeros (i, N_ij) of each column j of N, diagonal first:
-        w_j and the neighbours, so a sparse update costs deg(j) + 1.  N is
-        symmetric, so column j is also row j, as `Factor` reads it."""
-        return _columns(self.vertices, self.off_diagonal)
-
-    @cached_property
-    def connected(self) -> bool:
-        """A walk over the nonzeros of N from vertex 0 reaches every vertex."""
-        off_diagonal = self.off_diagonal
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            for j, _ in off_diagonal[stack.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    reached += 1
-                    stack.append(j)
-        return reached == self.n
-
-    @cached_property
-    def branches(self) -> tuple[tuple[int, ...], ...] | None:
-        """The part of `classify.graph_shape` that reads only the edges.
-
-        None if some pair of vertices is joined more than once.  For a
-        tree with no degree above 3 and at most one vertex of degree 3,
-        its branches as index paths: a chain has one, from its end of
-        lower index to the other; a fork has three, its arms outward from
-        the centre in order of their first vertex.  () for any other
-        graph."""
-        off_diagonal = self.off_diagonal
-        if any(c < -1 for column in off_diagonal for _, c in column):
-            return None  # a pair joined more than once: N_ij < -1
-        degrees = list(map(len, off_diagonal))
-        if len(self.edges) != self.n - 1 or not self.connected or max(degrees) > 3:
-            return ()  # not a tree, or a vertex of degree above 3
-        centers = [i for i, d in enumerate(degrees) if d == 3]
-        if not centers:
-            return (_walk(off_diagonal, -1, degrees.index(1) if self.n > 1 else 0),)
-        if len(centers) > 1:
-            return ()
-        center = centers[0]
-        return tuple(_walk(off_diagonal, center, j) for j, _ in sorted(off_diagonal[center]))
+        off_diagonal = _off_diagonal(index, edges)
+        connected = _connected(off_diagonal)
+        self.__dict__.update(
+            vertices=vertices, edges=edges, n=len(vertices), index=index,
+            off_diagonal=off_diagonal, off_sums=_off_sums(off_diagonal), connected=connected,
+            branches=_branches(off_diagonal, len(edges), connected),
+            columns=_columns(vertices, off_diagonal),
+        )
+        self.__dict__["canonical"] = tuple(canonical_degrees(self))
 
     @cached_property
     def factor(self) -> Factor:
@@ -277,19 +227,11 @@ class DualGraph(Record):
         return Factor(self.columns)
 
     @cached_property
-    def canonical(self) -> tuple[int, ...]:
-        """The canonical degrees k_j = K_X . E_j (`canonical_degrees`).
-        Entry j reads only vertex j, so a graph reweighted from vertex p
-        on keeps the first p."""
-        return tuple(canonical_degrees(self))
-
-    @cached_property
     def canonical_forward(self) -> tuple[int, ...]:
         """The canonical degrees k forward-eliminated by the factor
         (`Factor.carry`): the canonical cycle is one back substitution of
-        it.  Entry j reads only k_0..k_j and the factor's leading block,
-        so a graph reweighted from vertex p on keeps the first p.  Needs
-        N > 0, as every solve does."""
+        it.  Entry j reads only k_0..k_j and the factor's leading block.
+        Needs N > 0, as every solve does."""
         return _carry_canonical(self.factor, (), self.canonical)
 
     def reweighted(self, weights: Sequence[int]) -> "DualGraph":
@@ -297,23 +239,17 @@ class DualGraph(Record):
         weights, in vertex order, checked as any new graph is.  Only the
         new weights need a check: the rest passed `__init__` on this graph.
 
-        With p the first vertex whose weight changes, it shares, without
-        a copy, what this graph holds and the change leaves as it is:
-        - the vertices before p;
-        - the weight-free views this graph has computed (``index``,
-          ``off_diagonal``, ``off_sums``, ``connected``, ``branches``);
-        - the ``columns`` of N before p, if computed, with the rest built;
-        - the first p entries of ``canonical``, if computed, with the
-          rest computed;
-        - the first p rows of the ``factor``, if computed
-          (`Factor.prefix`), bordered by the rows from p on;
-        - the first p entries of ``canonical_forward``, if computed, with
-          the rest carried (`Factor.carry`) from those of ``canonical``,
-          when the new factor is definite.
-        So a sweep over weights computes the weight-free views once, and
-        a graph reweighted from its predecessor eliminates and carries
-        only its rows from p on.  A graph that has computed nothing hands
-        on nothing weighted."""
+        It shares, without a copy, this graph's weight-free views and,
+        with p the first vertex whose weight changes, its first p
+        vertices, columns of N, canonical degrees and factor rows
+        (`Factor.prefix`, which eliminates this graph first if it has not
+        been), and computes only the rest.  If the new factor is definite
+        it holds ``canonical_forward`` too: this graph's first p entries,
+        with the rest carried (`Factor.carry`), if this graph's factor is
+        definite, and all n carried if not.  So a sweep over weights
+        computes the weight-free views once, and each graph reweighted
+        from the one before eliminates and carries only its rows from p
+        on, whatever the one before has read."""
         vertices, n = self.vertices, self.n
         if len(weights) != n:
             raise ValueError(f"{len(weights)} weights for {n} vertices")
@@ -329,29 +265,82 @@ class DualGraph(Record):
             changed.append(Vertex(vid, weights[j], genus))
         graph = DualGraph.__new__(DualGraph)
         shared = graph.__dict__
-        shared.update(vertices=vertices[:p] + tuple(changed), edges=self.edges, n=n)
-        cached = self.__dict__
-        shared.update({k: cached[k] for k in _WEIGHT_FREE_VIEWS if k in cached})
-        if "canonical" in cached:
-            tail = tuple(canonical_degrees(graph, p))
-            shared["canonical"] = cached["canonical"][:p] + tail
-        if "columns" in cached:
-            new = _columns(changed, cached["off_diagonal"], p)
-            shared["columns"] = cached["columns"][:p] + new
-            if "factor" in cached:
-                factor = shared["factor"] = cached["factor"].prefix(p)
-                factor.border(new)
-                # canonical_forward reads canonical, so `tail` is set
-                if "canonical_forward" in cached and factor.first_nonpositive is None:
-                    shared["canonical_forward"] = _carry_canonical(
-                        factor, cached["canonical_forward"][:p], tail
-                    )
+        shared.update({k: self.__dict__[k] for k in _WEIGHT_FREE})
+        shared["vertices"] = vertices[:p] + tuple(changed)
+        new = _columns(changed, self.off_diagonal, p)
+        tail = tuple(canonical_degrees(graph, p))
+        factor = self.factor.prefix(p)
+        factor.border(new)
+        shared.update(
+            columns=self.columns[:p] + new, canonical=self.canonical[:p] + tail, factor=factor
+        )
+        if factor.first_nonpositive is None:
+            if self.factor.first_nonpositive is None:
+                forward = _carry_canonical(factor, self.canonical_forward[:p], tail)
+            else:
+                forward = _carry_canonical(factor, (), graph.canonical)
+            shared["canonical_forward"] = forward
         return graph
 
 
-# the views that read neither weights nor genera: `reweighted` hands them
+# the fields that read neither weights nor genera: `reweighted` hands them
 # on, so one object may serve many graphs and nothing may write to it
-_WEIGHT_FREE_VIEWS = ("index", "off_diagonal", "off_sums", "connected", "branches")
+_WEIGHT_FREE = ("edges", "n", "index", "off_diagonal", "off_sums", "connected", "branches")
+
+
+def _off_diagonal(index: dict[str, int], edges: Iterable[Edge]) -> tuple:
+    """The off-diagonal nonzeros (i, N_ij) of each column j of N: minus
+    the total multiplicity of the edges joining i and j, summed in the
+    one walk over the edge list.  It reads no weight."""
+    summed: list[dict[int, int]] = [{} for _ in index]
+    for a, b, multiplicity in edges:
+        i, j = index[a], index[b]
+        summed[i][j] = summed[i].get(j, 0) - multiplicity
+        summed[j][i] = summed[j].get(i, 0) - multiplicity
+    return tuple(tuple(column.items()) for column in summed)
+
+
+def _off_sums(off_diagonal: Sequence[tuple]) -> tuple[int, ...]:
+    """The sum of the off-diagonal entries of each column of N, so column
+    j sums to w_j + off_sums[j]."""
+    return tuple(sum(c for _, c in column) for column in off_diagonal)
+
+
+def _connected(off_diagonal: Sequence[tuple]) -> bool:
+    """A walk over the nonzeros of N from vertex 0 reaches every vertex."""
+    seen = [False] * len(off_diagonal)
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for j, _ in off_diagonal[stack.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                reached += 1
+                stack.append(j)
+    return reached == len(off_diagonal)
+
+
+def _branches(off_diagonal: Sequence[tuple], edge_count: int, connected: bool) -> tuple | None:
+    """The part of `classify.graph_shape` that reads only the edges.
+
+    None if some pair of vertices is joined more than once.  For a tree
+    with no degree above 3 and at most one vertex of degree 3, its
+    branches as index paths: a chain has one, from its end of lower
+    index to the other; a fork has three, its arms outward from the
+    centre in order of their first vertex.  () for any other graph."""
+    if any(c < -1 for column in off_diagonal for _, c in column):
+        return None  # a pair joined more than once: N_ij < -1
+    n, degrees = len(off_diagonal), list(map(len, off_diagonal))
+    if edge_count != n - 1 or not connected or max(degrees) > 3:
+        return ()  # not a tree, or a vertex of degree above 3
+    centers = [i for i, d in enumerate(degrees) if d == 3]
+    if not centers:
+        return (_walk(off_diagonal, -1, degrees.index(1) if n > 1 else 0),)
+    if len(centers) > 1:
+        return ()
+    center = centers[0]
+    return tuple(_walk(off_diagonal, center, j) for j, _ in sorted(off_diagonal[center]))
 
 
 def _carry_canonical(
@@ -365,7 +354,10 @@ def _carry_canonical(
 
 
 def _columns(vertices: Sequence[Vertex], off_diagonal: Sequence[tuple], start: int = 0):
-    """The columns of N of `vertices`, the first of them vertex `start`."""
+    """The columns of N of `vertices`, the first of them vertex `start`:
+    the nonzeros (i, N_ij) of column j, diagonal first, w_j and then the
+    neighbours, so a sparse update costs deg(j) + 1.  N is symmetric, so
+    column j is also row j, as `Factor` reads it."""
     return tuple([((j, v.weight), *off_diagonal[j]) for j, v in enumerate(vertices, start)])
 
 

@@ -22,7 +22,9 @@ from singinv.cli import (
     parse_rational,
 )
 from singinv.families import chain_family_size, fork_graph, iter_chain_weights
-from singinv.graph import build_graph, intersection_matrix
+from singinv.graph import build_graph, intersection_matrix, validate
+from singinv.invariants import delta_min
+from singinv.linalg import Factor
 from singinv.report import NefData
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +109,73 @@ def test_parse_input_nef():
 def test_parse_input_errors(text, message):
     with pytest.raises(InputError, match=message):
         parse_input(text)
+
+
+def test_parse_input_eliminates_nothing(monkeypatch):
+    # on the 100-vertex complete graph, a document that parses, one with a
+    # boundary coefficient of 3/2 and one with half its nef data build and
+    # border no Factor: a refused boundary or nef block costs no
+    # elimination of N.  Validation eliminates N once, all 100 rows
+    appended = []
+    real_extend, real_prefix = Factor._extend, Factor.prefix
+
+    def extend(factor, rows):
+        rows = list(rows)
+        appended.append(len(rows))
+        return real_extend(factor, rows)
+
+    def prefix(factor, p):
+        appended.append(("prefix", p))
+        return real_prefix(factor, p)
+
+    monkeypatch.setattr(Factor, "_extend", extend)
+    monkeypatch.setattr(Factor, "prefix", prefix)
+    ids = [f"E{k}" for k in range(100)]
+    doc = {
+        "vertices": [{"id": v, "weight": 100} for v in ids],
+        "edges": [[a, b] for k, a in enumerate(ids) for b in ids[k + 1:]],
+        "boundary": [{"name": "C1", "coeff": "1/2", "meets": {"E0": 1}}],
+        "nef": {"M2": 2, "minMC": 1},
+    }
+    parsed = parse_input(json.dumps(doc))
+    for bad, message in (
+        ({"boundary": [{"name": "C1", "coeff": "3/2"}]}, "out of"),
+        ({"nef": {"M2": 2}}, "both 'M2' and 'minMC'"),
+    ):
+        with pytest.raises(InputError, match=message):
+            parse_input(json.dumps({**doc, **bad}))
+    assert appended == []
+    validate(parsed.graph)
+    assert appended == [100]
+
+
+def test_an_unwritable_stdout_is_an_io_error(monkeypatch, tmp_path, capsys):
+    # io.UnsupportedOperation is both an OSError and a ValueError: output
+    # that cannot be written exits with the I/O code 3, not the input code 1
+    unwritable = tmp_path / "out"
+    unwritable.write_text("")
+    with unwritable.open() as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        code = main(["analyze", str(SAMPLES / "a1.json")])
+    monkeypatch.undo()
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: not writable")
+
+
+def test_the_readme_library_block_runs(capsys):
+    # the python block under README "Library" runs as written: its asserts
+    # (delta_min 81/80 and mu 1/10 on chain(2, 5, 2)) hold, and its
+    # reweighted loop prints delta_min of chain(2, w, 2) as a fresh build
+    # of each chain gives it
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    assert "== Fraction(81, 80)" in block and "== Fraction(1, 10)" in block
+    exec(compile(block, "README.md", "exec"), {})
+    expected = []
+    for w in range(2, 7):
+        g = build_graph([("E1", 2), ("E2", w), ("E3", 2)], [("E1", "E2"), ("E2", "E3")])
+        expected.append(f"{w} {delta_min(g).value}")
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def _chain_doc(n, weight=3, **extra):
@@ -803,9 +872,10 @@ def test_enumerate_json_is_pinned(capsys):
 
 
 def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
-    # the default family: 19,530 chains on 6 skeletons, so 6 walks for
-    # connectedness, 6 edge-structure passes and 6 sums of the columns'
-    # off-diagonal entries; each chain pays only for its weights, and of
+    # the default family: 19,530 chains on 6 skeletons, so 6 walks over
+    # the edge list, 6 walks for connectedness, 6 edge-structure passes
+    # and 6 sums of the columns' off-diagonal entries, all of them when
+    # a skeleton is built; each chain pays only for its weights, and of
     # its factor, its canonical degrees and their forward values only for
     # the rows from its first weight that differs from the chain before
     # it: 24,405 rows appended, 24,405 canonical degrees computed and
@@ -813,7 +883,6 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     # The whole document is pinned, as CI pins it
     from singinv import families
     from singinv import graph as graph_module
-    from singinv.graph import DualGraph
     from singinv.linalg import Factor
 
     appended = carried = computed = 0
@@ -843,19 +912,18 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     monkeypatch.setattr(graph_module, "canonical_degrees", degrees)
 
     calls = {}
-    for view in ("connected", "branches", "off_sums"):
-        prop = DualGraph.__dict__[view]
+    for view in ("_off_diagonal", "_connected", "_branches", "_off_sums"):
 
-        def counting(graph, real=prop.func, view=view):
+        def counting(*args, real=getattr(graph_module, view), view=view):
             calls[view] = calls.get(view, 0) + 1
-            return real(graph)
+            return real(*args)
 
-        monkeypatch.setattr(prop, "func", counting)
+        monkeypatch.setattr(graph_module, view, counting)
     families._chain_skeleton.cache_clear()
     code, out, _ = _run(capsys, ["enumerate", "--json"])
     assert code == 0
     assert json.loads(out)["count"] == 19_530
-    assert calls == {"connected": 6, "branches": 6, "off_sums": 6}
+    assert calls == dict.fromkeys(("_off_diagonal", "_connected", "_branches", "_off_sums"), 6)
     assert appended == computed == carried == 24_405
     expected = (REPO_ROOT / "tests" / "golden" / "enumerate_json_default.sha256").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()

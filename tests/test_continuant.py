@@ -181,6 +181,20 @@ def test_pullback_end_bound_errors():
         pullback_end_bound((2, 3), [1])
 
 
+def test_pullback_end_bound_takes_q_exactly():
+    # a float or a bool is refused, naming the entry and the value, as
+    # every library rational refuses it (Fraction(0.1) is 3602879701896397
+    # / 2**55, and True would count as 1); an int, a Fraction and a "p/q"
+    # string are the same exact 1/1 and 1/2
+    for bad, shown in ((0.1, "0.1"), (True, "True")):
+        with pytest.raises(ValueError, match=rf"q\[0\] must be exact .* got {shown}$"):
+            pullback_end_bound((2, 3), [bad, 0])
+    expected = pullback_end_bound((2, 3), [Fraction(1), Fraction(1, 2)])
+    assert expected == (True, Fraction(7, 10), Fraction(2, 5))
+    for q in ([1, Fraction(1, 2)], [Fraction(1), "1/2"], ["1", "1/2"]):
+        assert pullback_end_bound((2, 3), q) == expected
+
+
 def test_chain_end_identities():
     rng = random.Random(48)
     for _ in range(40):

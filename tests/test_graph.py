@@ -17,7 +17,8 @@ from conftest import (
     random_graph,
 )
 from singinv.classify import ShapeKind, graph_shape
-from singinv.families import chain_graph, rdp_family, smooth_graph
+from singinv import families
+from singinv.families import chain_graph, chain_sweep, rdp_family, smooth_graph
 from singinv.graph import (
     DisconnectedGraphError,
     DualGraph,
@@ -187,7 +188,9 @@ def test_edge_derived_structure_matches_dense_form():
 
 
 WEIGHT_FREE = ("index", "off_diagonal", "off_sums", "connected", "branches")
-WEIGHTED = {"canonical", "columns", "factor", "canonical_forward"}
+# what a graph holds from construction on: its fields, n and every view
+# that costs O(n + m); only the factor and what reads it wait
+BUILT = {"vertices", "edges", "n", *WEIGHT_FREE, "columns", "canonical"}
 
 
 def _outcome(graph):
@@ -207,18 +210,25 @@ def _outcome(graph):
     return out
 
 
+def _definite(graph):
+    return graph.factor.first_nonpositive is None
+
+
 def test_reweighted_equals_a_fresh_build(monkeypatch):
     # the same graph under new weights, built either way, over trees,
     # cyclic, multi-edge, genus > 0 and ADE graphs, each reweighted from
-    # the one before as a sweep does.  A graph equals a fresh build view
-    # for view, and holds its vertex count n from the start.  It shares
-    # the weight-free views its source has computed, and of the weighted
-    # views only what precedes p, the first changed weight: the
-    # vertices, the canonical degrees, the columns of N, the factor's
-    # rows and the canonical forward values, and only if the source has
-    # computed them; it computes the canonical degrees only from p on,
-    # and forward-eliminates them only onto a definite factor.  No source
-    # is written to
+    # the one before as a sweep does.  A new graph holds n and its seven
+    # O(n + m) views from construction, and neither the factor nor the
+    # canonical forward values until one is read.  A reweighted graph
+    # equals a fresh build view for view.  It shares the source's
+    # weight-free views, and of the weighted views what precedes p, the
+    # first changed weight: the vertices, the canonical degrees, the
+    # columns of N and the factor's rows, eliminating the source first
+    # if it has not been; it computes the canonical degrees only from p
+    # on.  It always holds its factor, and its canonical forward values
+    # exactly when that factor is definite: the source's first p with
+    # n - p carried when the source's factor is definite too, all n
+    # carried when not.  No source is written to
     import singinv.graph as graph_module
 
     carried, computed = [], []
@@ -241,14 +251,12 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
     sources += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
     seen = set()
     for g in sources:
+        computed.clear()
         source = DualGraph(g.vertices, g.edges)
-        bare = source.reweighted(range(1, g.n + 1))
-        assert bare.__dict__.keys() == {"vertices", "edges", "n"} and bare.n == g.n
-        source.branches
-        assert not source.reweighted(range(1, g.n + 1)).__dict__.keys() & WEIGHTED
-        for view in (*WEIGHT_FREE, *WEIGHTED):
-            getattr(source, view)
-        index, before = dict(source.index), copy.deepcopy(factor_state(source.factor))
+        assert source.__dict__.keys() == BUILT and source.n == g.n
+        assert computed == [(0, g.n)]
+        index = dict(source.index)
+        before = copy.deepcopy(factor_state(Factor(source.columns)))
         graph = source
         for _ in range(8):
             p = rng.randint(0, g.n - 1)
@@ -262,14 +270,17 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
             fresh = build_graph(
                 [(v.id, w, v.genus) for v, w in zip(g.vertices, weights)], g.edges
             )
+            assert fresh.__dict__.keys() == BUILT
             assert graph == fresh and graph.n == fresh.n == g.n
             for view in WEIGHT_FREE:
                 assert graph.__dict__[view] is source.__dict__[view]
-            definite = fresh.factor.first_nonpositive is None
-            forward = "canonical_forward" in prev.__dict__ and definite
-            held = WEIGHTED if forward else WEIGHTED - {"canonical_forward"}
-            assert graph.__dict__.keys() & WEIGHTED == held
-            assert carried == ([g.n - p] if forward else [])
+            definite, forward = _definite(fresh), _definite(prev)
+            lazy = {"factor", "canonical_forward"} if definite else {"factor"}
+            assert graph.__dict__.keys() == BUILT | lazy
+            expected = ([g.n - p] if forward else [g.n]) if definite else []
+            if prev is source and forward and definite:
+                expected = [g.n, *expected]  # the source's own, read on the way
+            assert carried == expected
             assert graph.off_sums == fresh.off_sums
             assert graph.canonical == tuple(real_degrees(fresh))
             assert graph.canonical[:p] == prev.canonical[:p]
@@ -279,7 +290,7 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
                                  (graph.factor._a, prev.factor._a)):
                 assert all(x is y for x, y in zip(mine[:p], theirs[:p]))
                 assert not any(x is y for x, y in zip(mine[p:], theirs[p:]))
-            if forward:
+            if definite and forward:
                 mine, theirs = graph.canonical_forward, prev.canonical_forward
                 assert mine[:p] == theirs[:p]
                 assert all(x is y for x, y in zip(mine[:p], theirs[:p]))
@@ -300,6 +311,48 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
     }
     with pytest.raises(ValueError, match="2 weights for 3 vertices"):
         chain_graph((2, 2, 2)).reweighted((2, 2))
+
+
+def test_a_sweep_drawn_whole_shares_as_much_as_a_streamed_one(monkeypatch):
+    # validate + analyze over every chain of length 1 to 4 with weights
+    # 2 to 4 append as many rows to factors when the sweep is drawn whole
+    # first as when each chain is analyzed as it is drawn: each chain is
+    # eliminated from its first changed weight on either way, where a
+    # fresh build per chain eliminates every row.  Every chain drawn
+    # holds its factor and equals a fresh build
+    appended = []
+    real_extend = Factor._extend
+
+    def extend(factor, rows):
+        rows = list(rows)
+        appended[-1] += len(rows)
+        return real_extend(factor, rows)
+
+    monkeypatch.setattr(Factor, "_extend", extend)
+
+    def analyzed(sweep):
+        for _, graph in sweep:
+            validate(graph)
+            analyze(graph)
+            yield graph
+
+    graphs = {}
+    for way in ("streamed", "drawn whole", "fresh"):
+        families._chain_skeleton.cache_clear()
+        appended.append(0)
+        if way == "fresh":
+            sweep = [(w, build_graph([(f"E{j + 1}", x) for j, x in enumerate(w)],
+                                     [(f"E{j}", f"E{j + 1}") for j in range(1, len(w))]))
+                     for w in families.iter_chain_weights(4, 4)]
+        else:
+            sweep = chain_sweep(4, 4)
+        if way == "drawn whole":
+            sweep = list(sweep)
+            assert all("factor" in vars(graph) for _, graph in sweep)
+        graphs[way] = list(analyzed(sweep))
+    assert graphs["streamed"] == graphs["drawn whole"] == graphs["fresh"]
+    rows = sum(graph.n for graph in graphs["fresh"])
+    assert appended == [appended[0], appended[0], rows] and appended[0] < rows / 2
 
 
 def test_reweighted_checks_the_weights_as_a_fresh_build():

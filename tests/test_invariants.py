@@ -580,11 +580,9 @@ def test_build_report_runs_each_stage_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    # chain(2, 5, 2), built afresh: no view shared with a cached skeleton
-    g = build_graph([("E1", 2), ("E2", 5), ("E3", 2)], [("E1", "E2"), ("E2", "E3")])
     n_pairs = [[(0, 2), (1, -1)], [(0, -1), (1, 5), (2, -1)], [(1, -1), (2, 2)]]
-    # the edge list is walked once, by the cached DualGraph.off_diagonal
-    count("edge walk", graph_module.DualGraph.__dict__["off_diagonal"], "func")
+    # the edge list is walked once, when the graph is built
+    count("edge walk", graph_module, "_off_diagonal")
     count("matrix", graph_module, "intersection_matrix")
     count(
         "N eliminated",
@@ -592,8 +590,9 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "__init__",
         lambda factor, rows: [sorted(r) for r in rows] == n_pairs,
     )
-    # the rounds for Z start from the column sums w + off_sums, summed once
-    count("column sums", graph_module.DualGraph.__dict__["off_sums"], "func")
+    # the rounds for Z start from the column sums w + off_sums, summed once,
+    # when the graph is built
+    count("column sums", graph_module, "_off_sums")
     count("fundamental cycle", cycles_module, "_fundamental")
     # the canonical solve: k is forward-eliminated once, into the cached
     # DualGraph.canonical_forward, and back-substituted once from there;
@@ -613,6 +612,9 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     )
     count("boundary pass", invariants_module, "boundary_cycle")
     count("delta_min", invariants_module, "_monotone_lcp")
+    # chain(2, 5, 2), built afresh once the counts are set: no view
+    # shared with a cached skeleton
+    g = build_graph([("E1", 2), ("E2", 5), ("E3", 2)], [("E1", "E2"), ("E2", "E3")])
     nef = NefData(m2=Fraction(2), min_mc=Fraction(1))
     validate(g)
     report = build_report(g, _mid_boundary_252(), nef)
@@ -632,7 +634,8 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     )
 
 
-# every view a DualGraph caches: N is held in one form, its sparse columns
+# every view a DualGraph holds once analyzed: N is held in one form, its
+# sparse columns
 GRAPH_VIEWS = {
     "index",
     "off_diagonal",
@@ -644,15 +647,15 @@ GRAPH_VIEWS = {
     "canonical",
     "canonical_forward",
 }
-# what a DualGraph holds from construction on
+# a DualGraph's fields and vertex count
 GRAPH_FIELDS = {"vertices", "edges", "n"}
 
 
 def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
     # validate and build_report, with boundaries and nef data, over trees,
-    # cyclic, multi-edge and genus > 0 graphs, cache exactly the views
-    # above (but `branches` on genus > 0, whose shape is unsupported
-    # before it is read), and so does every graph `enumerate` analyzes
+    # cyclic, multi-edge and genus > 0 graphs, leave exactly the views
+    # above, genus > 0 among them, and so does every graph `enumerate`
+    # analyzes
     import singinv.cli as cli_module
 
     rng = random.Random(61)
@@ -663,9 +666,7 @@ def test_dense_n_stays_off_the_hot_path(monkeypatch, capsys):
         g = build_graph(g.vertices, g.edges)  # fresh, with no view computed
         validate(g)
         build_report(g, random_boundary(g, rng, strict=False), nef)
-        genus = any(v.genus for v in g.vertices)
-        views = GRAPH_VIEWS - {"branches"} if genus else GRAPH_VIEWS
-        assert vars(g).keys() - GRAPH_FIELDS == views
+        assert vars(g).keys() - GRAPH_FIELDS == GRAPH_VIEWS
     seen = []
     real = cli_module.analyze
 

@@ -196,32 +196,27 @@ def test_a_factor_bordered_from_a_prefix_is_a_fresh_factor(sweep):
 def test_the_canonical_forward_values_reweighted_are_a_fresh_carry(sweep, data):
     # along a weight sweep whose graphs have genus > 0 vertices among
     # their kinds, and whose predecessor's factor is definite or has its
-    # first nonpositive minor before, at or past p: a graph with a
-    # definite factor, reweighted from one that has read its canonical
-    # forward values, holds its predecessor's first p of them with the
-    # rest carried, and reads the same as a fresh carry of its canonical
-    # degrees by its fresh factor.  One with an indefinite factor holds
-    # none, and reading them raises, as on a fresh build.  Its canonical
-    # degrees, definite or not, are its predecessor's first p, if read,
-    # with the rest computed, and equal a fresh graph's
+    # first nonpositive minor before, at or past p, and whose predecessor
+    # has read its canonical forward values or not: a reweighted graph
+    # holds its canonical forward values exactly when its factor is
+    # definite.  Then they read the same as a fresh carry of its
+    # canonical degrees by its fresh factor, and the first p are its
+    # predecessor's when that one's factor is definite too.  Otherwise
+    # reading them raises, as on a fresh build.  Its canonical degrees,
+    # definite or not, are its predecessor's first p with the rest
+    # computed, and equal a fresh graph's
     prev, siblings = sweep
     for p, fresh in siblings:
-        if data.draw(st.booleans()):
-            prev.canonical
         if prev.factor.first_nonpositive is None and data.draw(st.booleans()):
             prev.canonical_forward
         graph = prev.reweighted([v.weight for v in fresh.vertices])
-        degrees = "canonical" in prev.__dict__
-        assert ("canonical" in graph.__dict__) == degrees
-        if degrees:
-            assert graph.canonical[:p] == prev.canonical[:p]
+        assert graph.canonical[:p] == prev.canonical[:p]
         assert graph.canonical == tuple(canonical_degrees(fresh))
         definite = fresh.factor.first_nonpositive is None
-        held = "canonical_forward" in prev.__dict__ and definite
-        assert ("canonical_forward" in graph.__dict__) == held
-        if held:
-            assert graph.canonical_forward[:p] == prev.canonical_forward[:p]
+        assert ("canonical_forward" in graph.__dict__) == definite
         if definite:
+            if prev.factor.first_nonpositive is None:
+                assert graph.canonical_forward[:p] == prev.canonical_forward[:p]
             forward = []
             fresh.factor.carry(forward, canonical_degrees(fresh))
             assert graph.canonical_forward == tuple(forward)
@@ -236,15 +231,13 @@ def test_the_canonical_forward_values_reweighted_are_a_fresh_carry(sweep, data):
 def test_the_kind_along_a_weight_sweep_is_the_vertex_scan(sweep):
     # along a weight sweep, weights down to 1 and genus > 0 among the
     # kinds, ended by all weights 2: the kind of each graph, reweighted
-    # from one that has read its canonical degrees, equals the scan of
-    # its weights and genera, read off the carried degrees by classify
-    # where N > 0 and off a fresh list of them by singularity_kind
-    # everywhere
+    # from the one before, equals the scan of its weights and genera,
+    # read off the carried degrees by classify where N > 0 and off a
+    # fresh list of them by singularity_kind everywhere
     prev, siblings = sweep
     graphs = [prev]
     steps = [[v.weight for v in fresh.vertices] for _, fresh in siblings]
     for weights in steps + [[2] * prev.n]:
-        prev.canonical
         prev = prev.reweighted(weights)
         graphs.append(prev)
     for graph in graphs:
