@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .continuant import continuant
 from .cycles import EMPTY_BOUNDARY, BoundaryData, CycleSet, boundary_cycle
-from .graph import DualGraph, ExcDivisor, canonical_degrees
+from .graph import DualGraph, ExcDivisor
 
 
 class SingularityKind(enum.Enum):
@@ -68,7 +68,7 @@ def is_log_canonical(boundary: BoundaryData, e: ExcDivisor) -> bool:
 
 
 def singularity_kind(graph: DualGraph) -> SingularityKind:
-    return _kind(tuple(canonical_degrees(graph)))
+    return _kind(graph.canonical)
 
 
 def _kind(k: tuple[int, ...]) -> SingularityKind:

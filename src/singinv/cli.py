@@ -61,13 +61,14 @@ MAX_COMPONENTS = 32  # boundary components
 # one edge per vertex pair; parallel edges are written as one multiplicity
 MAX_EDGES = MAX_VERTICES * (MAX_VERTICES - 1) // 2
 MAX_INTEGER = 10**6  # |n| for every integer and for both parts of p/q
+_MAX_DIGITS = len(str(MAX_INTEGER))
 
 
 def _int_literal(text: str) -> int:
     """int(text) for a decimal literal; one too long to lie within
     MAX_INTEGER becomes MAX_INTEGER + 1 (with its sign) unconverted, so
     the field check can reject it by name."""
-    if len(text.lstrip("-").lstrip("0")) > len(str(MAX_INTEGER)):
+    if len(text) > _MAX_DIGITS and len(text.lstrip("-").lstrip("0")) > _MAX_DIGITS:
         return -MAX_INTEGER - 1 if text.startswith("-") else MAX_INTEGER + 1
     return int(text)
 
@@ -87,27 +88,54 @@ def _bounded(value: int, where: str) -> int:
     return value
 
 
-def parse_rational(value: object, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"{where}: non-rational literal {value!r}")
-    if isinstance(value, int):
-        return Fraction(_bounded(value, where))
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
+# A field's location ("vertices[3].weight") is formatted only on the
+# branch that raises: each check below tests the value alone, and its
+# *_error function, given the location, says what is wrong.
+
+
+def _rational(value: object) -> Fraction | None:
+    """The Fraction of an integer or 'p/q' literal within MAX_INTEGER,
+    None for any other value."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) <= MAX_INTEGER:
+            return Fraction(value)
+    elif isinstance(value, str) and _RATIONAL_RE.match(value):
         num, _, den = value.partition("/")
-        return Fraction(
-            _bounded(_int_literal(num), where), _bounded(_int_literal(den or "1"), where)
-        )
-    raise InputError(
+        p, q = _int_literal(num), _int_literal(den or "1")
+        if abs(p) <= MAX_INTEGER and q <= MAX_INTEGER:
+            return Fraction(p, q)
+    return None
+
+
+def _rational_error(value: object, where: str) -> InputError:
+    """Why `_rational` refused `value`."""
+    if isinstance(value, bool):
+        return InputError(f"{where}: non-rational literal {value!r}")
+    if isinstance(value, int) or (isinstance(value, str) and _RATIONAL_RE.match(value)):
+        return InputError(f"{where}: integer exceeds the size cap {MAX_INTEGER}")
+    return InputError(
         f"{where}: non-rational literal {value!r} (use an integer or a 'p/q' string)"
     )
 
 
-def _require_int(value: object, where: str, minimum: int) -> int:
+def parse_rational(value: object, where: str) -> Fraction:
+    result = _rational(value)
+    if result is None:
+        raise _rational_error(value, where)
+    return result
+
+
+def _int_error(value: object, where: str, minimum: int) -> InputError:
+    """Why `value` is not an integer in [minimum, MAX_INTEGER], minimum >= 0."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{where}: expected an integer, got {value!r}")
-    if _bounded(value, where) < minimum:
-        raise InputError(f"{where}: must be >= {minimum}, got {value}")
-    return value
+        return InputError(f"{where}: expected an integer, got {value!r}")
+    if abs(value) > MAX_INTEGER:
+        return InputError(f"{where}: integer exceeds the size cap {MAX_INTEGER}")
+    return InputError(f"{where}: must be >= {minimum}, got {value}")
+
+
+def _str_error(value: object, where: str) -> InputError:
+    return InputError(f"{where}: expected a nonempty string, got {value!r}")
 
 
 def _capped_list(value: list, what: str, cap: int) -> list:
@@ -116,14 +144,12 @@ def _capped_list(value: list, what: str, cap: int) -> list:
     return value
 
 
-def _require_str(value: object, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise InputError(f"{where}: expected a nonempty string, got {value!r}")
-    return value
-
-
 def parse_input(text: str) -> ParsedInput:
-    """Parse the JSON input document; see README for the format."""
+    """Parse the JSON input document; see README for the format.
+
+    Every number and string of a parsed JSON document is an exact int
+    or str, so a field test `type(x) is int` accepts what `isinstance`
+    with a bool excluded accepts."""
     try:
         doc = _loads(text)
     except json.JSONDecodeError as exc:
@@ -142,15 +168,20 @@ def parse_input(text: str) -> ParsedInput:
         raise InputError("'vertices' must be a nonempty list")
     vertices = []
     for k, item in enumerate(_capped_list(raw_vertices, "vertices", MAX_VERTICES)):
-        where = f"vertices[{k}]"
         if not isinstance(item, dict):
-            raise InputError(f"{where}: expected an object")
+            raise InputError(f"vertices[{k}]: expected an object")
         for key in item:
             if key not in {"id", "weight", "genus"}:
-                raise InputError(f"{where}: unknown key {key!r}")
-        vid = _require_str(item.get("id"), f"{where}.id")
-        weight = _require_int(item.get("weight"), f"{where}.weight", 1)
-        genus = _require_int(item.get("genus", 0), f"{where}.genus", 0)
+                raise InputError(f"vertices[{k}]: unknown key {key!r}")
+        vid = item.get("id")
+        if type(vid) is not str or not vid:
+            raise _str_error(vid, f"vertices[{k}].id")
+        weight = item.get("weight")
+        if type(weight) is not int or not 1 <= weight <= MAX_INTEGER:
+            raise _int_error(weight, f"vertices[{k}].weight", 1)
+        genus = item.get("genus", 0)
+        if type(genus) is not int or not 0 <= genus <= MAX_INTEGER:
+            raise _int_error(genus, f"vertices[{k}].genus", 0)
         vertices.append((vid, weight, genus))
 
     edges = []
@@ -158,12 +189,16 @@ def parse_input(text: str) -> ParsedInput:
     if not isinstance(raw_edges, list):
         raise InputError("'edges' must be a list")
     for k, item in enumerate(_capped_list(raw_edges, "edges", MAX_EDGES)):
-        where = f"edges[{k}]"
         if not isinstance(item, list) or len(item) not in (2, 3):
-            raise InputError(f"{where}: expected [a, b] or [a, b, multiplicity]")
-        a = _require_str(item[0], f"{where}[0]")
-        b = _require_str(item[1], f"{where}[1]")
-        mult = _require_int(item[2], f"{where}[2]", 1) if len(item) == 3 else 1
+            raise InputError(f"edges[{k}]: expected [a, b] or [a, b, multiplicity]")
+        a, b = item[0], item[1]
+        if type(a) is not str or not a:
+            raise _str_error(a, f"edges[{k}][0]")
+        if type(b) is not str or not b:
+            raise _str_error(b, f"edges[{k}][1]")
+        mult = item[2] if len(item) == 3 else 1
+        if type(mult) is not int or not 1 <= mult <= MAX_INTEGER:
+            raise _int_error(mult, f"edges[{k}][2]", 1)
         edges.append((a, b, mult))
 
     graph = build_graph(vertices, edges)
@@ -175,26 +210,30 @@ def parse_input(text: str) -> ParsedInput:
     elif not isinstance(raw_boundary, list):
         raise InputError("'boundary' must be a list")
     for k, item in enumerate(_capped_list(raw_boundary, "boundary", MAX_COMPONENTS)):
-        where = f"boundary[{k}]"
         if not isinstance(item, dict):
-            raise InputError(f"{where}: expected an object")
+            raise InputError(f"boundary[{k}]: expected an object")
         for key in item:
             if key not in {"name", "coeff", "meets"}:
-                raise InputError(f"{where}: unknown key {key!r}")
-        name = _require_str(item.get("name"), f"{where}.name")
-        coeff = parse_rational(item.get("coeff"), f"{where}.coeff")
-        if coeff < 0 or coeff > 1:
-            raise InputError(f"{where}.coeff: coefficient {coeff} out of [0, 1]")
+                raise InputError(f"boundary[{k}]: unknown key {key!r}")
+        name = item.get("name")
+        if type(name) is not str or not name:
+            raise _str_error(name, f"boundary[{k}].name")
+        raw_coeff = item.get("coeff")
+        coeff = _rational(raw_coeff)
+        if coeff is None:
+            raise _rational_error(raw_coeff, f"boundary[{k}].coeff")
+        if not 0 <= coeff.numerator <= coeff.denominator:
+            raise InputError(f"boundary[{k}].coeff: coefficient {coeff} out of [0, 1]")
         raw_meets = item.get("meets", {})
         if not isinstance(raw_meets, dict):
-            raise InputError(f"{where}.meets: expected an object of id -> count")
+            raise InputError(f"boundary[{k}].meets: expected an object of id -> count")
         meets = [0] * graph.n
         for vid, count in raw_meets.items():
             if vid not in graph.index:
-                raise InputError(f"{where}.meets: unknown vertex reference {vid!r}")
-            meets[graph.index[vid]] = _require_int(
-                count, f"{where}.meets[{vid!r}]", 0
-            )
+                raise InputError(f"boundary[{k}].meets: unknown vertex reference {vid!r}")
+            if type(count) is not int or not 0 <= count <= MAX_INTEGER:
+                raise _int_error(count, f"boundary[{k}].meets[{vid!r}]", 0)
+            meets[graph.index[vid]] = count
         components.append(boundary_component(name, coeff, meets))
 
     nef = None

@@ -65,7 +65,6 @@ from .graph import (
     DualGraph,
     ExcDivisor,
     Record,
-    canonical_degrees,
     definite_factor,
     exact_fraction,
     form_image,
@@ -124,9 +123,12 @@ class CycleSet(Record):
     a common denominator of the boundary counts.  ``s``, ``k`` and ``q``
     are the images N Z, N Delta and dq * N b', which the rounds for Z
     and the input give for free; ``k`` is the graph's own
-    ``DualGraph.canonical``, not a copy.  The ExcDivisor views are built
-    on first read; ``boundary_canonical`` always equals ``canonical +
-    boundary_part`` componentwise (e_j = a_j + b'_j).
+    ``DualGraph.canonical``, not a copy.  The ExcDivisor views
+    (``fundamental``, ``canonical``, ``boundary_part``,
+    ``boundary_canonical``) are built on first read, for library callers;
+    the report prints the integers ``z``, ``yk``, ``yq`` and ``ye`` and
+    reads none of them.  ``boundary_canonical`` always equals
+    ``canonical + boundary_part`` componentwise (e_j = a_j + b'_j).
     """
 
     _fields = ("z", "s", "k", "q", "det", "dq", "yk", "yq", "ye")
@@ -309,7 +311,7 @@ def arithmetic_genus(graph: DualGraph, z: ExcDivisor) -> Fraction:
         )
     if not z.is_integral() or not z.is_effective():
         raise ValueError("cycle must be effective and integral")
-    zk = sum(zj * kj for zj, kj in zip(z, canonical_degrees(graph)))
+    zk = sum(zj * kj for zj, kj in zip(z, graph.canonical))
     zz = -sum(map(mul, z, form_image(graph, z.coeffs)))
     return Fraction(zk + zz, 2) + 1
 
@@ -320,7 +322,7 @@ def canonical_cycle(graph: DualGraph) -> ExcDivisor:
     Effective whenever no vertex is the weight-1 smooth-point marker; on
     an all-weight-2 genus-0 graph it vanishes identically.
     """
-    return solve_exceptional(graph, canonical_degrees(graph))
+    return solve_exceptional(graph, graph.canonical)
 
 
 def exceptional_pullback(

@@ -107,7 +107,10 @@ class Edge(NamedTuple):
 def exact_fraction(value: Fraction | int | str, what: str) -> Fraction:
     """Fraction(value), refusing a float or a bool: Fraction would read a
     float's binary expansion (0.1 as 3602879701896397/2**55), where the
-    caller meant a decimal, and a bool is no number here."""
+    caller meant a decimal, and a bool is no number here.  A Fraction is
+    immutable, so one comes back as it is, not copied."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise ValueError(
             f"{what} must be exact (an int, a Fraction or a 'p/q' string), got {value!r}"
@@ -453,14 +456,16 @@ def definite_factor(graph: DualGraph) -> Factor:
 
 
 def canonical_degree(graph: DualGraph, j: int) -> int:
-    """K_X . E_j by adjunction: w_j + 2*g_j - 2."""
+    """K_X . E_j by adjunction: w_j + 2*g_j - 2, read off `DualGraph.canonical`."""
     if not 0 <= j < graph.n:
         raise IndexError(f"vertex index {j} out of range for {graph.n} vertices")
-    return canonical_degrees(graph)[j]
+    return graph.canonical[j]
 
 
 def canonical_degrees(graph: DualGraph, start: int = 0) -> list[int]:
-    """[K_X . E_j for every j from `start` on], in vertex order."""
+    """[K_X . E_j for every j from `start` on], in vertex order: the
+    graph's `canonical` view is built from it once, and every reader of
+    the degrees reads that view."""
     return [weight + 2 * genus - 2 for _, weight, genus in graph.vertices[start:]]
 
 

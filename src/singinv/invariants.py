@@ -72,6 +72,11 @@ class _DeltaMinFields(NamedTuple):
 
 
 class DeltaMinResult(_DeltaMinFields):
+    """delta_min, its active set and its minimizer x0 as integers over one
+    denominator.  The ExcDivisor view ``minimizer`` is built on first
+    read, for library callers; the report prints ``x_num`` over ``x_den``
+    and reads ``minimizer`` nowhere."""
+
     # no __slots__: the instance dict holds the cached minimizer
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__

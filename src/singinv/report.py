@@ -3,17 +3,21 @@
 The report is a pure function of the input: given the same graph,
 boundary and nef data it is bit-identical across runs.  Rationals are
 serialized as exact "p/q" strings (plain "p" when integral) so every
-emitted value re-parses to the identical fraction.
+emitted value re-parses to the identical fraction.  The vectors Z,
+Delta, b', e and x0 are printed from the integers the analysis holds
+(`CycleSet`, `DeltaMinResult`), each entry reduced over its denominator
+by `_ratios`, not through their ExcDivisor views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from math import gcd
+from typing import NamedTuple, Sequence
 
 from .classify import Classification, ShapeKind
 from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY
-from .graph import DualGraph, ExcDivisor, validate
+from .graph import DualGraph, validate
 from .invariants import (
     DEFAULT_EPSILON,
     DeltaMinResult,
@@ -58,9 +62,11 @@ class SingularityReport(NamedTuple):
     def oracle_matches(self) -> bool | None:
         if self.delta_min_oracle is None:
             return None
-        return (
-            self.delta_min_oracle.value == self.delta_min.value
-            and self.delta_min_oracle.minimizer == self.delta_min.minimizer
+        # x_num / x_den is in lowest terms, so equal minimizers have
+        # equal integers
+        oracle, dmin = self.delta_min_oracle, self.delta_min
+        return (oracle.value, oracle.x_num, oracle.x_den) == (
+            dmin.value, dmin.x_num, dmin.x_den
         )
 
 
@@ -76,26 +82,37 @@ def build_report(
     validate(graph)
     a = analyze(graph, boundary)
     oracle = delta_min_exhaustive(graph, boundary) if verify_delta_min else None
-    dprime = delta_prime_from(a, epsilon)
-    theorem = (
-        check_hypotheses_from(a, nef.m2, nef.min_mc, epsilon)
-        if nef is not None
-        else None
-    )
-    return SingularityReport(
-        **a._asdict(),
-        graph=graph,
-        boundary=boundary,
-        nef=nef,
-        epsilon=epsilon,
-        delta_min_oracle=oracle,
-        delta_prime=dprime,
-        theorem=theorem,
-    )
+    if nef is None:
+        theorem, dprime = None, delta_prime_from(a, epsilon)
+    else:  # the check computes delta' from the same analysis and epsilon
+        theorem = check_hypotheses_from(a, nef.m2, nef.min_mc, epsilon)
+        dprime = theorem.delta_prime
+    return SingularityReport(*a, graph, boundary, nef, epsilon, oracle, dprime, theorem)
 
 
-def _divisor_list(d: ExcDivisor) -> list[str]:
-    return list(map(str, d))
+def _ratios(nums: Sequence[int], den: int) -> list[str]:
+    """[str(Fraction(v, den)) for v in nums], den >= 1, without a Fraction:
+    each v over den in lowest terms, "p" when integral."""
+    if den == 1:
+        return list(map(str, nums))
+    out = []
+    for v in nums:
+        g = gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out
+
+
+def _vectors(report: SingularityReport) -> tuple[list[str], ...]:
+    """Z, Delta, b', e and x0 as printed, from the analysis's integers."""
+    cs, dmin = report.cycles, report.delta_min
+    den = cs.det * cs.dq
+    return (
+        list(map(str, cs.z)),
+        _ratios(cs.yk, cs.det),
+        _ratios(cs.yq, den),
+        _ratios(cs.ye, den),
+        _ratios(dmin.x_num, dmin.x_den),
+    )
 
 
 def _input_echo(report: SingularityReport) -> dict:
@@ -174,9 +191,10 @@ def _theorem_dict(check: HypothesisCheck) -> dict:
 
 def report_to_dict(report: SingularityReport) -> dict:
     g = report.graph
+    z, canonical, boundary_part, boundary_canonical, x0 = _vectors(report)
     dmin: dict = {
         "value": str(report.delta_min.value),
-        "minimizer": _divisor_list(report.delta_min.minimizer),
+        "minimizer": x0,
         "active_vertices": [
             g.vertices[j].id for j in sorted(report.delta_min.active_set)
         ],
@@ -196,11 +214,11 @@ def report_to_dict(report: SingularityReport) -> dict:
             "log_terminal": report.classification.log_terminal,
             "log_canonical": report.classification.log_canonical,
         },
-        "fundamental_cycle": _divisor_list(report.cycles.fundamental),
+        "fundamental_cycle": z,
         "arithmetic_genus": str(report.cycles.fundamental_genus),
-        "canonical_cycle": _divisor_list(report.cycles.canonical),
-        "boundary_pullback": _divisor_list(report.cycles.boundary_part),
-        "boundary_canonical_cycle": _divisor_list(report.cycles.boundary_canonical),
+        "canonical_cycle": canonical,
+        "boundary_pullback": boundary_part,
+        "boundary_canonical_cycle": boundary_canonical,
         "delta_y": str(report.delta_y),
         "delta_b_y": str(report.delta_by),
         "delta_min": dmin,
@@ -211,8 +229,8 @@ def report_to_dict(report: SingularityReport) -> dict:
     }
 
 
-def _vector_text(d: ExcDivisor) -> str:
-    return "[" + ", ".join(map(str, d)) + "]"
+def _vector_text(entries: list[str]) -> str:
+    return "[" + ", ".join(entries) + "]"
 
 
 def _yesno(flag: bool) -> str:
@@ -266,6 +284,9 @@ def render_text(report: SingularityReport) -> str:
                 + (f", meets {meets}" if meets else ", misses the fiber")
             )
     cls = report.classification
+    z, canonical, boundary_part, boundary_canonical, x0 = map(
+        _vector_text, _vectors(report)
+    )
     lines += [
         "classification:",
         f"  kind:          {cls.kind.value}",
@@ -273,11 +294,11 @@ def render_text(report: SingularityReport) -> str:
         f"  log terminal:  {_yesno(cls.log_terminal)}",
         f"  log canonical: {_yesno(cls.log_canonical)}",
         "cycles:",
-        f"  fundamental Z:      {_vector_text(report.cycles.fundamental)}",
+        f"  fundamental Z:      {z}",
         f"  p_a(Z):             {report.cycles.fundamental_genus!s}",
-        f"  canonical:          {_vector_text(report.cycles.canonical)}",
-        f"  boundary part b':   {_vector_text(report.cycles.boundary_part)}",
-        f"  boundary canonical: {_vector_text(report.cycles.boundary_canonical)}",
+        f"  canonical:          {canonical}",
+        f"  boundary part b':   {boundary_part}",
+        f"  boundary canonical: {boundary_canonical}",
     ]
     active = [g.vertices[j].id for j in sorted(report.delta_min.active_set)]
     active_text = ", ".join(active) if active else "none"
@@ -286,7 +307,7 @@ def render_text(report: SingularityReport) -> str:
         f"  delta_y   = {report.delta_y!s}",
         f"  delta_B,y = {report.delta_by!s}",
         f"  delta_min = {report.delta_min.value!s}  "
-        f"(x0 = {_vector_text(report.delta_min.minimizer)}; active: {active_text})",
+        f"(x0 = {x0}; active: {active_text})",
     ]
     if report.delta_min_oracle is not None:
         lines.append(

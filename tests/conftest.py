@@ -20,6 +20,7 @@ from singinv.families import chain_graph, fork_graph, rdp_family, smooth_graph
 from singinv.graph import ExcDivisor, build_graph, validate
 from singinv.invariants import DeltaMinResult, quadratic_norm
 from singinv.linalg import clear_denominators, solve
+from singinv.report import render_text, report_to_dict
 
 GRAPH_KINDS = ("tree", "cycle", "multi", "genus")
 
@@ -429,3 +430,44 @@ def any_boundary(graph, rng: random.Random, max_components=2):
             for k in range(rng.randint(0, max_components))
         )
     )
+
+
+def view_vectors(report):
+    """Z, Delta, b', e and x0 of a report, each entry str() of its Fraction
+    in the ExcDivisor views (`CycleSet.fundamental` and the rest,
+    `DeltaMinResult.minimizer`): the route the renderers took before they
+    read the analysis's integers."""
+    cs = report.cycles
+    views = (cs.fundamental, cs.canonical, cs.boundary_part, cs.boundary_canonical,
+             report.delta_min.minimizer)
+    return [list(map(str, view)) for view in views]
+
+
+_DICT_VECTORS = ("fundamental_cycle", "canonical_cycle", "boundary_pullback",
+                 "boundary_canonical_cycle")
+_TEXT_VECTORS = ("  fundamental Z:      ", "  canonical:          ",
+                 "  boundary part b':   ", "  boundary canonical: ")
+
+
+def reference_report_dict(report):
+    """Reference `report_to_dict`: the document with its five vectors
+    printed through the ExcDivisor views."""
+    doc = report_to_dict(report)
+    *cycles, x0 = view_vectors(report)
+    doc.update(zip(_DICT_VECTORS, cycles))
+    doc["delta_min"]["minimizer"] = x0
+    return doc
+
+
+def reference_text(report):
+    """Reference `render_text`: the text with its five vectors printed
+    through the ExcDivisor views."""
+    *cycles, x0 = ("[" + ", ".join(v) + "]" for v in view_vectors(report))
+    lines = render_text(report).split("\n")
+    for prefix, vector in zip(_TEXT_VECTORS, cycles):
+        (i,) = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+        lines[i] = prefix + vector
+    (i,) = [i for i, line in enumerate(lines) if line.startswith("  delta_min = ")]
+    head, _, tail = lines[i].partition("(x0 = [")
+    lines[i] = f"{head}(x0 = {x0}; active: {tail.split('; active: ', 1)[1]}"
+    return "\n".join(lines)

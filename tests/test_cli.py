@@ -111,6 +111,80 @@ def test_parse_input_errors(text, message):
         parse_input(text)
 
 
+_V = [{"id": "E1", "weight": 2}, {"id": "E'2", "weight": 3}]
+_E = [["E1", "E'2"]]
+
+
+def _bad_meets(count):
+    return {"vertices": _V, "edges": _E,
+            "boundary": [{"name": "C", "coeff": "1/2", "meets": {"E1": 1, "E'2": count}}]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": [_V[0], {"id": "", "weight": 2}]},
+         "vertices[1].id: expected a nonempty string, got ''"),
+        ({"vertices": [_V[0], {"id": 7, "weight": 2}]},
+         "vertices[1].id: expected a nonempty string, got 7"),
+        ({"vertices": [_V[0], {"id": "E2", "weight": "2"}]},
+         "vertices[1].weight: expected an integer, got '2'"),
+        ({"vertices": [_V[0], {"id": "E2", "weight": True}]},
+         "vertices[1].weight: expected an integer, got True"),
+        ({"vertices": [_V[0], {"id": "E2"}]},
+         "vertices[1].weight: expected an integer, got None"),
+        ({"vertices": [_V[0], {"id": "E2", "weight": 0}]},
+         "vertices[1].weight: must be >= 1, got 0"),
+        ({"vertices": [_V[0], {"id": "E2", "weight": 2, "genus": -1}]},
+         "vertices[1].genus: must be >= 0, got -1"),
+        ({"vertices": [_V[0], {"id": "E2", "weight": 2, "genus": 1.5}]},
+         "vertices[1].genus: expected an integer, got 1.5"),
+        ({"vertices": _V, "edges": [_E[0], ["", "E1"]]},
+         "edges[1][0]: expected a nonempty string, got ''"),
+        ({"vertices": _V, "edges": [_E[0], ["E1", None]]},
+         "edges[1][1]: expected a nonempty string, got None"),
+        ({"vertices": _V, "edges": [_E[0], ["E1", "E'2", 0]]},
+         "edges[1][2]: must be >= 1, got 0"),
+        ({"vertices": _V, "edges": [_E[0], ["E1", "E'2", "1"]]},
+         "edges[1][2]: expected an integer, got '1'"),
+        ({"vertices": _V, "edges": _E,
+          "boundary": [{"name": "C", "coeff": "1/2"}, {"name": ""}]},
+         "boundary[1].name: expected a nonempty string, got ''"),
+        ({"vertices": _V, "edges": _E,
+          "boundary": [{"name": "C", "coeff": "1/2"}, {"name": "D", "coeff": "0.5"}]},
+         "boundary[1].coeff: non-rational literal '0.5' (use an integer or a 'p/q' string)"),
+        ({"vertices": _V, "edges": _E,
+          "boundary": [{"name": "C", "coeff": "1/2"}, {"name": "D"}]},
+         "boundary[1].coeff: non-rational literal None (use an integer or a 'p/q' string)"),
+        ({"vertices": _V, "edges": _E,
+          "boundary": [{"name": "C", "coeff": "1/2"}, {"name": "D", "coeff": "3/2"}]},
+         "boundary[1].coeff: coefficient 3/2 out of [0, 1]"),
+        (_bad_meets(-1), "boundary[0].meets[\"E'2\"]: must be >= 0, got -1"),
+        (_bad_meets("1"), "boundary[0].meets[\"E'2\"]: expected an integer, got '1'"),
+        (_bad_meets(-1000001), "boundary[0].meets[\"E'2\"]: integer exceeds the size cap 1000000"),
+        ({"vertices": _V, "edges": _E,
+          "boundary": [{"name": "C", "coeff": "1/2", "meets": {"E2": 1}}]},
+         "boundary[0].meets: unknown vertex reference 'E2'"),
+        ({"vertices": _V, "edges": _E, "nef": {"M2": 0.5, "minMC": 1}},
+         "nef.M2: non-rational literal 0.5 (use an integer or a 'p/q' string)"),
+        ({"vertices": _V, "edges": _E, "nef": {"M2": "1/1000001", "minMC": 1}},
+         "nef.M2: integer exceeds the size cap 1000000"),
+        ({"vertices": _V, "edges": _E, "nef": {"M2": 1, "minMC": "1/0"}},
+         "nef.minMC: non-rational literal '1/0' (use an integer or a 'p/q' string)"),
+        ({"vertices": _V, "edges": _E, "nef": {"M2": 1, "minMC": False}},
+         "nef.minMC: non-rational literal False"),
+        ({"vertices": [_V[0], {"id": "E2", "weight": 1000001}]},
+         "vertices[1].weight: integer exceeds the size cap 1000000"),
+    ],
+)
+def test_parse_input_error_messages_are_pinned(doc, message):
+    # one bad document per field kind, with the message of each raising
+    # branch exactly as it reads; each field's location is built only there
+    with pytest.raises(InputError) as info:
+        parse_input(json.dumps(doc))
+    assert str(info.value) == message
+
+
 def test_parse_input_eliminates_nothing(monkeypatch):
     # on the 100-vertex complete graph, a document that parses, one with a
     # boundary coefficient of 3/2 and one with half its nef data build and
@@ -329,6 +403,28 @@ def test_analyze_oracle_flag(capsys):
     assert code == 0
     oracle = json.loads(out)["delta_min"]["oracle"]
     assert oracle == {"value": "81/80", "matches": True}
+
+
+def test_an_oracle_with_another_minimizer_is_a_mismatch(monkeypatch, capsys):
+    # the oracle's value equals the LCP's but its x0 does not: the report
+    # says so and analyze exits 2
+    import singinv.report as report_module
+
+    real = report_module.delta_min_exhaustive
+
+    def moved(graph, boundary):
+        result = real(graph, boundary)
+        return result._replace(x_num=(result.x_num[0] + 1,) + result.x_num[1:])
+
+    monkeypatch.setattr(report_module, "delta_min_exhaustive", moved)
+    path = str(SAMPLES / "chain_2_5_2_boundary.json")
+    error = "error: delta_min oracle disagrees with the LCP solution\n"
+    code, out, err = _run(capsys, ["analyze", path, "--oracle", "--json"])
+    assert (code, err) == (2, error)
+    assert json.loads(out)["delta_min"]["oracle"] == {"value": "81/80", "matches": False}
+    code, out, err = _run(capsys, ["analyze", path, "--oracle"])
+    assert (code, err) == (2, error)
+    assert "delta_min oracle: 81/80  (matches: no)" in out
 
 
 def test_analyze_missing_file_is_io_error(capsys):
@@ -1017,6 +1113,16 @@ def test_continuant_json_is_pinned(capsys):
         (["check", "tests/golden/limits_chain32_input.json"], "limits_chain32_check.txt"),
         (["pullback", "samples/chain_2_3.json", "--meets", "1,0"], "chain_2_3_pullback_1_0.txt"),
         (["continuant", "2,3,5", "--inverse", "1", "3"], "continuant_2_3_5_inverse_1_3.txt"),
+        # the analyze report of each sample: smooth.json's canonical cycle
+        # is negative, chain_2_5_2_boundary's vectors are fractions
+        (["analyze", "samples/smooth.json"], "smooth.txt"),
+        (["analyze", "samples/a1.json"], "a1.txt"),
+        (["analyze", "samples/chain_2_3.json"], "chain_2_3.txt"),
+        (["analyze", "samples/chain_2_5_2_boundary.json"], "chain_2_5_2_boundary.txt"),
+        # a 100-vertex star with vectors of many-digit fractions, and the
+        # 64-vertex long-arm fork, whose minimizer x0 is nonzero
+        (["analyze", "tests/golden/star64_tail35_input.json"], "star64_tail35_analyze.txt"),
+        (["analyze", "tests/golden/long_arm_fork64_input.json"], "long_arm_fork64_analyze.txt"),
     ],
 )
 def test_text_output_is_pinned(capsys, argv, name):

@@ -11,12 +11,15 @@ from conftest import (
     cofactor_determinant,
     dense_form,
     dense_graph_shape,
+    dense_laufer,
     factor_state,
     matvec,
     random_chain_weights,
     random_graph,
+    scanned_kind,
 )
-from singinv.classify import ShapeKind, graph_shape
+from singinv.classify import ShapeKind, graph_shape, singularity_kind
+from singinv.cycles import arithmetic_genus, canonical_cycle, fundamental_cycle
 from singinv import families
 from singinv.families import chain_graph, chain_sweep, rdp_family, smooth_graph
 from singinv.graph import (
@@ -408,6 +411,38 @@ def test_canonical_degree():
     assert canonical_degree(build_graph([("E1", 2, 1)]), 0) == 2
     with pytest.raises(IndexError):
         canonical_degree(smooth_graph(), 1)
+
+
+def test_the_canonical_helpers_read_the_graphs_degrees(monkeypatch):
+    # singularity_kind, canonical_cycle, arithmetic_genus and
+    # canonical_degree read the degrees the graph built with itself
+    # (`DualGraph.canonical`): none computes a degree, and one entry
+    # costs one read, not all n degrees
+    import singinv.graph as graph_module
+
+    computed = []
+    real_degrees = graph_module.canonical_degrees
+
+    def degrees(graph, start=0):
+        computed.append(graph.n - start)
+        return real_degrees(graph, start)
+
+    rng = random.Random(29)
+    sources = [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in (1, 4, 9)]
+    monkeypatch.setattr(graph_module, "canonical_degrees", degrees)
+    for g in sources:
+        graph = DualGraph(g.vertices, g.edges)
+        assert computed == [graph.n]
+        computed.clear()
+        k = [v.weight + 2 * v.genus - 2 for v in graph.vertices]
+        assert [canonical_degree(graph, j) for j in range(graph.n)] == k
+        assert singularity_kind(graph) is scanned_kind(graph)
+        assert matvec(dense_form(graph), canonical_cycle(graph).coeffs) == k
+        z, s = dense_laufer(graph)
+        zk = sum(map(lambda a, b: a * b, z, k))
+        zz = -sum(map(lambda a, b: a * b, z, s))
+        assert arithmetic_genus(graph, fundamental_cycle(graph)) == Fraction(zk + zz, 2) + 1
+        assert computed == []
 
 
 def test_solve_exceptional_examples():

@@ -8,7 +8,8 @@ its KKT certificate beyond the oracle's range, the rounds for Z against
 the step-by-step Laufer loop and the continuant formula on stars where
 Z grows, the report's
 equivariance under a reordering of the vertices, the lossless
-serialisation of every rational the report emits, and generated input
+serialisation of every rational the report emits, the report's vectors,
+printed from integers, against their ExcDivisor views, and generated input
 documents, valid and bent, and every field of the base documents bent by
 each edit kind, through `parse_input`, `build_report` and the CLI, which
 end in a report or a documented error, and generated argument lists
@@ -39,6 +40,8 @@ from conftest import (
     dense_form,
     dense_laufer,
     factor_state,
+    reference_report_dict,
+    reference_text,
     scanned_kind,
     star_fundamental_cycle,
     star_with_tail,
@@ -51,7 +54,7 @@ from singinv.families import chain_graph, chain_sweep
 from singinv.graph import GraphValidationError, build_graph, canonical_degrees, validate
 from singinv.invariants import analyze, delta_min_exhaustive
 from singinv.linalg import Factor
-from singinv.report import NefData, build_report, report_to_dict
+from singinv.report import NefData, _ratios, build_report, render_text, report_to_dict
 
 # no explain phase: it runs only after a failure, and it imports libcst,
 # whose DeprecationWarnings under `python -W error` would replace the
@@ -480,6 +483,37 @@ def test_every_emitted_rational_reparses_to_its_value(case, data):
             assert int(den) > 1 and math.gcd(int(num), int(den)) == 1
     rationals = [s for s in _strings(doc) if RATIONAL.fullmatch(s)]
     assert sorted(rationals) == sorted(s for s, _ in pairs)
+
+
+# 0, small and hundreds of digits long, of either sign
+NUMERATORS = st.one_of(st.just(0), st.integers(-100, 100), st.integers(-(10**400), 10**400))
+DENOMINATORS = st.one_of(st.just(1), st.integers(1, 100), st.integers(1, 10**400))
+
+
+@PROFILE
+@given(st.lists(NUMERATORS, max_size=6), DENOMINATORS, DENOMINATORS)
+def test_ratios_are_the_fraction_strings(nums, den, common):
+    # the report's one formatter of a vector over a denominator prints
+    # what str(Fraction(v, den)) prints; the common factor makes entries
+    # that reduce, often to an integer
+    for d, vs in ((den, nums), (den * common, [v * common for v in nums])):
+        assert _ratios(vs, d) == [str(Fraction(v, d)) for v in vs]
+
+
+@PROFILE
+@given(st.one_of(inputs(1, 8, kinds=GRAPH_KINDS), corpus_inputs()), st.data())
+def test_the_renderers_print_the_exc_divisor_views(case, data):
+    # both renderers print Z, Delta, b', e and x0 from the analysis's
+    # integers, and each entry reads as str() of its Fraction in the views
+    graph, boundary = case
+    nef = data.draw(st.none() | st.builds(
+        NefData,
+        m2=st.fractions(Fraction(1, 30), 40, max_denominator=30),
+        min_mc=st.fractions(0, 3, max_denominator=30),
+    ))
+    report = build_report(graph, boundary, nef, verify_delta_min=data.draw(st.booleans()))
+    assert report_to_dict(report) == reference_report_dict(report)
+    assert render_text(report) == reference_text(report)
 
 
 # Fuzzing the input path (README "Input format"): a valid document bent
