@@ -118,14 +118,15 @@ def classify(
     if cycles is None:
         cycles = boundary_cycle(graph, boundary)
     # every e_j < 1 (<= 1) exactly when the largest numerator over
-    # det * dq is below it
+    # det * dq is below it, and every coefficient when its numerator is
+    # below its denominator; a component that misses the fiber counts too
     d = cycles.det * cycles.dq
     top = max(cycles.ye)
     log_terminal, log_canonical = top < d, top <= d
-    if boundary.components:
-        coeffs = [c.coeff for c in boundary.components]
-        log_terminal = log_terminal and all(c < 1 for c in coeffs)
-        log_canonical = log_canonical and all(c <= 1 for c in coeffs)
+    for c in boundary.components:
+        num, den = c.coeff.numerator, c.coeff.denominator
+        log_terminal = log_terminal and num < den
+        log_canonical = log_canonical and num <= den
     return Classification(
         kind=_kind(cycles.k),
         shape=graph_shape(graph),

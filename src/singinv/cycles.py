@@ -164,18 +164,23 @@ class CycleSet(Record):
         return ExcDivisor(tuple(Fraction(v, den) for v in self.ye))
 
     @cached_property
-    def fundamental_genus(self) -> Fraction:
-        """p_a(Z) = (Z.K + Z.Z)/2 + 1, with Z.Z = -Z.(N Z) = -Z.s."""
+    def fundamental_genus(self) -> int:
+        """p_a(Z) = (Z.K + Z.Z)/2 + 1, with Z.Z = -Z.(N Z) = -Z.s, an
+        integer: Z.K + Z.Z, for integral Z, sums the even terms
+        w_j z_j (1 - z_j) + 2 z_j (g_j - 1) and 2 z_i z_j E_i.E_j."""
         zk = sum(map(mul, self.z, self.k))
         zz = -sum(map(mul, self.z, self.s))
-        return Fraction(zk + zz + 2, 2)
+        return (zk + zz) // 2 + 1
 
 
 def check_boundary(graph: DualGraph, boundary: BoundaryData) -> None:
+    """Every coefficient in [0, 1], read off its numerator and its
+    denominator (> 0), and every meets vector of length n and >= 0."""
     for comp in boundary.components:
-        if comp.coeff < 0:
+        num = comp.coeff.numerator
+        if num < 0:
             raise ValueError(f"boundary component {comp.name!r}: negative coefficient")
-        if comp.coeff > 1:
+        if num > comp.coeff.denominator:
             raise ValueError(
                 f"boundary component {comp.name!r}: coefficient {comp.coeff} > 1"
             )
@@ -320,9 +325,13 @@ def canonical_cycle(graph: DualGraph) -> ExcDivisor:
     """The unique divisor with Delta.E_j = -K_X.E_j for all j.
 
     Effective whenever no vertex is the weight-1 smooth-point marker; on
-    an all-weight-2 genus-0 graph it vanishes identically.
+    an all-weight-2 genus-0 graph it vanishes identically.  One back
+    substitution of the graph's `canonical_forward` over det N, as
+    `boundary_cycle` computes it.
     """
-    return solve_exceptional(graph, graph.canonical)
+    factor = definite_factor(graph)
+    y = factor.back_substitute(graph.canonical_forward)
+    return ExcDivisor(tuple(Fraction(v, factor.det) for v in y))
 
 
 def exceptional_pullback(

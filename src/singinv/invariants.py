@@ -286,7 +286,7 @@ def delta_prime_from(
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         return DeltaPrime(kind=DeltaPrimeKind.ANY_POSITIVE, epsilon=epsilon)
-    return DeltaPrime(kind=DeltaPrimeKind.ZERO, value=Fraction(0))
+    return DeltaPrime(kind=DeltaPrimeKind.ZERO, value=_ZERO)
 
 
 def delta_prime(

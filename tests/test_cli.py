@@ -1054,14 +1054,19 @@ def test_long_arm_fork_analyze_is_pinned(capsys):
         ("star16_tail83", 2, [(MAX_INTEGER, 251)] * 16, 83),
         ("star1_tail92", 3, [(MAX_INTEGER, 1418)], 92),
         ("star64_tail35", 2, [(MAX_INTEGER, 125)] * 64, 35),
+        ("star6_rounds1505", 5,
+         [(6572, 74), (7301, 78), (2219, 43), (3500, 54), (4916, 64), (10157, 92)], 0),
     ],
 )
 def test_heavy_star_analyze_is_pinned(capsys, name, center, leaves, tail):
-    # valid inputs at the caps whose fundamental cycles are far above
-    # (1, ..., 1): sum(Z) - n is 169,260, 464,536 and 144,080, reached in
-    # 21, 41 and 8 rounds.  The goldens' Z was checked against the
-    # step-by-step reference loop when they were written, and CI diffs
-    # the installed console script against them too
+    # valid inputs whose fundamental cycles are far above (1, ..., 1):
+    # three at the caps, where sum(Z) - n is 169,260, 464,536 and 144,080,
+    # reached in 21, 41 and 8 rounds, and a star near the definiteness
+    # bound, 88,234 in 1,505 rounds.  The first three goldens' Z was
+    # checked against the step-by-step reference loop when they were
+    # written, the last one's against the star formula
+    # (tests/test_cycles.py), and CI diffs the installed console script
+    # against them too
     golden = REPO_ROOT / "tests" / "golden"
     source = golden / f"{name}_input.json"
     assert source.read_text() == _one_per_line(build_graph(*star_with_tail(center, leaves, tail)))

@@ -18,6 +18,7 @@ from conftest import (
     star_fundamental_cycle,
     star_with_tail,
 )
+from singinv import cycles
 from singinv.cli import parse_input
 from singinv.cycles import (
     BoundaryData,
@@ -37,6 +38,7 @@ from singinv.graph import (
     validate,
 )
 from singinv.invariants import analyze
+from singinv.linalg import Factor
 
 
 def _anti_nef(graph, z):
@@ -161,10 +163,13 @@ def test_laufer_worklist_matches_dense_reference():
     assert (list(cs.z), list(cs.s)) == dense_laufer(heavy)
 
 
-@pytest.mark.parametrize("name", ["star16_tail83", "star1_tail92", "star64_tail35"])
+@pytest.mark.parametrize(
+    "name", ["star16_tail83", "star1_tail92", "star64_tail35", "star6_rounds1505"]
+)
 def test_star_goldens_z_is_the_star_formula(name):
     # the heavy-leaf stars at the caps, whose Z the step-by-step loop
-    # needs up to 464,536 steps for: the rounds, the golden report and
+    # needs up to 464,536 steps for, and the star that needs the most
+    # rounds known within the caps: the rounds, the golden report and
     # the continuant formula agree on every coefficient
     golden = Path(__file__).resolve().parent / "golden"
     graph = parse_input((golden / f"{name}_input.json").read_text()).graph
@@ -173,6 +178,51 @@ def test_star_goldens_z_is_the_star_formula(name):
     report = json.loads((golden / f"{name}_analyze.json").read_text())
     assert report["fundamental_cycle"] == [str(c) for c in z]
     assert sum(z) > 2 * graph.n  # far above (1, ..., 1)
+
+
+def test_the_recorded_star_takes_1505_rounds(monkeypatch):
+    # README "Limits": near the definiteness bound a heavy vertex rises
+    # by about one a round.  This star (center 5, six leaves, no tail),
+    # found by a random search, needs 1,505 rounds of the least-element
+    # solver for Z, with sum(Z) - n = 88,234
+    golden = Path(__file__).resolve().parent / "golden"
+    graph = parse_input((golden / "star6_rounds1505_input.json").read_text()).graph
+    rounds = []
+    solver = cycles.least_element
+
+    def counted(*args):
+        rounds.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(cycles, "least_element", counted)
+    z = boundary_cycle(graph).z
+    assert len(rounds) == 1505
+    assert z == (81793, 921, 874, 1585, 1262, 1065, 741)
+    assert sum(z) - graph.n == 88_234
+
+
+def test_the_canonical_cycle_is_one_back_substitution(monkeypatch):
+    # canonical_cycle reads the graph's canonical forward values, carried
+    # once on first read, and back-substitutes them once over det N; the
+    # degrees are not carried a second time, as a solve of N Delta = k
+    # would carry them
+    calls = []
+
+    def counted(name, real):
+        def wrapper(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return wrapper
+
+    for name in ("carry", "back_substitute", "scaled_solve", "solve"):
+        monkeypatch.setattr(Factor, name, counted(name, getattr(Factor, name)))
+    graph = fork_graph(3, [(2,), (3, 4), (2, 5)])
+    delta = canonical_cycle(graph)
+    assert calls == ["carry", "back_substitute"]
+    calls.clear()
+    assert canonical_cycle(graph) == delta
+    assert calls == ["back_substitute"]
+    assert delta == boundary_cycle(graph).canonical
 
 
 def test_laufer_rejects_a_non_violating_choice():

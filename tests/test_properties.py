@@ -6,7 +6,10 @@ a scan of the vertices, the `continuant` closed forms against the
 general pass on chains, the delta_min LCP against the exhaustive oracle,
 its KKT certificate beyond the oracle's range, the rounds for Z against
 the step-by-step Laufer loop and the continuant formula on stars where
-Z grows, the report's
+Z grows, with legs that are leaves or longer chains, p_a(Z) in integers
+against its Fraction route on graphs with genus and multiple edges, the
+canonical cycle against a fresh solve, the integer boundary tests
+against the Fraction helpers, the report's
 equivariance under a reordering of the vertices, the lossless
 serialisation of every rational the report emits, the report's vectors,
 printed from integers, against their ExcDivisor views, and generated input
@@ -46,12 +49,25 @@ from conftest import (
     star_fundamental_cycle,
     star_with_tail,
 )
-from singinv.classify import classify, singularity_kind
+from singinv.classify import classify, is_log_canonical, is_log_terminal, singularity_kind
 from singinv.cli import MAX_INTEGER, InputError, main, parse_input
 from singinv.continuant import chain_delta_y, continuant, inverse_entry
-from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
+from singinv.cycles import (
+    BoundaryData,
+    arithmetic_genus,
+    boundary_component,
+    boundary_cycle,
+    canonical_cycle,
+)
 from singinv.families import chain_graph, chain_sweep
-from singinv.graph import GraphValidationError, build_graph, canonical_degrees, validate
+from singinv.graph import (
+    GraphValidationError,
+    NotNegativeDefiniteError,
+    build_graph,
+    canonical_degrees,
+    solve_exceptional,
+    validate,
+)
 from singinv.invariants import analyze, delta_min_exhaustive
 from singinv.linalg import Factor
 from singinv.report import NefData, _ratios, build_report, render_text, report_to_dict
@@ -250,6 +266,28 @@ def test_the_kind_along_a_weight_sweep_is_the_vertex_scan(sweep):
             assert classify(graph).kind is kind
 
 
+@PROFILE
+@given(weight_sweeps())
+def test_the_canonical_cycle_is_the_solve_of_the_degrees(sweep):
+    # along a weight sweep, weights down to 1 and genus > 0 among the
+    # kinds: where N > 0 the canonical cycle, one back substitution of
+    # the carried degrees, equals the boundary pass's and a fresh solve
+    # of N Delta = k; elsewhere it raises, as the solve does, naming the
+    # first leading minor <= 0 of the dense elimination
+    first, siblings = sweep
+    for graph in [first, *(sibling for _, sibling in siblings)]:
+        bad = dense_eliminate(dense_form(graph))
+        if bad is None:
+            delta = canonical_cycle(graph)
+            assert delta == boundary_cycle(graph).canonical
+            assert delta == solve_exceptional(graph, graph.canonical)
+            continue
+        for call in (canonical_cycle, lambda g: solve_exceptional(g, g.canonical)):
+            with pytest.raises(NotNegativeDefiniteError) as raised:
+                call(graph)
+            assert raised.value.minor_index == bad
+
+
 def _assert_closed_forms(weights, graph):
     """The `continuant` closed forms of a chain against the one
     elimination of `graph`, its chain graph, and the analysis pass."""
@@ -340,6 +378,65 @@ def test_rounds_for_z_equal_the_star_formula(graph):
     assert list(boundary_cycle(graph).z) == star_fundamental_cycle(graph)
 
 
+@st.composite
+def legged_stars(draw):
+    """A star near the definiteness bound whose legs are chains: a center
+    of weight 2 to 4 and 1 to 4 legs of 1 to 4 vertices, the first edge
+    of leg i of multiplicity mu_i in 1 to 20 and the others 1, in a drawn
+    vertex order.  N > 0 iff the center's weight exceeds the sum over
+    the legs of mu_i^2 a(w_i2, ...) / a(w_i1, ...), mu_i^2 times the
+    corner entry of the leg's inverse, a ratio of continuants.  A leg's
+    later weights are 2 to 6, and its first is the least that keeps its
+    term under an equal share of the center's weight, plus a slack of 0
+    or 1, and one more if the leg would be all 2."""
+    center = draw(st.integers(2, 4))
+    legs = draw(st.integers(1, 4))
+    share = Fraction(center, legs)
+    vertices, edges = [("c", center)], []
+    for i in range(legs):
+        mu = draw(st.integers(1, 20))
+        rest = draw(st.lists(st.integers(2, 6), max_size=3))
+        # a(w, rest) = w a(rest) - a(rest[1:]) > mu^2 a(rest) / share,
+        # where a(rest[1:]) is 0 for a leaf
+        after = continuant(rest[1:]) if rest else 0
+        bound = mu * mu / share + Fraction(after, continuant(rest))
+        first = max(2, math.floor(bound) + 1 + draw(st.sampled_from((0, 0, 0, 1))))
+        weights = [first + (first == 2 and set(rest) <= {2}), *rest]
+        ids = [f"l{i}_{k}" for k in range(len(weights))]
+        vertices += zip(ids, weights)
+        edges += [("c", ids[0], mu), *((a, b, 1) for a, b in zip(ids, ids[1:]))]
+    graph = build_graph(draw(st.permutations(vertices)), edges)
+    validate(graph)
+    return graph
+
+
+@PROFILE
+@given(legged_stars())
+def test_rounds_for_z_on_stars_with_long_legs_equal_the_star_formula(graph):
+    assert list(boundary_cycle(graph).z) == star_fundamental_cycle(graph, graph.index["c"])
+
+
+@st.composite
+def genus_graphs(draw):
+    """A drawn graph of any kind, or a heavy star, with a genus of 0 to 3
+    drawn for each vertex; N reads no genus, so it stays definite."""
+    graph = draw(graphs(1, 10, GRAPH_KINDS) | heavy_stars())
+    genera = draw(st.lists(st.integers(0, 3), min_size=graph.n, max_size=graph.n))
+    return build_graph([v._replace(genus=g) for v, g in zip(graph.vertices, genera)],
+                       graph.edges)
+
+
+@PROFILE
+@given(genus_graphs())
+def test_the_genus_of_z_is_the_integer_adjunction(graph):
+    # p_a(Z) of the boundary pass, halved in integers, is an int equal
+    # to the Fraction route of arithmetic_genus, with positive genus,
+    # cycles and multiple edges among the graphs
+    cs = boundary_cycle(graph)
+    assert type(cs.fundamental_genus) is int
+    assert cs.fundamental_genus == arithmetic_genus(graph, cs.fundamental)
+
+
 def _by_vertex(doc):
     """A report dictionary with every per-vertex list keyed by vertex id
     and every list of ids as a set: equal for the same graph under any
@@ -363,6 +460,56 @@ def corpus_inputs(draw):
     forks) with a boundary."""
     _, graph = draw(st.sampled_from(base_graphs()))
     return graph, draw(boundaries(graph))
+
+
+def _fraction_refusal(boundary):
+    """The message of the first coefficient outside [0, 1], compared as
+    a Fraction, or None."""
+    for c in boundary.components:
+        if c.coeff < 0:
+            return f"boundary component {c.name!r}: negative coefficient"
+        if c.coeff > 1:
+            return f"boundary component {c.name!r}: coefficient {c.coeff} > 1"
+    return None
+
+
+@st.composite
+def edge_boundaries(draw, graph):
+    """Up to three components with coefficients often exactly 0 or 1 and
+    at times just outside [0, 1], whose meets are at times all 0: a
+    coefficient-1 component may miss the fiber."""
+    comps = []
+    coeffs = st.one_of(st.sampled_from((Fraction(0), Fraction(1))),
+                       st.fractions(0, 1, max_denominator=6),
+                       st.fractions(-1, 2, max_denominator=6))
+    counts = st.lists(st.sampled_from((0, 0, 1, 2)), min_size=graph.n, max_size=graph.n)
+    for k in range(draw(st.integers(0, 3))):
+        meets = draw(st.just([0] * graph.n) | counts)
+        comps.append(boundary_component(f"C{k + 1}", draw(coeffs), meets))
+    return BoundaryData(tuple(comps))
+
+
+@PROFILE
+@given(st.one_of(graphs(1, 8, GRAPH_KINDS), st.sampled_from(base_graphs()).map(lambda c: c[1])),
+       st.data())
+def test_the_integer_boundary_tests_are_the_fraction_helpers(graph, data):
+    # on the corpus, where e < 1, and on graphs of every kind: the
+    # boundary pass refuses a coefficient outside [0, 1] with the message
+    # of the Fraction comparisons, and otherwise classify's flags, read
+    # off numerators and denominators, equal the public Fraction helpers
+    # on the coefficients and e, whether a component meets the fiber or not
+    boundary = data.draw(edge_boundaries(graph))
+    refusal = _fraction_refusal(boundary)
+    if refusal is not None:
+        with pytest.raises(ValueError) as raised:
+            boundary_cycle(graph, boundary)
+        assert str(raised.value) == refusal
+        return
+    cs = boundary_cycle(graph, boundary)
+    flags = classify(graph, boundary, cycles=cs)
+    e = cs.boundary_canonical
+    assert flags.log_terminal is is_log_terminal(boundary, e)
+    assert flags.log_canonical is is_log_canonical(boundary, e)
 
 
 @PROFILE
@@ -393,7 +540,8 @@ def test_reordering_the_vertices_permutes_every_vector(case, data):
 
 def _emitted(report, doc):
     """(string, value) for every rational `report_to_dict` writes into
-    `doc`, paired with the value of `report` it was written from."""
+    `doc`, paired with the value of `report` it was written from: first
+    p_a(Z), an int, then the Fractions."""
     cs, dmin = report.cycles, report.delta_min
     pairs = [
         (doc["arithmetic_genus"], cs.fundamental_genus),
@@ -460,7 +608,8 @@ def test_every_emitted_rational_reparses_to_its_value(case, data):
     # README: reports serialise every rational losslessly.  Each rational
     # string reads back as the exact value it was written from, and is
     # "p" for an integer and "p/q" in lowest terms with q > 1 otherwise;
-    # no other string of the report looks like a rational
+    # no other string of the report looks like a rational.  p_a(Z) is an
+    # int, whose "p" reads back as that int; every other value a Fraction
     graph, boundary = case
     nef = data.draw(st.none() | st.builds(
         NefData,
@@ -472,8 +621,10 @@ def test_every_emitted_rational_reparses_to_its_value(case, data):
                           verify_delta_min=data.draw(st.booleans()))
     doc = report_to_dict(report)
     pairs = _emitted(report, doc)
-    for text, value in pairs:
-        assert isinstance(value, Fraction)
+    genus_text, genus = pairs[0]
+    assert type(genus) is int and int(genus_text) == genus
+    for k, (text, value) in enumerate(pairs):
+        assert isinstance(value, Fraction if k else int)
         assert RATIONAL.fullmatch(text), text
         num, slash, den = text.partition("/")
         assert Fraction(text) == value
