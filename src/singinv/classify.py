@@ -85,10 +85,11 @@ def _kind(k: tuple[int, ...]) -> SingularityKind:
 
 def graph_shape(graph: DualGraph) -> GraphShape:
     """Classify a graph by shape; see the module docstring.  The edge
-    structure is the weight-free `DualGraph.branches`; only the genera
-    and the fork arms' weights are read here.  A disconnected graph,
-    which `validate` rejects, is Other."""
-    if any(genus for _, _, genus in graph.vertices):
+    structure is the weight-free `DualGraph.branches` and the genera
+    the weight-free `DualGraph.has_genus`; only the fork arms' weights
+    are read here.  A disconnected graph, which `validate` rejects, is
+    Other."""
+    if graph.has_genus:
         return GraphShape(ShapeKind.UNSUPPORTED)
     branches = graph.branches
     if branches is None:
@@ -97,7 +98,7 @@ def graph_shape(graph: DualGraph) -> GraphShape:
         return GraphShape(ShapeKind.OTHER)
     if len(branches) == 1:
         path = branches[0]
-        return GraphShape(ShapeKind.CHAIN, length=len(path), ends=(path[0], path[-1]))
+        return GraphShape(ShapeKind.CHAIN, len(path), (path[0], path[-1]))
     vertices = graph.vertices
     arms = [tuple(vertices[j].weight for j in arm) for arm in branches]
     if arms.count((2,)) >= 2:  # two single weight-2 arms
@@ -127,9 +128,4 @@ def classify(
         num, den = c.coeff.numerator, c.coeff.denominator
         log_terminal = log_terminal and num < den
         log_canonical = log_canonical and num <= den
-    return Classification(
-        kind=_kind(cycles.k),
-        shape=graph_shape(graph),
-        log_terminal=log_terminal,
-        log_canonical=log_canonical,
-    )
+    return Classification(_kind(cycles.k), graph_shape(graph), log_terminal, log_canonical)

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .classify import ShapeKind, SingularityKind
+from .classify import SingularityKind
 from .continuant import continuant, inverse_entry
 from .cycles import BoundaryData, boundary_component, exceptional_pullback
 from .graph import DualGraph, build_graph, validate
@@ -341,25 +341,29 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         write('{\n  "rows": [')
     else:
         print(f"{'label':<28} {'shape':<12} {'kind':<9} {'lt':<3} {'delta_y':<10} delta_min")
-    shapes = {member: member.value for member in ShapeKind}
-    kinds = {member: member.value for member in SingularityKind}
     count = 0
     failures = []
     for label, graph in itertools.chain(chains, forks):
         validate(graph)
         a = analyze(graph)
         cls, dy = a.classification, a.delta_y
-        if cls.kind is SingularityKind.SMOOTH:
+        kind = cls.kind
+        if kind is SingularityKind.SMOOTH:
             ok, rule = dy == 4, "smooth point must have delta_y = 4"
-        elif cls.kind is SingularityKind.RDP:
+        elif kind is SingularityKind.RDP:
             ok, rule = dy == 2, "RDP must have delta_y = 2"
         else:  # 0 < dy < 2 in integers: a Fraction's denominator is positive
-            ok = not cls.log_terminal or 0 < dy.numerator < 2 * dy.denominator
+            num, den = dy.as_integer_ratio()
+            ok = not cls.log_terminal or 0 < num < 2 * den
             rule = "log-terminal point must have 0 < delta_y < 2"
         if not ok:
             failures.append(f"{label}: {rule}, got {dy}")
-        shape, kind, lt = shapes[cls.shape.kind], kinds[cls.kind], cls.log_terminal
-        delta_y, delta_min = str(dy), str(a.delta_min.value)
+        # an enum member's `_value_` is its value, read without the
+        # `value` property or a dict lookup through Enum.__hash__
+        shape, kind, lt = cls.shape.kind._value_, kind._value_, cls.log_terminal
+        delta_y = str(dy)
+        dmin = a.delta_min.value
+        delta_min = delta_y if dmin is dy else str(dmin)
         if args.json:
             write(
                 f'{"," if count else ""}\n    {{\n      "label": {quote(label)},'

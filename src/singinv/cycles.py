@@ -279,8 +279,7 @@ def _fundamental(graph: DualGraph) -> tuple[list[int], list[int]]:
     definite_factor(graph)
     columns = graph.columns
     z = [1] * graph.n
-    # s = N z, the column sums of the symmetric N; anti-nef is s >= 0
-    s = [w + o for (_, w, _), o in zip(graph.vertices, graph.off_sums)]
+    s = list(graph.column_sums)  # N z: anti-nef is s >= 0
     rounds = 0
     while min(s, default=0) < 0:
         if rounds == _ROUND_CAP:
@@ -353,34 +352,27 @@ def boundary_cycle(graph: DualGraph, boundary: BoundaryData | None = None) -> Cy
     """Fundamental cycle plus all canonical-cycle data for a boundary.
 
     N must be positive definite; NotNegativeDefiniteError is raised from
-    the cached factor before any round for Z.
+    the cached factor before any round for Z.  Only a boundary with
+    components is checked and scanned: with none, or with none that
+    meets the fiber, dq = 1 and b' = 0, so e = Delta.
     """
-    boundary = EMPTY_BOUNDARY if boundary is None else boundary
-    check_boundary(graph, boundary)
+    meeting = ()
+    if boundary is not None and boundary.components:
+        check_boundary(graph, boundary)
+        meeting = [c for c in boundary.components if c.coeff and any(c.meets)]
     factor = definite_factor(graph)
-    n = graph.n
-    meeting = [c for c in boundary.components if c.coeff and any(c.meets)]
-    dq = lcm(*(c.coeff.denominator for c in meeting))
-    q = [0] * n
-    for c in meeting:
-        scaled = c.coeff.numerator * (dq // c.coeff.denominator)
-        for j, m in enumerate(c.meets):
-            q[j] += scaled * m
     z, s = _fundamental(graph)
-    yk = factor.back_substitute(graph.canonical_forward)
+    yk = tuple(factor.back_substitute(graph.canonical_forward))
     if meeting:
+        dq = lcm(*(c.coeff.denominator for c in meeting))
+        q = [0] * graph.n
+        for c in meeting:
+            scaled = c.coeff.numerator * (dq // c.coeff.denominator)
+            for j, m in enumerate(c.meets):
+                q[j] += scaled * m
         yq = factor.scaled_solve(q)
-        ye = [dq * a + b for a, b in zip(yk, yq)]
+        q, yq, ye = tuple(q), tuple(yq), tuple([dq * a + b for a, b in zip(yk, yq)])
     else:
-        yq, ye = [0] * n, yk
-    return CycleSet(
-        z=tuple(z),
-        s=tuple(s),
-        k=graph.canonical,
-        q=tuple(q),
-        det=factor.det,
-        dq=dq,
-        yk=tuple(yk),
-        yq=tuple(yq),
-        ye=tuple(ye),
-    )
+        dq, q = 1, (0,) * graph.n
+        yq, ye = q, yk
+    return CycleSet(tuple(z), tuple(s), graph.canonical, q, factor.det, dq, yk, yq, ye)

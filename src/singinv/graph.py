@@ -15,8 +15,10 @@ dense matrix its contract returns.  A graph computes every view that
 costs O(n + m) when it is built, the canonical degrees (`canonical`)
 among them; only the elimination of N (`factor`) and the canonical
 degrees carried through it (`canonical_forward`) wait for a first read.
-A weight sweep shares the weight-free views whole, and the prefix of the
-others as it shares the factor's rows (`reweighted`).
+A weight sweep starts from a copy of the source's views, so it shares
+every weight-free one whole, `has_genus` among them (genera never
+change), and replaces only those that read a weight, sharing their
+prefix as it shares the factor's rows (`reweighted`).
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -171,9 +173,12 @@ class ExcDivisor(Record):
 class DualGraph(Record):
     """The vertices and edges, checked on construction, and the views of
     them that cost O(n + m), computed there too (`_off_diagonal`,
-    `_off_sums`, `_connected`, `_branches`, `_columns`).  Only ``factor``
-    and ``canonical_forward`` wait for their first read, so input refused
-    for another reason eliminates nothing."""
+    `_off_sums`, `_connected`, `_branches`, ``has_genus``, `_columns`,
+    `_column_sums`, ``canonical``).  Only ``factor`` and
+    ``canonical_forward`` wait for their first read, so input refused for
+    another reason eliminates nothing.  A view that reads no weight needs
+    nothing more: `reweighted` copies every view and replaces only the
+    weighted ones."""
 
     _fields = ("vertices", "edges")
     vertices: tuple[Vertex, ...]
@@ -184,7 +189,9 @@ class DualGraph(Record):
     off_sums: tuple[int, ...]
     connected: bool
     branches: tuple[tuple[int, ...], ...] | None
+    has_genus: bool  # some vertex has genus > 0
     columns: tuple[tuple[tuple[int, int], ...], ...]
+    column_sums: tuple[int, ...]  # N 1
     canonical: tuple[int, ...]
 
     def __init__(self, vertices, edges) -> None:
@@ -214,12 +221,15 @@ class DualGraph(Record):
                     f"got {multiplicity!r}"
                 )
         off_diagonal = _off_diagonal(index, edges)
+        off_sums = _off_sums(off_diagonal)
         connected = _connected(off_diagonal)
         self.__dict__.update(
             vertices=vertices, edges=edges, n=len(vertices), index=index,
-            off_diagonal=off_diagonal, off_sums=_off_sums(off_diagonal), connected=connected,
+            off_diagonal=off_diagonal, off_sums=off_sums, connected=connected,
             branches=_branches(off_diagonal, len(edges), connected),
+            has_genus=any(genus for _, _, genus in vertices),
             columns=_columns(vertices, off_diagonal),
+            column_sums=_column_sums(vertices, off_sums),
         )
         self.__dict__["canonical"] = tuple(canonical_degrees(self))
 
@@ -242,17 +252,19 @@ class DualGraph(Record):
         weights, in vertex order, checked as any new graph is.  Only the
         new weights need a check: the rest passed `__init__` on this graph.
 
-        It shares, without a copy, this graph's weight-free views and,
-        with p the first vertex whose weight changes, its first p
-        vertices, columns of N, canonical degrees and factor rows
-        (`Factor.prefix`, which eliminates this graph first if it has not
-        been), and computes only the rest.  If the new factor is definite
-        it holds ``canonical_forward`` too: this graph's first p entries,
-        with the rest carried (`Factor.carry`), if this graph's factor is
-        definite, and all n carried if not.  So a sweep over weights
-        computes the weight-free views once, and each graph reweighted
-        from the one before eliminates and carries only its rows from p
-        on, whatever the one before has read."""
+        It starts from a copy of this graph's instance dict, so it shares
+        every weight-free view without a copy.  It replaces the views that
+        read a weight, sharing, with p the first vertex whose weight
+        changes, this graph's first p vertices, columns of N, column sums,
+        canonical degrees and factor rows (`Factor.prefix`, which
+        eliminates this graph first if it has not been), and computes
+        only the rest.  If the new factor is definite it holds
+        ``canonical_forward`` too: this graph's first p entries, with the
+        rest carried (`Factor.carry`), if this graph's factor is definite,
+        and all n carried if not; otherwise it holds none.  So a sweep
+        over weights computes the weight-free views once, and each graph
+        reweighted from the one before eliminates and carries only its
+        rows from p on, whatever the one before has read."""
         vertices, n = self.vertices, self.n
         if len(weights) != n:
             raise ValueError(f"{len(weights)} weights for {n} vertices")
@@ -268,14 +280,17 @@ class DualGraph(Record):
             changed.append(Vertex(vid, weights[j], genus))
         graph = DualGraph.__new__(DualGraph)
         shared = graph.__dict__
-        shared.update({k: self.__dict__[k] for k in _WEIGHT_FREE})
+        shared.update(self.__dict__)  # every view; those that read a weight follow
         shared["vertices"] = vertices[:p] + tuple(changed)
         new = _columns(changed, self.off_diagonal, p)
         tail = tuple(canonical_degrees(graph, p))
         factor = self.factor.prefix(p)
         factor.border(new)
         shared.update(
-            columns=self.columns[:p] + new, canonical=self.canonical[:p] + tail, factor=factor
+            columns=self.columns[:p] + new,
+            column_sums=self.column_sums[:p] + _column_sums(changed, self.off_sums, p),
+            canonical=self.canonical[:p] + tail,
+            factor=factor,
         )
         if factor.first_nonpositive is None:
             if self.factor.first_nonpositive is None:
@@ -283,12 +298,9 @@ class DualGraph(Record):
             else:
                 forward = _carry_canonical(factor, (), graph.canonical)
             shared["canonical_forward"] = forward
+        else:
+            shared.pop("canonical_forward", None)
         return graph
-
-
-# the fields that read neither weights nor genera: `reweighted` hands them
-# on, so one object may serve many graphs and nothing may write to it
-_WEIGHT_FREE = ("edges", "n", "index", "off_diagonal", "off_sums", "connected", "branches")
 
 
 def _off_diagonal(index: dict[str, int], edges: Iterable[Edge]) -> tuple:
@@ -362,6 +374,13 @@ def _columns(vertices: Sequence[Vertex], off_diagonal: Sequence[tuple], start: i
     neighbours, so a sparse update costs deg(j) + 1.  N is symmetric, so
     column j is also row j, as `Factor` reads it."""
     return tuple([((j, v.weight), *off_diagonal[j]) for j, v in enumerate(vertices, start)])
+
+
+def _column_sums(vertices: Sequence[Vertex], off_sums: Sequence[int], start: int = 0):
+    """The column sums of N of `vertices`, the first of them vertex
+    `start`: w_j + off_sums[j], the image N 1 that the rounds for Z
+    start from."""
+    return tuple([v.weight + off_sums[j] for j, v in enumerate(vertices, start)])
 
 
 def _check_weight(vid: str, weight: object) -> None:

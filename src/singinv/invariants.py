@@ -48,6 +48,7 @@ from .linalg import Factor, clear_denominators
 DEFAULT_EPSILON = Fraction(1, 1000)
 
 _ZERO = Fraction(0)  # immutable, so one serves every analysis
+_NONE_ACTIVE = frozenset()  # the active set of x0 = 0, shared likewise
 
 EXHAUSTIVE_LIMIT = 16
 
@@ -149,7 +150,7 @@ def _monotone_lcp(
     objective at x = 0."""
     support, y, det_s = least_element(graph.columns, v, nv)
     if not support:  # x = 0 satisfies the KKT conditions
-        return DeltaMinResult(dby, frozenset(), (0,) * len(nv), 1)
+        return DeltaMinResult(dby, _NONE_ACTIVE, (0,) * len(nv), 1)
     x_den = dq * det_s
     num = det_s * vnv + det * sum(nv[j] * t for j, t in zip(support, y))
     return _minimizer(Fraction(num, det * dq * x_den), len(nv), support, y, x_den)
@@ -189,13 +190,7 @@ def analyze(graph: DualGraph, boundary: BoundaryData | None = None) -> Analysis:
         mu_value = _ZERO if log_terminal else None
     dmin = _monotone_lcp(graph, v, nv, vnv, det, dq, dby)
     return Analysis(
-        cycles=cs,
-        classification=cls,
-        delta_y=dy,
-        delta_by=dby,
-        delta_min=dmin,
-        mu=mu_value,
-        delta=dmin.value if log_terminal else _ZERO,
+        cs, cls, dy, dby, dmin, mu_value, dmin.value if log_terminal else _ZERO
     )
 
 

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    GRAPH_KINDS,
     base_graphs,
     dense_form,
     dense_laufer,
     matvec,
     random_boundary,
     random_chain_weights,
+    random_graph,
     star_fundamental_cycle,
     star_with_tail,
 )
@@ -355,6 +357,32 @@ def test_boundary_cycle_coefficient_identity_random():
             assert cs.boundary_canonical == cs.canonical + cs.boundary_part
             assert cs.fundamental.is_integral()
             assert all(z >= 1 for z in cs.fundamental)
+
+
+def test_a_boundary_that_misses_the_fiber_is_no_boundary():
+    # no boundary, a boundary with no components and one whose components
+    # all miss the fiber (coefficient 0, or meets all 0 whatever the
+    # coefficient) give equal cycle sets, on the corpus and on random
+    # graphs of every kind; a coefficient outside [0, 1] is still refused
+    # on a component that misses the fiber, with the same message
+    rng = random.Random(29)
+    graphs = [g for _, g in base_graphs()]
+    graphs += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 7)]
+    for g in graphs:
+        validate(g)
+        zero, ones = [0] * g.n, [1] * g.n
+        missing = BoundaryData((
+            boundary_component("C1", 0, ones),
+            boundary_component("C2", 1, zero),
+            boundary_component("C3", "1/2", zero),
+        ))
+        cs = boundary_cycle(g)
+        assert cs == boundary_cycle(g, BoundaryData(())) == boundary_cycle(g, missing)
+        assert cs.dq == 1 and not any(cs.q) and not any(cs.yq) and cs.ye == cs.yk
+        for coeff, message in (("5/4", "coefficient 5/4 > 1"), ("-1/2", "negative coefficient")):
+            bad = BoundaryData((boundary_component("C", coeff, zero),))
+            with pytest.raises(ValueError, match=re.escape(f"boundary component 'C': {message}")):
+                boundary_cycle(g, bad)
 
 
 def test_boundary_validation_errors():

@@ -190,10 +190,10 @@ def test_edge_derived_structure_matches_dense_form():
     assert disconnected == 60
 
 
-WEIGHT_FREE = ("index", "off_diagonal", "off_sums", "connected", "branches")
+WEIGHT_FREE = ("index", "off_diagonal", "off_sums", "connected", "branches", "has_genus")
 # what a graph holds from construction on: its fields, n and every view
 # that costs O(n + m); only the factor and what reads it wait
-BUILT = {"vertices", "edges", "n", *WEIGHT_FREE, "columns", "canonical"}
+BUILT = {"vertices", "edges", "n", *WEIGHT_FREE, "columns", "column_sums", "canonical"}
 
 
 def _outcome(graph):
@@ -285,6 +285,9 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
                 expected = [g.n, *expected]  # the source's own, read on the way
             assert carried == expected
             assert graph.off_sums == fresh.off_sums
+            assert graph.column_sums == fresh.column_sums
+            assert graph.column_sums[:p] == prev.column_sums[:p]
+            assert graph.has_genus is fresh.has_genus
             assert graph.canonical == tuple(real_degrees(fresh))
             assert graph.canonical[:p] == prev.canonical[:p]
             assert graph.columns == fresh.columns
@@ -314,6 +317,32 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
     }
     with pytest.raises(ValueError, match="2 weights for 3 vertices"):
         chain_graph((2, 2, 2)).reweighted((2, 2))
+
+
+def test_has_genus_and_column_sums_are_the_scan_and_the_dense_row_sums():
+    # on the corpus and on random graphs of every kind, each then
+    # reweighted from the one before with weights down to 1: has_genus is
+    # the scan of every genus and column_sums the row sums of the dense
+    # positive form; a reweighted graph holds its source's has_genus and
+    # its first p column sums
+    def check(graph):
+        assert graph.has_genus is any(v.genus for v in graph.vertices)
+        assert graph.column_sums == tuple(map(sum, intersection_matrix(graph).positive_form))
+
+    rng = random.Random(47)
+    graphs = [g for _, g in base_graphs()]
+    graphs += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
+    for graph in graphs:
+        check(graph)
+        for _ in range(3):
+            p = rng.randint(0, graph.n - 1)
+            weights = [v.weight for v in graph.vertices[:p]]
+            weights += [rng.randint(1, 6) for _ in range(graph.n - p)]
+            prev, graph = graph, graph.reweighted(weights)
+            assert graph.has_genus is prev.has_genus
+            assert graph.column_sums[:p] == prev.column_sums[:p]
+            check(graph)
+    assert {g.has_genus for g in graphs} == {False, True}
 
 
 def test_a_sweep_drawn_whole_shares_as_much_as_a_streamed_one(monkeypatch):

@@ -643,6 +643,8 @@ GRAPH_VIEWS = {
     "columns",
     "connected",
     "branches",
+    "has_genus",
+    "column_sums",
     "factor",
     "canonical",
     "canonical_forward",

@@ -21,6 +21,7 @@ through the CLI, which end in a documented exit code.
 The registered profile is derandomized with a fixed number of examples,
 so every run checks the same graphs and takes the same time."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -50,7 +51,7 @@ from conftest import (
     star_with_tail,
 )
 from singinv.classify import classify, is_log_canonical, is_log_terminal, singularity_kind
-from singinv.cli import MAX_INTEGER, InputError, main, parse_input
+from singinv.cli import MAX_INTEGER, InputError, _build_parser, main, parse_input
 from singinv.continuant import chain_delta_y, continuant, inverse_entry
 from singinv.cycles import (
     BoundaryData,
@@ -65,6 +66,7 @@ from singinv.graph import (
     NotNegativeDefiniteError,
     build_graph,
     canonical_degrees,
+    intersection_matrix,
     solve_exceptional,
     validate,
 )
@@ -242,6 +244,26 @@ def test_the_canonical_forward_values_reweighted_are_a_fresh_carry(sweep, data):
         else:
             with pytest.raises(ValueError, match="not positive definite"):
                 graph.canonical_forward
+        prev = graph
+
+
+@PROFILE
+@given(weight_sweeps())
+def test_the_skeleton_facts_along_a_weight_sweep_are_the_scans(sweep):
+    # along a weight sweep, weights down to 1 and genus > 0 among the
+    # kinds: has_genus is the scan of every genus and column_sums the
+    # row sums of the dense positive form, on each graph built fresh and
+    # on each reweighted from the one before, which holds its source's
+    # has_genus and its first p column sums
+    prev, siblings = sweep
+    for graph in [prev, *(fresh for _, fresh in siblings)]:
+        assert graph.has_genus is any(v.genus for v in graph.vertices)
+        assert graph.column_sums == tuple(map(sum, intersection_matrix(graph).positive_form))
+    for p, fresh in siblings:
+        graph = prev.reweighted([v.weight for v in fresh.vertices])
+        assert graph.has_genus is prev.has_genus is fresh.has_genus
+        assert graph.column_sums[:p] == prev.column_sums[:p]
+        assert graph.column_sums == fresh.column_sums
         prev = graph
 
 
@@ -536,6 +558,60 @@ def test_reordering_the_vertices_permutes_every_vector(case, data):
     active = before.delta_min.active_set
     assert after.delta_min.active_set == {p for p, j in enumerate(order) if j in active}
     assert _by_vertex(report_to_dict(after)) == _by_vertex(report_to_dict(before))
+
+
+@st.composite
+def any_order_inputs(draw):
+    """(graph, boundary, nef) and a vertex order: a drawn graph of any
+    kind, a heavy star, a star with long legs or a graph of the corpus,
+    with some weights lowered at times, down to 1, so that N may be
+    indefinite or a weight-1 curve illegal; a boundary whose
+    coefficients may leave [0, 1] and whose components may miss the
+    fiber; and nef data, or none, that may be refused."""
+    graph = draw(graphs(1, 10, GRAPH_KINDS) | heavy_stars() | legged_stars()
+                 | st.sampled_from(base_graphs()).map(lambda c: c[1]))
+    if draw(st.booleans()):
+        lowered = draw(st.lists(st.booleans(), min_size=graph.n, max_size=graph.n))
+        graph = build_graph(
+            [v._replace(weight=draw(st.integers(1, v.weight))) if low else v
+             for v, low in zip(graph.vertices, lowered)],
+            graph.edges,
+        )
+    nef = draw(st.none() | st.builds(NefData, st.fractions(-1, 4, max_denominator=4),
+                                     st.fractions(-1, 2, max_denominator=4)))
+    return graph, draw(edge_boundaries(graph)), nef, draw(st.permutations(range(graph.n)))
+
+
+def _report_or_refusal(graph, boundary, nef):
+    """`report_to_dict` keyed by vertex id (`_by_vertex`), or the class of
+    the ValueError that validate and build_report raise; a refusal for
+    an indefinite form names the first nonpositive leading minor of the
+    dense elimination in the graph's own vertex order."""
+    try:
+        validate(graph)
+        return _by_vertex(report_to_dict(build_report(graph, boundary, nef)))
+    except NotNegativeDefiniteError as exc:
+        assert exc.minor_index == dense_eliminate(dense_form(graph))
+        return NotNegativeDefiniteError
+    except ValueError as exc:
+        return type(exc)
+
+
+@PROFILE
+@given(any_order_inputs())
+def test_the_vertex_order_moves_no_report_and_no_refusal(case):
+    # the vertex records permuted, each boundary component's meets and
+    # the nef data carried by vertex id: the report is the same once its
+    # vectors are matched by id and its chain ends and active vertices
+    # read as sets, and a refusal raises the same class
+    graph, boundary, nef, order = case
+    moved = build_graph([graph.vertices[j] for j in order], graph.edges)
+    moved_boundary = BoundaryData(
+        tuple(c._replace(meets=tuple(c.meets[j] for j in order)) for c in boundary.components)
+    )
+    assert _report_or_refusal(moved, moved_boundary, nef) == _report_or_refusal(
+        graph, boundary, nef
+    )
 
 
 def _emitted(report, doc):
@@ -858,6 +934,36 @@ COMMANDS = {  # positional argument, flags
 }
 
 
+def _arity(flag):
+    """How many values `argvs` draws for a flag: none for a switch."""
+    return 2 if flag == "--inverse" else int(flag in FLAG_VALUES)
+
+
+def test_the_argv_table_lists_every_subcommand_and_flag_of_the_parser():
+    # read off the parser itself: every subcommand, its positional
+    # argument and each option string, with the number of values it
+    # takes, so a flag added to the CLI fails here until argvs draws it
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.option_strings for a in parser._actions if a is not sub] == [["-h", "--help"]]
+    parsed = {}
+    for name, command in sub.choices.items():
+        positional = [a.dest for a in command._actions if not a.option_strings]
+        options = {}
+        for a in command._actions:
+            if a.option_strings and not isinstance(a, argparse._HelpAction):
+                for flag in a.option_strings:
+                    options[flag] = 1 if a.nargs is None else a.nargs
+        parsed[name] = (positional, options)
+    assert parsed == {
+        name: ([] if positional is None else [positional], {f: _arity(f) for f in flags})
+        for name, (positional, flags) in COMMANDS.items()
+    }
+    assert set(FLAG_VALUES) == {positional for positional, _ in COMMANDS.values()
+                                if positional not in (None, "file")} | {
+        flag for _, flags in COMMANDS.values() for flag in flags if _arity(flag)}
+
+
 @st.composite
 def argvs(draw, files):
     """An argument list for `main`: a subcommand, or none or an unknown
@@ -883,7 +989,7 @@ def argvs(draw, files):
             # given; --meets, which pullback needs, is left out at times
             required = flag == "--max-length" or flag == "--meets" and draw(st.integers(0, 7))
             if required or draw(st.booleans()):
-                arity = 2 if flag == "--inverse" else flag in FLAG_VALUES
+                arity = _arity(flag)
                 if arity and not draw(st.integers(0, 7)):
                     arity -= 1  # a value left out
                 groups.append([flag, *(value(flag) for _ in range(arity))])
