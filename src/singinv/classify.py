@@ -68,14 +68,11 @@ def is_log_canonical(boundary: BoundaryData, e: ExcDivisor) -> bool:
 
 
 def singularity_kind(graph: DualGraph) -> SingularityKind:
-    return _kind(graph.canonical)
-
-
-def _kind(k: tuple[int, ...]) -> SingularityKind:
     """The kind read off the canonical degrees k_j = w_j + 2 g_j - 2.
     Every w_j >= 1, so k = (-1,) is the single weight-1 genus-0 curve,
     and k_j = 0 only for w_j = 2 and g_j = 0: k = 0 is the all-(-2)
     genus-0 graph, whose canonical cycle vanishes."""
+    k = graph.canonical
     if k == (-1,):
         return SingularityKind.SMOOTH
     if not any(k):
@@ -128,4 +125,6 @@ def classify(
         num, den = c.coeff.numerator, c.coeff.denominator
         log_terminal = log_terminal and num < den
         log_canonical = log_canonical and num <= den
-    return Classification(_kind(cycles.k), graph_shape(graph), log_terminal, log_canonical)
+    return Classification(
+        singularity_kind(graph), graph_shape(graph), log_terminal, log_canonical
+    )

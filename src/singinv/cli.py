@@ -275,7 +275,10 @@ def _emit_report(args: argparse.Namespace, report: SingularityReport) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # also `check`, which needs nef data and runs no oracle
     parsed = _read_input(args.file)
+    if parsed.nef is None and args.command == "check":
+        raise InputError("missing nef data: 'check' needs {\"nef\": {\"M2\", \"minMC\"}}")
     report = build_report(
         parsed.graph,
         parsed.boundary,
@@ -288,17 +291,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("error: delta_min oracle disagrees with the LCP solution",
               file=sys.stderr)
         return 2
-    return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    parsed = _read_input(args.file)
-    if parsed.nef is None:
-        raise InputError("missing nef data: 'check' needs {\"nef\": {\"M2\", \"minMC\"}}")
-    report = build_report(
-        parsed.graph, parsed.boundary, parsed.nef, epsilon=args.epsilon
-    )
-    _emit_report(args, report)
     return 0
 
 
@@ -486,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("file")
     check.add_argument("--json", action="store_true")
     check.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
-    check.set_defaults(handler=_cmd_check)
+    check.set_defaults(handler=_cmd_analyze, oracle=False)
 
     enum = sub.add_parser(
         "enumerate", help="sweep a graph family and verify the delta_y trichotomy"

@@ -3,24 +3,15 @@
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .graph import DualGraph, Edge, Vertex, build_graph
 
 
-@lru_cache(maxsize=128)
-def _chain_skeleton(length: int) -> DualGraph:
-    """The path of the given length, weights 2: its weight-free views
-    depend only on the length, and a chain of the same length reweighted
-    from it shares them."""
-    ids = tuple(f"E{k + 1}" for k in range(length))
-    return DualGraph(tuple(Vertex(vid, 2) for vid in ids), tuple(map(Edge, ids, ids[1:])))
-
-
 def chain_graph(weights: Sequence[int]) -> DualGraph:
     """Path graph with the given weights, vertices E1-E2-...-En."""
-    return _chain_skeleton(len(weights)).reweighted(weights)
+    ids = tuple(f"E{k + 1}" for k in range(len(weights)))
+    return DualGraph(tuple(map(Vertex, ids, weights)), tuple(map(Edge, ids, ids[1:])))
 
 
 def smooth_graph() -> DualGraph:
@@ -86,8 +77,8 @@ def chain_sweep(
     max_length: int, max_weight: int
 ) -> Iterator[tuple[tuple[int, ...], DualGraph]]:
     """(w, chain_graph(w)) for each w of `iter_chain_weights`, in its
-    order.  Only the first chain of each length comes from the skeleton;
-    each later one is reweighted from the chain before it, so it shares
+    order.  Only the first chain of each length is built afresh; each
+    later one is reweighted from the chain before it, so it shares
     that chain's vertices, columns of N and factor rows before its first
     changed weight (`DualGraph.reweighted`), whether the sweep is
     streamed or drawn whole first."""

@@ -8,17 +8,19 @@ intersection matrix (E_i . E_j) is negative definite.  Weight 1 is
 reserved for the single-vertex configuration that models a blown-up
 smooth point.
 
-N = -(E_i . E_j) is held in one form, its sparse `columns`, summed from
-one walk over the edge list.  Every reader of N goes through them:
-`form_image` gives N v, and `intersection_matrix` spreads them into the
-dense matrix its contract returns.  A graph computes every view that
-costs O(n + m) when it is built, the canonical degrees (`canonical`)
-among them; only the elimination of N (`factor`) and the canonical
-degrees carried through it (`canonical_forward`) wait for a first read.
-A weight sweep starts from a copy of the source's views, so it shares
-every weight-free one whole, `has_genus` among them (genera never
-change), and replaces only those that read a weight, sharing their
-prefix as it shares the factor's rows (`reweighted`).
+N = -(E_i . E_j) is held once, in one form: its sparse `columns`, each
+the diagonal w_j first and then the summed multiplicities, built in the
+one walk over the edge list that checks it.  Every reader of N goes
+through them, the graph's own views too: `form_image` gives N v, and
+`intersection_matrix` spreads them into the dense matrix its contract
+returns.  A graph computes every view that costs O(n + m) when it is
+built, the canonical degrees (`canonical`) among them; only the
+elimination of N (`factor`) and the canonical degrees carried through it
+(`canonical_forward`) wait for a first read.  A weight sweep starts from
+a copy of the source's views, so it shares every weight-free one whole,
+`has_genus` among them (genera never change), and replaces those that
+read a weight in one loop over the vertices whose weight changes,
+sharing their prefix as it shares the factor's rows (`reweighted`).
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -172,25 +174,23 @@ class ExcDivisor(Record):
 
 class DualGraph(Record):
     """The vertices and edges, checked on construction, and the views of
-    them that cost O(n + m), computed there too (`_off_diagonal`,
-    `_off_sums`, `_connected`, `_branches`, ``has_genus``, `_columns`,
-    `_column_sums`, ``canonical``).  Only ``factor`` and
-    ``canonical_forward`` wait for their first read, so input refused for
-    another reason eliminates nothing.  A view that reads no weight needs
-    nothing more: `reweighted` copies every view and replaces only the
-    weighted ones."""
+    them that cost O(n + m), computed there too: N's sparse ``columns``,
+    summed in the one walk over the edge list that checks it, and from
+    them `_connected`, `_branches`, ``has_genus``, ``column_sums`` and
+    ``canonical``.  Only ``factor`` and ``canonical_forward`` wait for
+    their first read, so input refused for another reason eliminates
+    nothing.  A view that reads no weight needs nothing more:
+    `reweighted` copies every view and replaces only the weighted ones."""
 
     _fields = ("vertices", "edges")
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     n: int
     index: dict[str, int]
-    off_diagonal: tuple[tuple[tuple[int, int], ...], ...]
-    off_sums: tuple[int, ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]  # also N's rows, as `Factor` reads them
     connected: bool
     branches: tuple[tuple[int, ...], ...] | None
     has_genus: bool  # some vertex has genus > 0
-    columns: tuple[tuple[tuple[int, int], ...], ...]
     column_sums: tuple[int, ...]  # N 1
     canonical: tuple[int, ...]
 
@@ -198,6 +198,7 @@ class DualGraph(Record):
         if not vertices:
             raise GraphValidationError("graph has no vertices")
         index: dict[str, int] = {}
+        summed: list[dict[int, int]] = []  # column j of N, diagonal first
         for vid, weight, genus in vertices:
             if vid in index:
                 raise GraphValidationError(f"duplicate vertex id {vid!r}")
@@ -207,6 +208,7 @@ class DualGraph(Record):
                 raise GraphValidationError(
                     f"vertex {vid!r}: genus must be a nonnegative integer, got {genus!r}"
                 )
+            summed.append({index[vid]: weight})
         for a, b, multiplicity in edges:
             if a == b:
                 raise GraphValidationError(f"self-loop at vertex {a!r}")
@@ -220,18 +222,19 @@ class DualGraph(Record):
                     f"edge ({a!r}, {b!r}): multiplicity must be a positive integer, "
                     f"got {multiplicity!r}"
                 )
-        off_diagonal = _off_diagonal(index, edges)
-        off_sums = _off_sums(off_diagonal)
-        connected = _connected(off_diagonal)
+            i, j = index[a], index[b]  # N_ij is minus the summed multiplicity
+            summed[i][j] = summed[i].get(j, 0) - multiplicity
+            summed[j][i] = summed[j].get(i, 0) - multiplicity
+        columns = tuple(tuple(column.items()) for column in summed)
+        connected = _connected(columns)
         self.__dict__.update(
             vertices=vertices, edges=edges, n=len(vertices), index=index,
-            off_diagonal=off_diagonal, off_sums=off_sums, connected=connected,
-            branches=_branches(off_diagonal, len(edges), connected),
+            columns=columns, connected=connected,
+            branches=_branches(columns, len(edges), connected),
             has_genus=any(genus for _, _, genus in vertices),
-            columns=_columns(vertices, off_diagonal),
-            column_sums=_column_sums(vertices, off_sums),
+            column_sums=tuple(sum(c for _, c in column) for column in columns),
+            canonical=tuple(weight + 2 * genus - 2 for _, weight, genus in vertices),
         )
-        self.__dict__["canonical"] = tuple(canonical_degrees(self))
 
     @cached_property
     def factor(self) -> Factor:
@@ -253,18 +256,20 @@ class DualGraph(Record):
         new weights need a check: the rest passed `__init__` on this graph.
 
         It starts from a copy of this graph's instance dict, so it shares
-        every weight-free view without a copy.  It replaces the views that
-        read a weight, sharing, with p the first vertex whose weight
-        changes, this graph's first p vertices, columns of N, column sums,
-        canonical degrees and factor rows (`Factor.prefix`, which
-        eliminates this graph first if it has not been), and computes
-        only the rest.  If the new factor is definite it holds
-        ``canonical_forward`` too: this graph's first p entries, with the
-        rest carried (`Factor.carry`), if this graph's factor is definite,
-        and all n carried if not; otherwise it holds none.  So a sweep
-        over weights computes the weight-free views once, and each graph
-        reweighted from the one before eliminates and carries only its
-        rows from p on, whatever the one before has read."""
+        every weight-free view without a copy.  With p the first vertex
+        whose weight changes, it shares this graph's first p vertices,
+        columns of N, column sums, canonical degrees and factor rows
+        (`Factor.prefix`, which eliminates this graph first if it has not
+        been), and one loop over the vertices from p on checks each new
+        weight and builds its vertex, its column (the new diagonal, then
+        this graph's off-diagonal entries), its column sum and its
+        canonical degree.  When this graph's factor and the new one are
+        both definite, it holds ``canonical_forward`` too: this graph's
+        first p entries with the rest carried (`Factor.carry`); otherwise
+        that view is computed on its first read.  So a sweep over weights
+        computes the weight-free views once, and each graph reweighted
+        from the one before eliminates and carries only its rows from p
+        on, whatever the one before has read."""
         vertices, n = self.vertices, self.n
         if len(weights) != n:
             raise ValueError(f"{len(weights)} weights for {n} vertices")
@@ -273,70 +278,53 @@ class DualGraph(Record):
             if w != v.weight or type(w) is not int:
                 break
             p += 1
-        changed = []
+        columns, sums = self.columns, self.column_sums
+        changed, new, new_sums, degrees = [], [], [], []
         for j in range(p, n):
-            vid, _, genus = vertices[j]
-            _check_weight(vid, weights[j])
-            changed.append(Vertex(vid, weights[j], genus))
+            vid, old, genus = vertices[j]
+            w = weights[j]
+            _check_weight(vid, w)
+            changed.append(Vertex(vid, w, genus))
+            new.append(((j, w), *columns[j][1:]))
+            new_sums.append(sums[j] + w - old)
+            degrees.append(w + 2 * genus - 2)
+        factor = self.factor.prefix(p)
+        factor.border(new)
         graph = DualGraph.__new__(DualGraph)
         shared = graph.__dict__
         shared.update(self.__dict__)  # every view; those that read a weight follow
-        shared["vertices"] = vertices[:p] + tuple(changed)
-        new = _columns(changed, self.off_diagonal, p)
-        tail = tuple(canonical_degrees(graph, p))
-        factor = self.factor.prefix(p)
-        factor.border(new)
         shared.update(
-            columns=self.columns[:p] + new,
-            column_sums=self.column_sums[:p] + _column_sums(changed, self.off_sums, p),
-            canonical=self.canonical[:p] + tail,
+            vertices=vertices[:p] + tuple(changed),
+            columns=columns[:p] + tuple(new),
+            column_sums=sums[:p] + tuple(new_sums),
+            canonical=self.canonical[:p] + tuple(degrees),
             factor=factor,
         )
-        if factor.first_nonpositive is None:
-            if self.factor.first_nonpositive is None:
-                forward = _carry_canonical(factor, self.canonical_forward[:p], tail)
-            else:
-                forward = _carry_canonical(factor, (), graph.canonical)
-            shared["canonical_forward"] = forward
+        if factor.first_nonpositive is None and self.factor.first_nonpositive is None:
+            shared["canonical_forward"] = _carry_canonical(
+                factor, self.canonical_forward[:p], degrees
+            )
         else:
             shared.pop("canonical_forward", None)
         return graph
 
 
-def _off_diagonal(index: dict[str, int], edges: Iterable[Edge]) -> tuple:
-    """The off-diagonal nonzeros (i, N_ij) of each column j of N: minus
-    the total multiplicity of the edges joining i and j, summed in the
-    one walk over the edge list.  It reads no weight."""
-    summed: list[dict[int, int]] = [{} for _ in index]
-    for a, b, multiplicity in edges:
-        i, j = index[a], index[b]
-        summed[i][j] = summed[i].get(j, 0) - multiplicity
-        summed[j][i] = summed[j].get(i, 0) - multiplicity
-    return tuple(tuple(column.items()) for column in summed)
-
-
-def _off_sums(off_diagonal: Sequence[tuple]) -> tuple[int, ...]:
-    """The sum of the off-diagonal entries of each column of N, so column
-    j sums to w_j + off_sums[j]."""
-    return tuple(sum(c for _, c in column) for column in off_diagonal)
-
-
-def _connected(off_diagonal: Sequence[tuple]) -> bool:
+def _connected(columns: Sequence[tuple]) -> bool:
     """A walk over the nonzeros of N from vertex 0 reaches every vertex."""
-    seen = [False] * len(off_diagonal)
+    seen = [False] * len(columns)
     seen[0] = True
     stack = [0]
     reached = 1
     while stack:
-        for j, _ in off_diagonal[stack.pop()]:
+        for j, _ in columns[stack.pop()]:
             if not seen[j]:
                 seen[j] = True
                 reached += 1
                 stack.append(j)
-    return reached == len(off_diagonal)
+    return reached == len(columns)
 
 
-def _branches(off_diagonal: Sequence[tuple], edge_count: int, connected: bool) -> tuple | None:
+def _branches(columns: Sequence[tuple], edge_count: int, connected: bool) -> tuple | None:
     """The part of `classify.graph_shape` that reads only the edges.
 
     None if some pair of vertices is joined more than once.  For a tree
@@ -344,18 +332,18 @@ def _branches(off_diagonal: Sequence[tuple], edge_count: int, connected: bool) -
     branches as index paths: a chain has one, from its end of lower
     index to the other; a fork has three, its arms outward from the
     centre in order of their first vertex.  () for any other graph."""
-    if any(c < -1 for column in off_diagonal for _, c in column):
-        return None  # a pair joined more than once: N_ij < -1
-    n, degrees = len(off_diagonal), list(map(len, off_diagonal))
+    if any(c < -1 for column in columns for _, c in column):
+        return None  # a pair joined more than once: N_ij < -1 (every w_j >= 1)
+    n, degrees = len(columns), [len(column) - 1 for column in columns]
     if edge_count != n - 1 or not connected or max(degrees) > 3:
         return ()  # not a tree, or a vertex of degree above 3
     centers = [i for i, d in enumerate(degrees) if d == 3]
     if not centers:
-        return (_walk(off_diagonal, -1, degrees.index(1) if n > 1 else 0),)
+        return (_walk(columns, -1, degrees.index(1) if n > 1 else 0),)
     if len(centers) > 1:
         return ()
     center = centers[0]
-    return tuple(_walk(off_diagonal, center, j) for j, _ in sorted(off_diagonal[center]))
+    return tuple(_walk(columns, center, j) for j, _ in sorted(columns[center][1:]))
 
 
 def _carry_canonical(
@@ -368,21 +356,6 @@ def _carry_canonical(
     return tuple(forward)
 
 
-def _columns(vertices: Sequence[Vertex], off_diagonal: Sequence[tuple], start: int = 0):
-    """The columns of N of `vertices`, the first of them vertex `start`:
-    the nonzeros (i, N_ij) of column j, diagonal first, w_j and then the
-    neighbours, so a sparse update costs deg(j) + 1.  N is symmetric, so
-    column j is also row j, as `Factor` reads it."""
-    return tuple([((j, v.weight), *off_diagonal[j]) for j, v in enumerate(vertices, start)])
-
-
-def _column_sums(vertices: Sequence[Vertex], off_sums: Sequence[int], start: int = 0):
-    """The column sums of N of `vertices`, the first of them vertex
-    `start`: w_j + off_sums[j], the image N 1 that the rounds for Z
-    start from."""
-    return tuple([v.weight + off_sums[j] for j, v in enumerate(vertices, start)])
-
-
 def _check_weight(vid: str, weight: object) -> None:
     # exact ints only: a bool is no weight, and a float or a Fraction
     # would reach the integer kernel's floor divisions
@@ -392,12 +365,13 @@ def _check_weight(vid: str, weight: object) -> None:
         )
 
 
-def _walk(off_diagonal: Sequence[tuple], prev: int, cur: int) -> tuple[int, ...]:
+def _walk(columns: Sequence[tuple], prev: int, cur: int) -> tuple[int, ...]:
     """The vertices from `cur` on, leaving `prev` behind, up to the first
     vertex with no further neighbour: a path whose inner vertices have
-    degree 2."""
+    degree 2.  A column's first pair is its diagonal, so its neighbours
+    follow it."""
     path = [cur]
-    while nxt := [k for k, _ in off_diagonal[cur] if k != prev]:
+    while nxt := [k for k, _ in columns[cur][1:] if k != prev]:
         prev, cur = cur, nxt[0]
         path.append(cur)
     return tuple(path)
@@ -479,13 +453,6 @@ def canonical_degree(graph: DualGraph, j: int) -> int:
     if not 0 <= j < graph.n:
         raise IndexError(f"vertex index {j} out of range for {graph.n} vertices")
     return graph.canonical[j]
-
-
-def canonical_degrees(graph: DualGraph, start: int = 0) -> list[int]:
-    """[K_X . E_j for every j from `start` on], in vertex order: the
-    graph's `canonical` view is built from it once, and every reader of
-    the degrees reads that view."""
-    return [weight + 2 * genus - 2 for _, weight, genus in graph.vertices[start:]]
 
 
 def solve_exceptional(

@@ -197,6 +197,12 @@ def dense_graph_shape(graph):
     return GraphShape(ShapeKind.OTHER)
 
 
+def canonical_degrees(graph):
+    """[K_X . E_j] by adjunction, w_j + 2 g_j - 2 for each vertex in
+    order: the reference that `DualGraph.canonical` is checked against."""
+    return [weight + 2 * genus - 2 for _, weight, genus in graph.vertices]
+
+
 def scanned_kind(graph):
     """Reference `singinv.classify.singularity_kind`, by a scan of the
     vertices: the single weight-1 genus-0 curve is smooth, an all-(-2)

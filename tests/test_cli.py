@@ -968,23 +968,23 @@ def test_enumerate_json_is_pinned(capsys):
 
 
 def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
-    # the default family: 19,530 chains on 6 skeletons, so 6 walks over
-    # the edge list, 6 walks for connectedness, 6 edge-structure passes
-    # and 6 sums of the columns' off-diagonal entries, all of them when
-    # a skeleton is built; each chain pays only for its weights, and of
-    # its factor, its canonical degrees and their forward values only for
-    # the rows from its first weight that differs from the chain before
-    # it: 24,405 rows appended, 24,405 canonical degrees computed and
-    # 24,405 carried, where a fresh build per chain does 112,305 of each.
-    # The whole document is pinned, as CI pins it
-    from singinv import families
+    # the default family: 19,530 chains of 6 lengths, so 6 graphs built
+    # from their edges, each with one walk over its edge list, one walk
+    # for connectedness and one edge-structure pass; each later chain is
+    # reweighted from the one before and pays only for its weights: it
+    # checks them, and builds its columns, column sums, canonical degrees,
+    # factor rows and their forward values, only from its first weight
+    # that differs from the chain before it: 24,405 weights checked,
+    # 24,405 rows appended and 24,405 carried, where a fresh build per
+    # chain does 112,305 of each.  The whole document is pinned, as CI
+    # pins it
     from singinv import graph as graph_module
     from singinv.linalg import Factor
 
-    appended = carried = computed = 0
+    appended = carried = checked = 0
     real_extend = Factor._extend
     real_carry = graph_module._carry_canonical
-    real_degrees = graph_module.canonical_degrees
+    real_check = graph_module._check_weight
 
     def extend(factor, rows):
         nonlocal appended
@@ -997,30 +997,30 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
         carried += len(degrees)
         return real_carry(factor, prefix, degrees)
 
-    def degrees(graph, start=0):
-        nonlocal computed
-        out = real_degrees(graph, start)
-        computed += len(out)
-        return out
+    def check(vid, weight):
+        nonlocal checked
+        checked += 1
+        return real_check(vid, weight)
 
     monkeypatch.setattr(Factor, "_extend", extend)
     monkeypatch.setattr(graph_module, "_carry_canonical", carry)
-    monkeypatch.setattr(graph_module, "canonical_degrees", degrees)
+    monkeypatch.setattr(graph_module, "_check_weight", check)
 
     calls = {}
-    for view in ("_off_diagonal", "_connected", "_branches", "_off_sums"):
+    views = ((graph_module.DualGraph, "__init__"), (graph_module, "_connected"),
+             (graph_module, "_branches"))
+    for owner, view in views:
 
-        def counting(*args, real=getattr(graph_module, view), view=view):
+        def counting(*args, real=getattr(owner, view), view=view):
             calls[view] = calls.get(view, 0) + 1
             return real(*args)
 
-        monkeypatch.setattr(graph_module, view, counting)
-    families._chain_skeleton.cache_clear()
+        monkeypatch.setattr(owner, view, counting)
     code, out, _ = _run(capsys, ["enumerate", "--json"])
     assert code == 0
     assert json.loads(out)["count"] == 19_530
-    assert calls == dict.fromkeys(("_off_diagonal", "_connected", "_branches", "_off_sums"), 6)
-    assert appended == computed == carried == 24_405
+    assert calls == {"__init__": 6, "_connected": 6, "_branches": 6}
+    assert appended == checked == carried == 24_405
     expected = (REPO_ROOT / "tests" / "golden" / "enumerate_json_default.sha256").read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == expected.strip()
 

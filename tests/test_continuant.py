@@ -144,6 +144,8 @@ def test_chain_delta_y_examples():
     assert chain_delta_y((2,)) == 2
     assert chain_delta_y((3,)) == Fraction(4, 3)
     assert chain_delta_y((2, 3)) == Fraction(7, 5)
+    with pytest.raises(ValueError, match="chain must be nonempty"):
+        chain_delta_y(())
 
 
 def test_chain_delta_y_matches_quadratic_form():
@@ -164,6 +166,8 @@ def test_pullback_end_bound_examples():
     assert (right.first, right.last) == (Fraction(1, 5), Fraction(2, 5))
     # equality case: q supported on the far end
     assert right.last == continuant((2,)) * right.first
+    with pytest.raises(ValueError, match="chain must be nonempty"):
+        pullback_end_bound((), [])
 
 
 def test_pullback_end_bound_random():

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     GRAPH_KINDS,
     base_graphs,
+    canonical_degrees,
     cofactor_determinant,
     dense_form,
     dense_graph_shape,
@@ -16,12 +17,11 @@ from conftest import (
     matvec,
     random_chain_weights,
     random_graph,
-    scanned_kind,
 )
-from singinv.classify import ShapeKind, graph_shape, singularity_kind
+from singinv.classify import ShapeKind, SingularityKind, graph_shape, singularity_kind
 from singinv.cycles import arithmetic_genus, canonical_cycle, fundamental_cycle
 from singinv import families
-from singinv.families import chain_graph, chain_sweep, rdp_family, smooth_graph
+from singinv.families import ade_graph, chain_graph, chain_sweep, rdp_family, smooth_graph
 from singinv.graph import (
     DisconnectedGraphError,
     DualGraph,
@@ -49,7 +49,7 @@ def test_intersection_matrix_single_vertex():
 def test_intersection_matrix_chain():
     g = chain_graph((2, 3))
     m = intersection_matrix(g)
-    assert m.entries == ((-2, 1), (1, -3))
+    assert m.entries == ((-2, 1), (1, -3)) and m.n == 2
     assert m.positive_form == ((2, -1), (-1, 3))
     assert cofactor_determinant(m.positive_form) == 5
     assert m.positive_form == tuple(map(tuple, dense_form(g)))
@@ -160,8 +160,9 @@ def _edge_structure_inputs():
 
 
 def test_edge_derived_structure_matches_dense_form():
-    # the off-diagonal nonzeros summed in one walk of the edge list, the
-    # columns and the intersection matrix spread from them, connectivity
+    # the columns of N summed in one walk of the edge list, each its
+    # diagonal and then its off-diagonal nonzeros, the intersection
+    # matrix spread from them, connectivity
     # by a walk over them, and graph_shape's multiple-edge test, each
     # against N summed from the edges by the tests or the edges read
     # independently
@@ -170,9 +171,9 @@ def test_edge_derived_structure_matches_dense_form():
         form = dense_form(g)
         for i in range(g.n):
             nonzeros = {(j, c) for j, c in enumerate(form[i]) if c and j != i}
-            assert len(g.off_diagonal[i]) == len(nonzeros)
-            assert set(g.off_diagonal[i]) == nonzeros
-            assert g.columns[i] == ((i, form[i][i]), *g.off_diagonal[i])
+            assert g.columns[i][0] == (i, form[i][i])
+            assert len(g.columns[i]) - 1 == len(nonzeros)
+            assert set(g.columns[i][1:]) == nonzeros
         assert intersection_matrix(g).positive_form == tuple(map(tuple, form))
         connected = _connected_by_union_find(g)
         assert g.connected is connected
@@ -190,7 +191,7 @@ def test_edge_derived_structure_matches_dense_form():
     assert disconnected == 60
 
 
-WEIGHT_FREE = ("index", "off_diagonal", "off_sums", "connected", "branches", "has_genus")
+WEIGHT_FREE = ("index", "connected", "branches", "has_genus")
 # what a graph holds from construction on: its fields, n and every view
 # that costs O(n + m); only the factor and what reads it wait
 BUILT = {"vertices", "edges", "n", *WEIGHT_FREE, "columns", "column_sums", "canonical"}
@@ -220,56 +221,57 @@ def _definite(graph):
 def test_reweighted_equals_a_fresh_build(monkeypatch):
     # the same graph under new weights, built either way, over trees,
     # cyclic, multi-edge, genus > 0 and ADE graphs, each reweighted from
-    # the one before as a sweep does.  A new graph holds n and its seven
-    # O(n + m) views from construction, and neither the factor nor the
-    # canonical forward values until one is read.  A reweighted graph
-    # equals a fresh build view for view.  It shares the source's
-    # weight-free views, and of the weighted views what precedes p, the
-    # first changed weight: the vertices, the canonical degrees, the
-    # columns of N and the factor's rows, eliminating the source first
-    # if it has not been; it computes the canonical degrees only from p
-    # on.  It always holds its factor, and its canonical forward values
-    # exactly when that factor is definite: the source's first p with
-    # n - p carried when the source's factor is definite too, all n
-    # carried when not.  No source is written to
+    # the one before as a sweep does.  A new graph checks every weight
+    # and holds n and its seven O(n + m) views from construction, and
+    # neither the factor nor the canonical forward values until one is
+    # read.  A reweighted graph equals a fresh build view for view.  It
+    # shares the source's weight-free views, and of the weighted views
+    # what precedes p, the first changed weight: the vertices, the
+    # canonical degrees, the columns of N and the factor's rows,
+    # eliminating the source first if it has not been; it checks the
+    # weights only from p on.  It always holds its factor, and its
+    # canonical forward values exactly when that factor and the
+    # source's are both definite: the source's first p with n - p
+    # carried.  Otherwise they are carried whole on their first read.
+    # No source is written to
     import singinv.graph as graph_module
 
-    carried, computed = [], []
+    carried, checked = [], []
     real_carry = Factor.carry
-    real_degrees = graph_module.canonical_degrees
+    real_check = graph_module._check_weight
 
     def carry(factor, forward, b):
         b = list(b)
         carried.append(len(b))
         return real_carry(factor, forward, b)
 
-    def degrees(graph, start=0):
-        computed.append((start, graph.n - start))
-        return real_degrees(graph, start)
+    def check(vid, weight):
+        checked.append(vid)
+        return real_check(vid, weight)
 
     monkeypatch.setattr(Factor, "carry", carry)
-    monkeypatch.setattr(graph_module, "canonical_degrees", degrees)
+    monkeypatch.setattr(graph_module, "_check_weight", check)
     rng = random.Random(83)
     sources = [g for _, g in rdp_family()]
     sources += [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in range(1, 9)]
     seen = set()
     for g in sources:
-        computed.clear()
+        checked.clear()
         source = DualGraph(g.vertices, g.edges)
         assert source.__dict__.keys() == BUILT and source.n == g.n
-        assert computed == [(0, g.n)]
+        assert checked == [v.id for v in g.vertices]
         index = dict(source.index)
         before = copy.deepcopy(factor_state(Factor(source.columns)))
         graph = source
         for _ in range(8):
             p = rng.randint(0, g.n - 1)
             weights = [v.weight for v in graph.vertices[:p]]
-            weights += [rng.randint(1, 2 + len(nbrs)) for nbrs in source.off_diagonal[p:]]
+            weights += [rng.randint(1, 1 + len(column)) for column in source.columns[p:]]
             p = next((j for j, v in enumerate(graph.vertices) if v.weight != weights[j]), g.n)
             carried.clear()
-            computed.clear()
+            checked.clear()
             prev, graph = graph, graph.reweighted(weights)
-            assert computed == [(p, g.n - p)]
+            assert checked == [v.id for v in g.vertices[p:]]
             fresh = build_graph(
                 [(v.id, w, v.genus) for v, w in zip(g.vertices, weights)], g.edges
             )
@@ -278,17 +280,16 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
             for view in WEIGHT_FREE:
                 assert graph.__dict__[view] is source.__dict__[view]
             definite, forward = _definite(fresh), _definite(prev)
-            lazy = {"factor", "canonical_forward"} if definite else {"factor"}
+            lazy = {"factor", "canonical_forward"} if definite and forward else {"factor"}
             assert graph.__dict__.keys() == BUILT | lazy
-            expected = ([g.n - p] if forward else [g.n]) if definite else []
+            expected = [g.n - p] if definite and forward else []
             if prev is source and forward and definite:
                 expected = [g.n, *expected]  # the source's own, read on the way
             assert carried == expected
-            assert graph.off_sums == fresh.off_sums
             assert graph.column_sums == fresh.column_sums
             assert graph.column_sums[:p] == prev.column_sums[:p]
             assert graph.has_genus is fresh.has_genus
-            assert graph.canonical == tuple(real_degrees(fresh))
+            assert graph.canonical == tuple(canonical_degrees(fresh))
             assert graph.canonical[:p] == prev.canonical[:p]
             assert graph.columns == fresh.columns
             assert factor_state(graph.factor) == factor_state(fresh.factor)
@@ -302,7 +303,10 @@ def test_reweighted_equals_a_fresh_build(monkeypatch):
                 assert all(x is y for x, y in zip(mine[:p], theirs[:p]))
             if definite:
                 seen.add("carried" if forward else "fresh forward")
-                assert graph.canonical_forward == fresh.canonical_forward
+                carried.clear()
+                mine = graph.canonical_forward
+                assert carried == ([] if forward else [g.n])  # carried whole on first read
+                assert mine == fresh.canonical_forward
             outcome = _outcome(graph)
             assert outcome == _outcome(fresh)
             seen.add("valid" if isinstance(outcome[0], Analysis) else outcome[0][0])
@@ -370,7 +374,6 @@ def test_a_sweep_drawn_whole_shares_as_much_as_a_streamed_one(monkeypatch):
 
     graphs = {}
     for way in ("streamed", "drawn whole", "fresh"):
-        families._chain_skeleton.cache_clear()
         appended.append(0)
         if way == "fresh":
             sweep = [(w, build_graph([(f"E{j + 1}", x) for j, x in enumerate(w)],
@@ -431,6 +434,11 @@ def test_validate_rejects_stray_minus_one_curve():
 def test_validate_accepts_rdp_family():
     for _, g in rdp_family():
         validate(g)
+    # and ade_graph builds no other configuration
+    for letter, n, message in (("A", 0, "A_n needs n >= 1"), ("D", 3, "D_n needs n >= 4"),
+                               ("E", 9, "E_n exists for n in"), ("F", 4, "unknown family")):
+        with pytest.raises(ValueError, match=message):
+            ade_graph(letter, n)
 
 
 def test_canonical_degree():
@@ -442,36 +450,32 @@ def test_canonical_degree():
         canonical_degree(smooth_graph(), 1)
 
 
-def test_the_canonical_helpers_read_the_graphs_degrees(monkeypatch):
+def test_the_canonical_helpers_read_the_graphs_degrees():
     # singularity_kind, canonical_cycle, arithmetic_genus and
     # canonical_degree read the degrees the graph built with itself
-    # (`DualGraph.canonical`): none computes a degree, and one entry
-    # costs one read, not all n degrees
-    import singinv.graph as graph_module
-
-    computed = []
-    real_degrees = graph_module.canonical_degrees
-
-    def degrees(graph, start=0):
-        computed.append(graph.n - start)
-        return real_degrees(graph, start)
-
+    # (`DualGraph.canonical`), and none computes them again: degrees
+    # planted in a fresh graph before anything has read them are what
+    # each of them follows, whichever kind they read as
     rng = random.Random(29)
     sources = [random_graph(rng, kind, n) for kind in GRAPH_KINDS for n in (1, 4, 9)]
-    monkeypatch.setattr(graph_module, "canonical_degrees", degrees)
+    kinds = set()
     for g in sources:
-        graph = DualGraph(g.vertices, g.edges)
-        assert computed == [graph.n]
-        computed.clear()
-        k = [v.weight + 2 * v.genus - 2 for v in graph.vertices]
-        assert [canonical_degree(graph, j) for j in range(graph.n)] == k
-        assert singularity_kind(graph) is scanned_kind(graph)
-        assert matvec(dense_form(graph), canonical_cycle(graph).coeffs) == k
-        z, s = dense_laufer(graph)
-        zk = sum(map(lambda a, b: a * b, z, k))
-        zz = -sum(map(lambda a, b: a * b, z, s))
-        assert arithmetic_genus(graph, fundamental_cycle(graph)) == Fraction(zk + zz, 2) + 1
-        assert computed == []
+        for planted in ((0,) * g.n, (-1,) * g.n, tuple(rng.randint(-1, 4) for _ in g.vertices)):
+            graph = DualGraph(g.vertices, g.edges)
+            assert graph.canonical == tuple(canonical_degrees(graph))
+            graph.__dict__["canonical"] = planted
+            k = list(planted)
+            assert [canonical_degree(graph, j) for j in range(graph.n)] == k
+            kind = (SingularityKind.SMOOTH if planted == (-1,) else
+                    SingularityKind.SINGULAR if any(planted) else SingularityKind.RDP)
+            assert singularity_kind(graph) is kind
+            kinds.add(kind)
+            assert matvec(dense_form(graph), canonical_cycle(graph).coeffs) == k
+            z, s = dense_laufer(graph)
+            zk = sum(map(lambda a, b: a * b, z, k))
+            zz = -sum(map(lambda a, b: a * b, z, s))
+            assert arithmetic_genus(graph, fundamental_cycle(graph)) == Fraction(zk + zz, 2) + 1
+    assert kinds == set(SingularityKind)
 
 
 def test_solve_exceptional_examples():

@@ -12,6 +12,7 @@ from conftest import (
     any_boundary,
     assert_kkt,
     base_graphs,
+    canonical_degrees,
     dense_form,
     fraction_delta_min_exhaustive,
     matvec,
@@ -35,9 +36,11 @@ from singinv.cycles import (
 )
 from singinv.families import ade_graph, chain_graph, fork_graph, smooth_graph
 from singinv.graph import (
+    DualGraph,
+    Edge,
     ExcDivisor,
+    Vertex,
     build_graph,
-    canonical_degrees,
     intersection_matrix,
     validate,
 )
@@ -580,9 +583,16 @@ def test_build_report_runs_each_stage_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
+    class Walked(tuple):
+        # the graph's edge list, counting each walk over it
+        def __iter__(self):
+            calls["edge walk"] = calls.get("edge walk", 0) + 1
+            return super().__iter__()
+
     n_pairs = [[(0, 2), (1, -1)], [(0, -1), (1, 5), (2, -1)], [(1, -1), (2, 2)]]
-    # the edge list is walked once, when the graph is built
-    count("edge walk", graph_module, "_off_diagonal")
+    # the edge list is walked once, when the graph is built, and the
+    # graph is built once
+    count("graph built", graph_module.DualGraph, "__init__")
     count("matrix", graph_module, "intersection_matrix")
     count(
         "N eliminated",
@@ -590,9 +600,8 @@ def test_build_report_runs_each_stage_once(monkeypatch):
         "__init__",
         lambda factor, rows: [sorted(r) for r in rows] == n_pairs,
     )
-    # the rounds for Z start from the column sums w + off_sums, summed once,
-    # when the graph is built
-    count("column sums", graph_module, "_off_sums")
+    # the rounds for Z start from the column sums N 1, summed when the
+    # graph is built
     count("fundamental cycle", cycles_module, "_fundamental")
     # the canonical solve: k is forward-eliminated once, into the cached
     # DualGraph.canonical_forward, and back-substituted once from there;
@@ -612,9 +621,11 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     )
     count("boundary pass", invariants_module, "boundary_cycle")
     count("delta_min", invariants_module, "_monotone_lcp")
-    # chain(2, 5, 2), built afresh once the counts are set: no view
-    # shared with a cached skeleton
-    g = build_graph([("E1", 2), ("E2", 5), ("E3", 2)], [("E1", "E2"), ("E2", "E3")])
+    # chain(2, 5, 2), built afresh once the counts are set
+    g = DualGraph(
+        (Vertex("E1", 2), Vertex("E2", 5), Vertex("E3", 2)),
+        Walked((Edge("E1", "E2"), Edge("E2", "E3"))),
+    )
     nef = NefData(m2=Fraction(2), min_mc=Fraction(1))
     validate(g)
     report = build_report(g, _mid_boundary_252(), nef)
@@ -622,8 +633,8 @@ def test_build_report_runs_each_stage_once(monkeypatch):
     assert calls == dict.fromkeys(
         (
             "edge walk",
+            "graph built",
             "N eliminated",
-            "column sums",
             "fundamental cycle",
             "canonical carry",
             "canonical solve",
@@ -638,8 +649,6 @@ def test_build_report_runs_each_stage_once(monkeypatch):
 # sparse columns
 GRAPH_VIEWS = {
     "index",
-    "off_diagonal",
-    "off_sums",
     "columns",
     "connected",
     "branches",

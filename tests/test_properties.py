@@ -40,6 +40,7 @@ from conftest import (
     GRAPH_KINDS,
     assert_kkt,
     base_graphs,
+    canonical_degrees,
     dense_eliminate,
     dense_form,
     dense_laufer,
@@ -65,7 +66,6 @@ from singinv.graph import (
     GraphValidationError,
     NotNegativeDefiniteError,
     build_graph,
-    canonical_degrees,
     intersection_matrix,
     solve_exceptional,
     validate,
@@ -178,7 +178,7 @@ def weight_sweeps(draw):
     def drawn(keep):
         weights = [v.weight for v in keep]
         for v in vertices[len(keep):]:
-            degree = len(graph.off_diagonal[graph.index[v.id]])
+            degree = len(graph.columns[graph.index[v.id]]) - 1
             weights.append(draw(st.integers(1, degree + 2)))
         return build_graph([v._replace(weight=w) for v, w in zip(vertices, weights)],
                            graph.edges)
@@ -219,24 +219,25 @@ def test_the_canonical_forward_values_reweighted_are_a_fresh_carry(sweep, data):
     # their kinds, and whose predecessor's factor is definite or has its
     # first nonpositive minor before, at or past p, and whose predecessor
     # has read its canonical forward values or not: a reweighted graph
-    # holds its canonical forward values exactly when its factor is
-    # definite.  Then they read the same as a fresh carry of its
-    # canonical degrees by its fresh factor, and the first p are its
-    # predecessor's when that one's factor is definite too.  Otherwise
+    # holds its canonical forward values exactly when its factor and its
+    # predecessor's are both definite, and then their first p are the
+    # predecessor's.  Once read, they are a fresh carry of its canonical
+    # degrees by its fresh factor whenever its factor is definite; else
     # reading them raises, as on a fresh build.  Its canonical degrees,
     # definite or not, are its predecessor's first p with the rest
     # computed, and equal a fresh graph's
     prev, siblings = sweep
     for p, fresh in siblings:
-        if prev.factor.first_nonpositive is None and data.draw(st.booleans()):
+        before = prev.factor.first_nonpositive is None
+        if before and data.draw(st.booleans()):
             prev.canonical_forward
         graph = prev.reweighted([v.weight for v in fresh.vertices])
         assert graph.canonical[:p] == prev.canonical[:p]
         assert graph.canonical == tuple(canonical_degrees(fresh))
         definite = fresh.factor.first_nonpositive is None
-        assert ("canonical_forward" in graph.__dict__) == definite
+        assert ("canonical_forward" in graph.__dict__) == (definite and before)
         if definite:
-            if prev.factor.first_nonpositive is None:
+            if before:
                 assert graph.canonical_forward[:p] == prev.canonical_forward[:p]
             forward = []
             fresh.factor.carry(forward, canonical_degrees(fresh))

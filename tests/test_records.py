@@ -112,6 +112,7 @@ def test_records_with_equal_fields_are_equal_and_hash_alike():
         cls = type(a)
         rebuilt = [cls(*_fields(a)), cls(**dict(zip(a._fields, _fields(a))))]
         assert all(r == a and hash(r) == hash(a) for r in rebuilt), name
+        assert a != object(), name  # another class is never equal
     assert first["DualGraph"] is not second["DualGraph"]
 
 
@@ -120,6 +121,8 @@ def test_records_are_immutable():
         for field in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
+            with pytest.raises(AttributeError):
+                delattr(record, field)
         # nor can a cached view be overwritten or an attribute added
         with pytest.raises(AttributeError):
             record.extra = None
