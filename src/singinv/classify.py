@@ -11,11 +11,12 @@ classification and report Unsupported.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .continuant import continuant
 from .cycles import EMPTY_BOUNDARY, BoundaryData, CycleSet, boundary_cycle
-from .graph import DualGraph, ExcDivisor
+from .graph import DualGraph, exact_fraction
 
 
 class SingularityKind(enum.Enum):
@@ -53,17 +54,17 @@ class Classification(NamedTuple):
         return self.kind is SingularityKind.RDP
 
 
-def is_log_terminal(boundary: BoundaryData, e: ExcDivisor) -> bool:
-    """All boundary coefficients < 1 and all e_j < 1."""
+def is_log_terminal(boundary: BoundaryData, e: Sequence[Fraction | int | str]) -> bool:
+    """All boundary coefficients < 1 and all e_j < 1, each read exactly."""
     return all(c.coeff < 1 for c in boundary.components) and all(
-        ej < 1 for ej in e
+        exact_fraction(ej, f"e[{j}]") < 1 for j, ej in enumerate(e)
     )
 
 
-def is_log_canonical(boundary: BoundaryData, e: ExcDivisor) -> bool:
-    """All boundary coefficients <= 1 and all e_j <= 1."""
+def is_log_canonical(boundary: BoundaryData, e: Sequence[Fraction | int | str]) -> bool:
+    """All boundary coefficients <= 1 and all e_j <= 1, each read exactly."""
     return all(c.coeff <= 1 for c in boundary.components) and all(
-        ej <= 1 for ej in e
+        exact_fraction(ej, f"e[{j}]") <= 1 for j, ej in enumerate(e)
     )
 
 

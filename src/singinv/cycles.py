@@ -56,15 +56,12 @@ above l.  The rounds climb to Z and stop there, exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .graph import (
     DualGraph,
-    ExcDivisor,
-    Record,
     definite_factor,
     exact_fraction,
     form_image,
@@ -115,23 +112,19 @@ def boundary_component(
     )
 
 
-class CycleSet(Record):
+class CycleSet(NamedTuple):
     """Everything the boundary pass produces, in vertex order, in integers.
 
     N is eliminated once (``graph.factor``) and every vector is kept as
     integer numerators over one denominator: ``det`` = det N and ``dq``,
-    a common denominator of the boundary counts.  ``s``, ``k`` and ``q``
-    are the images N Z, N Delta and dq * N b', which the rounds for Z
-    and the input give for free; ``k`` is the graph's own
-    ``DualGraph.canonical``, not a copy.  The ExcDivisor views
-    (``fundamental``, ``canonical``, ``boundary_part``,
-    ``boundary_canonical``) are built on first read, for library callers;
-    the report prints the integers ``z``, ``yk``, ``yq`` and ``ye`` and
-    reads none of them.  ``boundary_canonical`` always equals
-    ``canonical + boundary_part`` componentwise (e_j = a_j + b'_j).
+    a common denominator of the boundary counts.  So Z is ``z``, Delta is
+    ``yk`` / det, b' is ``yq`` / (det dq) and e is ``ye`` / (det dq),
+    with ``ye`` = dq ``yk`` + ``yq`` (e_j = a_j + b'_j).  ``s``, ``k`` and
+    ``q`` are the images N Z, N Delta and dq * N b', which the rounds for
+    Z and the input give for free; ``k`` is the graph's own
+    ``DualGraph.canonical``, not a copy.
     """
 
-    _fields = ("z", "s", "k", "q", "det", "dq", "yk", "yq", "ye")
     z: tuple[int, ...]  # Z, >= 1 everywhere
     s: tuple[int, ...]  # N Z >= 0
     k: tuple[int, ...]  # N Delta, the canonical degrees
@@ -142,28 +135,7 @@ class CycleSet(Record):
     yq: tuple[int, ...]  # det * dq * b'
     ye: tuple[int, ...]  # det * dq * e
 
-    def __init__(self, z, s, k, q, det, dq, yk, yq, ye) -> None:
-        self.__dict__.update(z=z, s=s, k=k, q=q, det=det, dq=dq, yk=yk, yq=yq, ye=ye)
-
-    @cached_property
-    def fundamental(self) -> ExcDivisor:
-        return ExcDivisor(tuple(Fraction(v) for v in self.z))
-
-    @cached_property
-    def canonical(self) -> ExcDivisor:
-        return ExcDivisor(tuple(Fraction(v, self.det) for v in self.yk))
-
-    @cached_property
-    def boundary_part(self) -> ExcDivisor:
-        den = self.det * self.dq
-        return ExcDivisor(tuple(Fraction(v, den) for v in self.yq))
-
-    @cached_property
-    def boundary_canonical(self) -> ExcDivisor:
-        den = self.det * self.dq
-        return ExcDivisor(tuple(Fraction(v, den) for v in self.ye))
-
-    @cached_property
+    @property
     def fundamental_genus(self) -> int:
         """p_a(Z) = (Z.K + Z.Z)/2 + 1, with Z.Z = -Z.(N Z) = -Z.s, an
         integer: Z.K + Z.Z, for integral Z, sums the even terms
@@ -297,30 +269,32 @@ def _fundamental(graph: DualGraph) -> tuple[list[int], list[int]]:
     return z, s
 
 
-def fundamental_cycle(graph: DualGraph) -> ExcDivisor:
+def fundamental_cycle(graph: DualGraph) -> tuple[int, ...]:
     """Smallest integral cycle Z >= (1,..,1) with Z.E_j <= 0 for all j.
 
     Computed in rounds of `least_element` (module docstring); a graph
     whose Z needs more than 10,000 rounds raises ValueError.
     """
     z, _ = _fundamental(graph)
-    return ExcDivisor(tuple(Fraction(v) for v in z))
+    return tuple(z)
 
 
-def arithmetic_genus(graph: DualGraph, z: ExcDivisor) -> Fraction:
-    """p_a(Z) = (Z.K + Z.Z)/2 + 1 for an effective integral cycle Z."""
+def arithmetic_genus(graph: DualGraph, z: Sequence[Fraction | int | str]) -> Fraction:
+    """p_a(Z) = (Z.K + Z.Z)/2 + 1 for an effective integral cycle Z, read exactly."""
     if len(z) != graph.n:
         raise ValueError(
             f"dimension mismatch: graph has {graph.n} vertices, cycle has {len(z)}"
         )
-    if not z.is_integral() or not z.is_effective():
+    values = [exact_fraction(c, f"z[{j}]") for j, c in enumerate(z)]
+    if any(c.denominator != 1 or c < 0 for c in values):
         raise ValueError("cycle must be effective and integral")
-    zk = sum(zj * kj for zj, kj in zip(z, graph.canonical))
-    zz = -sum(map(mul, z, form_image(graph, z.coeffs)))
+    ints = [c.numerator for c in values]
+    zk = sum(map(mul, ints, graph.canonical))
+    zz = -sum(map(mul, ints, form_image(graph, ints)))
     return Fraction(zk + zz, 2) + 1
 
 
-def canonical_cycle(graph: DualGraph) -> ExcDivisor:
+def canonical_cycle(graph: DualGraph) -> tuple[Fraction, ...]:
     """The unique divisor with Delta.E_j = -K_X.E_j for all j.
 
     Effective whenever no vertex is the weight-1 smooth-point marker; on
@@ -330,12 +304,12 @@ def canonical_cycle(graph: DualGraph) -> ExcDivisor:
     """
     factor = definite_factor(graph)
     y = factor.back_substitute(graph.canonical_forward)
-    return ExcDivisor(tuple(Fraction(v, factor.det) for v in y))
+    return tuple(Fraction(v, factor.det) for v in y)
 
 
 def exceptional_pullback(
     graph: DualGraph, meets: Sequence[Fraction | int]
-) -> ExcDivisor:
+) -> tuple[Fraction, ...]:
     """Exceptional part of a total transform from its intersection counts.
 
     ``meets[j]`` is the intersection number of the strict transform with

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Factor
 
@@ -62,40 +62,6 @@ class IllegalWeightError(GraphValidationError):
     """Weight 1 outside the single-vertex smooth-point configuration."""
 
 
-class Record:
-    """An immutable record with an instance ``__dict__``, for the few that
-    need more than a NamedTuple: cached views (``cached_property`` writes
-    the instance dict directly) or a container protocol of their own.
-
-    A subclass names its fields in ``_fields`` and stores them in
-    ``__init__`` through ``self.__dict__``.  Equality, hashing and the
-    repr read the fields, as a frozen dataclass's do.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-
 class Vertex(NamedTuple):
     id: str
     weight: int
@@ -122,57 +88,7 @@ def exact_fraction(value: Fraction | int | str, what: str) -> Fraction:
     return Fraction(value)
 
 
-class ExcDivisor(Record):
-    """Exceptional Q-divisor: exact coefficients in vertex order."""
-
-    _fields = ("coeffs",)
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs) -> None:
-        self.__dict__["coeffs"] = coeffs
-
-    @classmethod
-    def from_values(cls, values: Iterable[Fraction | int | str]) -> "ExcDivisor":
-        return cls(tuple(exact_fraction(v, "divisor coefficient") for v in values))
-
-    @classmethod
-    def zero(cls, n: int) -> "ExcDivisor":
-        return cls((Fraction(0),) * n)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coeffs)
-
-    def __getitem__(self, j: int) -> Fraction:
-        return self.coeffs[j]
-
-    def __add__(self, other: "ExcDivisor") -> "ExcDivisor":
-        self._check_len(other)
-        return ExcDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ExcDivisor") -> "ExcDivisor":
-        self._check_len(other)
-        return ExcDivisor(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def _check_len(self, other: "ExcDivisor") -> None:
-        if len(other) != len(self):
-            raise ValueError(
-                f"dimension mismatch: divisors have lengths {len(self)} and {len(other)}"
-            )
-
-
-class DualGraph(Record):
+class DualGraph:
     """The vertices and edges, checked on construction, and the views of
     them that cost O(n + m), computed there too: N's sparse ``columns``,
     summed in the one walk over the edge list that checks it, and from
@@ -180,7 +96,12 @@ class DualGraph(Record):
     ``canonical``.  Only ``factor`` and ``canonical_forward`` wait for
     their first read, so input refused for another reason eliminates
     nothing.  A view that reads no weight needs nothing more:
-    `reweighted` copies every view and replaces only the weighted ones."""
+    `reweighted` copies every view and replaces only the weighted ones.
+
+    Unlike every other record it is no NamedTuple: ``cached_property``
+    writes those two views into its instance dict.  It refuses assignment
+    and deletion all the same, and equality, hashing and the repr read
+    only ``vertices`` and ``edges``."""
 
     _fields = ("vertices", "edges")
     vertices: tuple[Vertex, ...]
@@ -235,6 +156,23 @@ class DualGraph(Record):
             column_sums=tuple(sum(c for _, c in column) for column in columns),
             canonical=tuple(weight + 2 * genus - 2 for _, weight, genus in vertices),
         )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is DualGraph:
+            return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"DualGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @cached_property
     def factor(self) -> Factor:
@@ -457,11 +395,11 @@ def canonical_degree(graph: DualGraph, j: int) -> int:
 
 def solve_exceptional(
     graph: DualGraph, rhs: Sequence[Fraction | int]
-) -> ExcDivisor:
+) -> tuple[Fraction, ...]:
     """The unique exact solution x of N x = rhs, N the positive form.
 
     N must be positive definite (NotNegativeDefiniteError otherwise), so
     the solution exists and is unique; if rhs >= 0 componentwise then so
     is x.
     """
-    return ExcDivisor(tuple(definite_factor(graph).solve(rhs)))
+    return tuple(definite_factor(graph).solve(rhs))

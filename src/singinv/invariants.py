@@ -35,14 +35,13 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .classify import Classification, ShapeKind, classify
 from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY, boundary_cycle, least_element
-from .graph import DualGraph, ExcDivisor, Record, exact_fraction, form_image
+from .graph import DualGraph, exact_fraction, form_image
 from .linalg import Factor, clear_denominators
 
 DEFAULT_EPSILON = Fraction(1, 1000)
@@ -65,27 +64,14 @@ class NegativeIntersectionError(ValueError):
     """min M.C must be nonnegative for nef M."""
 
 
-class _DeltaMinFields(NamedTuple):
+class DeltaMinResult(NamedTuple):
+    """delta_min, its active set and its minimizer x0 >= 0 as integers
+    over one denominator."""
+
     value: Fraction
     active_set: frozenset[int]  # indices with x0_j > 0
     x_num: tuple[int, ...]  # x0 = x_num / x_den, in lowest terms
     x_den: int
-
-
-class DeltaMinResult(_DeltaMinFields):
-    """delta_min, its active set and its minimizer x0 as integers over one
-    denominator.  The ExcDivisor view ``minimizer`` is built on first
-    read, for library callers; the report prints ``x_num`` over ``x_den``
-    and reads ``minimizer`` nowhere."""
-
-    # no __slots__: the instance dict holds the cached minimizer
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
-
-    @cached_property
-    def minimizer(self) -> ExcDivisor:
-        """x0 >= 0."""
-        return ExcDivisor(tuple(Fraction(a, self.x_den) for a in self.x_num))
 
 
 class DeltaPrimeKind(enum.Enum):
@@ -112,13 +98,13 @@ class Analysis(NamedTuple):
     delta: Fraction  # delta_min when log-terminal, 0 otherwise
 
 
-def quadratic_norm(graph: DualGraph, v: ExcDivisor) -> Fraction:
-    """-v^2 = v^T N v; zero exactly when v is."""
+def quadratic_norm(graph: DualGraph, v: Sequence[Fraction | int | str]) -> Fraction:
+    """-v^2 = v^T N v, v read exactly; zero exactly when v is."""
     if len(v) != graph.n:
         raise ValueError(
             f"dimension mismatch: graph has {graph.n} vertices, divisor has {len(v)}"
         )
-    ints, d = clear_denominators(v.coeffs)
+    ints, d = clear_denominators([exact_fraction(c, f"v[{j}]") for j, c in enumerate(v)])
     return Fraction(sum(map(mul, ints, form_image(graph, ints))), d * d)
 
 
@@ -265,7 +251,11 @@ def delta(graph: DualGraph, boundary: BoundaryData | None = None) -> Fraction:
 def delta_prime_from(
     analysis: Analysis, epsilon: Fraction = DEFAULT_EPSILON
 ) -> DeltaPrime:
-    """delta' from an already-computed analysis."""
+    """delta' from an already-computed analysis; epsilon, the dihedral
+    fork's stand-in, is read exactly and refused unless positive."""
+    epsilon = exact_fraction(epsilon, "epsilon")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     log_terminal = analysis.classification.log_terminal
     shape = analysis.classification.shape
     if log_terminal and shape.kind is ShapeKind.CHAIN:
@@ -278,8 +268,6 @@ def delta_prime_from(
             value=Fraction(d - max(cs.ye[i], cs.ye[j]), d),
         )
     if log_terminal and shape.kind is ShapeKind.FORK_D:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         return DeltaPrime(kind=DeltaPrimeKind.ANY_POSITIVE, epsilon=epsilon)
     return DeltaPrime(kind=DeltaPrimeKind.ZERO, value=_ZERO)
 

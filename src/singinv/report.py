@@ -6,7 +6,7 @@ serialized as exact "p/q" strings (plain "p" when integral) so every
 emitted value re-parses to the identical fraction.  The vectors Z,
 Delta, b', e and x0 are printed from the integers the analysis holds
 (`CycleSet`, `DeltaMinResult`), each entry reduced over its denominator
-by `_ratios`, not through their ExcDivisor views.
+by `_ratios`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .classify import Classification, ShapeKind
 from .cycles import BoundaryData, CycleSet, EMPTY_BOUNDARY
-from .graph import DualGraph, validate
+from .graph import DualGraph, exact_fraction, validate
 from .invariants import (
     DEFAULT_EPSILON,
     DeltaMinResult,
@@ -79,6 +79,7 @@ def build_report(
     verify_delta_min: bool = False,
 ) -> SingularityReport:
     boundary = EMPTY_BOUNDARY if boundary is None else boundary
+    epsilon = exact_fraction(epsilon, "epsilon")  # delta_prime_from refuses <= 0
     validate(graph)
     a = analyze(graph, boundary)
     oracle = delta_min_exhaustive(graph, boundary) if verify_delta_min else None

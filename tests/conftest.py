@@ -17,7 +17,7 @@ from singinv.classify import (
 from singinv.continuant import continuant
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
 from singinv.families import chain_graph, fork_graph, rdp_family, smooth_graph
-from singinv.graph import ExcDivisor, build_graph, validate
+from singinv.graph import build_graph, validate
 from singinv.invariants import DeltaMinResult, quadratic_norm
 from singinv.linalg import clear_denominators, solve
 from singinv.report import render_text, report_to_dict
@@ -70,6 +70,43 @@ def matvec(rows, v):
     if any(len(row) != len(v) for row in rows):
         raise ValueError(f"dimension mismatch: vector has length {len(v)}")
     return [sum(a * b for a, b in zip(row, v)) for row in rows]
+
+
+def fractions(nums, den):
+    """The vector nums / den as exact Fractions, entry by entry: how a
+    test reads a vector that the library holds as integers over one
+    denominator."""
+    return tuple(Fraction(v, den) for v in nums)
+
+
+def canonical_of(cs):
+    """Delta of a `CycleSet`: yk over det N."""
+    return fractions(cs.yk, cs.det)
+
+
+def boundary_part_of(cs):
+    """b' of a `CycleSet`: yq over det N * dq."""
+    return fractions(cs.yq, cs.det * cs.dq)
+
+
+def boundary_canonical_of(cs):
+    """e of a `CycleSet`: ye over det N * dq."""
+    return fractions(cs.ye, cs.det * cs.dq)
+
+
+def minimizer_of(result):
+    """x0 of a `DeltaMinResult`: x_num over x_den."""
+    return fractions(result.x_num, result.x_den)
+
+
+def plus(a, b):
+    """a + b, entry by entry; the lengths must agree."""
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def minus(a, b):
+    """a - b, entry by entry; the lengths must agree."""
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def quadratic_form(rows, v):
@@ -222,15 +259,16 @@ def assert_kkt(graph, boundary, result):
     Also the lemma behind the LCP's start (N^-1 >= 0): v + x >= 0, so
     every j with v_j < 0 is active."""
     cs = boundary_cycle(graph, boundary)
-    v = cs.fundamental - cs.boundary_canonical
-    w = matvec(dense_form(graph), (v + result.minimizer).coeffs)
-    assert result.minimizer.is_effective()
-    assert (v + result.minimizer).is_effective()
+    v = minus(cs.z, boundary_canonical_of(cs))
+    x = minimizer_of(result)
+    w = matvec(dense_form(graph), plus(v, x))
+    assert all(xj >= 0 for xj in x)
+    assert all(yj >= 0 for yj in plus(v, x))
     assert {j for j, vj in enumerate(v) if vj < 0} <= result.active_set
     assert all(wj >= 0 for wj in w)
-    assert all(xj * wj == 0 for xj, wj in zip(result.minimizer, w))
-    assert result.value == quadratic_norm(graph, v + result.minimizer)
-    assert result.active_set == {j for j, xj in enumerate(result.minimizer) if xj > 0}
+    assert all(xj * wj == 0 for xj, wj in zip(x, w, strict=True))
+    assert result.value == quadratic_norm(graph, plus(v, x))
+    assert result.active_set == {j for j, xj in enumerate(x) if xj > 0}
 
 
 def fraction_delta_min_exhaustive(graph, boundary=None):
@@ -242,9 +280,9 @@ def fraction_delta_min_exhaustive(graph, boundary=None):
     `clear_denominators`."""
     n = graph.n
     cs = boundary_cycle(graph, boundary)
-    v = cs.fundamental - cs.boundary_canonical
+    v = minus(cs.z, boundary_canonical_of(cs))
     form = dense_form(graph)
-    nv = matvec(form, v.coeffs)
+    nv = matvec(form, v)
     best = None
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
@@ -256,7 +294,7 @@ def fraction_delta_min_exhaustive(graph, boundary=None):
                     continue
                 for i, t in zip(subset, sol):
                     x[i] = t
-            value = quadratic_norm(graph, v + ExcDivisor(tuple(x)))
+            value = quadratic_norm(graph, plus(v, x))
             if best is None or value < best[0]:
                 best = (value, x)
     value, x = best
@@ -369,7 +407,7 @@ def random_boundary(graph, rng: random.Random, *, strict: bool, max_components=2
     for _ in range(40):
         boundary = BoundaryData(tuple(boundary_component(*c) for c in comps))
         cs = boundary_cycle(graph, boundary)
-        if predicate(boundary, cs.boundary_canonical):
+        if predicate(boundary, boundary_canonical_of(cs)):
             return boundary
         for c in comps:
             c[1] = c[1] / 2
@@ -439,13 +477,12 @@ def any_boundary(graph, rng: random.Random, max_components=2):
 
 
 def view_vectors(report):
-    """Z, Delta, b', e and x0 of a report, each entry str() of its Fraction
-    in the ExcDivisor views (`CycleSet.fundamental` and the rest,
-    `DeltaMinResult.minimizer`): the route the renderers took before they
-    read the analysis's integers."""
+    """Z, Delta, b', e and x0 of a report, each entry str() of its
+    Fraction built from the analysis's integers: the reference for
+    `report._ratios`, which prints them without a Fraction."""
     cs = report.cycles
-    views = (cs.fundamental, cs.canonical, cs.boundary_part, cs.boundary_canonical,
-             report.delta_min.minimizer)
+    views = (cs.z, canonical_of(cs), boundary_part_of(cs), boundary_canonical_of(cs),
+             minimizer_of(report.delta_min))
     return [list(map(str, view)) for view in views]
 
 
@@ -457,7 +494,7 @@ _TEXT_VECTORS = ("  fundamental Z:      ", "  canonical:          ",
 
 def reference_report_dict(report):
     """Reference `report_to_dict`: the document with its five vectors
-    printed through the ExcDivisor views."""
+    printed through Fractions (`view_vectors`)."""
     doc = report_to_dict(report)
     *cycles, x0 = view_vectors(report)
     doc.update(zip(_DICT_VECTORS, cycles))
@@ -467,7 +504,7 @@ def reference_report_dict(report):
 
 def reference_text(report):
     """Reference `render_text`: the text with its five vectors printed
-    through the ExcDivisor views."""
+    through Fractions (`view_vectors`)."""
     *cycles, x0 = ("[" + ", ".join(v) + "]" for v in view_vectors(report))
     lines = render_text(report).split("\n")
     for prefix, vector in zip(_TEXT_VECTORS, cycles):

@@ -1,7 +1,16 @@
 import random
 from fractions import Fraction
 
-from conftest import GRAPH_KINDS, base_graphs, random_graph, scanned_kind
+import pytest
+
+from conftest import (
+    GRAPH_KINDS,
+    base_graphs,
+    boundary_canonical_of,
+    canonical_of,
+    random_graph,
+    scanned_kind,
+)
 from singinv.classify import (
     ShapeKind,
     SingularityKind,
@@ -13,7 +22,7 @@ from singinv.classify import (
 )
 from singinv.cycles import BoundaryData, boundary_component, boundary_cycle
 from singinv.families import ade_graph, chain_graph, fork_graph, smooth_graph
-from singinv.graph import ExcDivisor, build_graph, validate
+from singinv.graph import build_graph, validate
 
 
 def _cusp_triangle():
@@ -26,15 +35,21 @@ def _cusp_triangle():
 
 def test_log_terminal_and_canonical_predicates():
     empty = BoundaryData()
-    assert is_log_terminal(empty, ExcDivisor.zero(2))
-    e_at_one = ExcDivisor.from_values([1, "1/2"])
-    assert not is_log_terminal(empty, e_at_one)
-    assert is_log_canonical(empty, e_at_one)
-    above_one = ExcDivisor.from_values(["9/8"])
+    assert is_log_terminal(empty, (0, 0))
+    for e_at_one in ([1, "1/2"], (Fraction(1), Fraction(1, 2))):
+        assert not is_log_terminal(empty, e_at_one)
+        assert is_log_canonical(empty, e_at_one)
+    above_one = ["9/8"]
     assert not is_log_canonical(empty, above_one)
     full_coeff = BoundaryData((boundary_component("C", 1, [0]),))
-    assert not is_log_terminal(full_coeff, ExcDivisor.zero(1))
-    assert is_log_canonical(full_coeff, ExcDivisor.zero(1))
+    assert not is_log_terminal(full_coeff, (0,))
+    assert is_log_canonical(full_coeff, (0,))
+    # a float would become its binary expansion, silently; a bool is no
+    # coefficient
+    for bad in (0.5, 1.0, True):
+        for predicate in (is_log_terminal, is_log_canonical):
+            with pytest.raises(ValueError, match=rf"e\[1\] must be exact .*got {bad!r}"):
+                predicate(empty, [0, bad])
 
 
 def test_singularity_kind():
@@ -138,9 +153,9 @@ def test_cusp_triangle_is_log_canonical_not_log_terminal():
     g = _cusp_triangle()
     validate(g)
     cs = boundary_cycle(g)
-    assert cs.canonical.coeffs == (Fraction(1), Fraction(1), Fraction(1))
-    assert not is_log_terminal(BoundaryData(), cs.boundary_canonical)
-    assert is_log_canonical(BoundaryData(), cs.boundary_canonical)
+    assert canonical_of(cs) == (Fraction(1), Fraction(1), Fraction(1))
+    assert not is_log_terminal(BoundaryData(), boundary_canonical_of(cs))
+    assert is_log_canonical(BoundaryData(), boundary_canonical_of(cs))
 
 
 def test_rdp_family_kind_joint():

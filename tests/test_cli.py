@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import re
 import sys
@@ -785,8 +786,11 @@ def test_enumerate_memory_is_flat_in_the_family_size(monkeypatch):
     # checked and then dropped, so the rows' graphs and cycle sets alive
     # when the next row starts are as few at either size, and none
     # outlives the run.  They are counted by finalizers, not by traced
-    # bytes, which also count blocks the interpreter keeps for reuse
+    # bytes, which also count blocks the interpreter keeps for reuse; a
+    # cycle set is a tuple, which takes no weak reference, so every one
+    # built is counted from its construction to its __del__
     import singinv.cli as cli_module
+    import singinv.cycles as cycles_module
 
     real = cli_module.analyze
     live = 0
@@ -796,15 +800,27 @@ def test_enumerate_memory_is_flat_in_the_family_size(monkeypatch):
         nonlocal live
         live -= 1
 
+    class CountedCycleSet(cycles_module.CycleSet):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            nonlocal live
+            live += 1
+            return super().__new__(cls, *fields)
+
+        def __del__(self):
+            gone()
+
     def analyze(graph):
         nonlocal live
         alive.append(live)
         result = real(graph)
-        for obj in (graph, result.cycles):
-            weakref.finalize(obj, gone)
-            live += 1
+        assert type(result.cycles) is CountedCycleSet
+        weakref.finalize(graph, gone)
+        live += 1
         return result
 
+    monkeypatch.setattr(cycles_module, "CycleSet", CountedCycleSet)
     monkeypatch.setattr(cli_module, "analyze", analyze)
     most = []
     for length, rows in (("3", 155), ("5", 3_905)):
@@ -931,7 +947,7 @@ def test_default_family_completes(capsys):
 
 
 def test_limits_chain_check_is_pinned(capsys):
-    # the slowest known input of README "Limits": a chain of 100 vertices
+    # the 32-component chain of README "Limits": a chain of 100 vertices
     # of weight 10**6 with 32 boundary components of coefficient 1/p, p the
     # 32 largest primes below 10**6, each meeting one of the first 32
     # vertices; CI diffs the installed console script against it too
@@ -949,6 +965,33 @@ def test_limits_chain_check_is_pinned(capsys):
     ]
     code, out, _ = _run(capsys, ["check", str(source), "--json"])
     assert (code, out) == (0, (golden / "limits_chain32_check.json").read_text())
+
+
+def test_limits_complete_graph_analyze_is_pinned(capsys):
+    # the slowest known input of README "Limits" apart from stars: the
+    # complete graph on 100 vertices of weight 10**6, every edge of
+    # multiplicity 1, with 32 boundary components of coefficient 1/p, p
+    # the 32 largest primes below 10**6, component k meeting vertex k
+    # once; the input's bytes are rebuilt here from that definition, and
+    # CI diffs the installed console script's report against the golden
+    golden = REPO_ROOT / "tests" / "golden"
+    source = golden / "limits_complete100_input.json"
+    ids = [f"E{k + 1}" for k in range(100)]
+    below = range(10**6 - 1, 999_000, -1)
+    primes = [p for p in below if all(p % f for f in range(2, 1000))]
+    blocks = (
+        ("vertices", [{"id": v, "weight": 10**6} for v in ids]),
+        ("edges", [list(pair) for pair in itertools.combinations(ids, 2)]),
+        ("boundary", [{"name": f"C{k + 1}", "coeff": f"1/{p}", "meets": {ids[k]: 1}}
+                      for k, p in enumerate(primes[:32])]),
+    )
+    text = "{\n" + ",\n".join(
+        f'  "{key}": [\n' + ",\n".join("    " + json.dumps(x) for x in items) + "\n  ]"
+        for key, items in blocks
+    ) + "\n}\n"
+    assert source.read_text() == text
+    code, out, _ = _run(capsys, ["analyze", str(source), "--json"])
+    assert (code, out) == (0, (golden / "limits_complete100_analyze.json").read_text())
 
 
 def test_enumerate_json_is_pinned(capsys):

@@ -12,10 +12,16 @@ from conftest import (
     any_boundary,
     assert_kkt,
     base_graphs,
+    boundary_canonical_of,
+    boundary_part_of,
     canonical_degrees,
+    canonical_of,
     dense_form,
     fraction_delta_min_exhaustive,
     matvec,
+    minimizer_of,
+    minus,
+    plus,
     random_boundary,
     random_graph,
 )
@@ -38,7 +44,6 @@ from singinv.families import ade_graph, chain_graph, fork_graph, smooth_graph
 from singinv.graph import (
     DualGraph,
     Edge,
-    ExcDivisor,
     Vertex,
     build_graph,
     intersection_matrix,
@@ -62,7 +67,7 @@ from singinv.invariants import (
     quadratic_norm,
 )
 from singinv.linalg import Factor, solve
-from singinv.report import NefData, build_report
+from singinv.report import NefData, build_report, report_to_dict
 
 
 def _mid_boundary_252():
@@ -78,11 +83,17 @@ def _cusp_triangle():
 
 def test_quadratic_norm_examples():
     g = chain_graph((2, 3))
-    assert quadratic_norm(g, ExcDivisor.zero(2)) == 0
-    assert quadratic_norm(g, ExcDivisor.from_values(["4/5", "3/5"])) == Fraction(7, 5)
-    assert quadratic_norm(smooth_graph(), ExcDivisor.from_values([2])) == 4
+    assert quadratic_norm(g, (0, 0)) == 0
+    assert quadratic_norm(g, ["4/5", "3/5"]) == Fraction(7, 5)
+    assert quadratic_norm(g, [Fraction(4, 5), "3/5"]) == Fraction(7, 5)
+    assert quadratic_norm(smooth_graph(), [2]) == 4
     with pytest.raises(ValueError, match="dimension mismatch"):
-        quadratic_norm(g, ExcDivisor.zero(3))
+        quadratic_norm(g, (0, 0, 0))
+    # a float would become its binary expansion, silently; a bool is no
+    # coefficient
+    for bad in (0.1, 2.0, True):
+        with pytest.raises(ValueError, match=rf"v\[1\] must be exact .*got {bad!r}"):
+            quadratic_norm(g, [1, bad])
 
 
 def test_delta_y_examples():
@@ -104,18 +115,18 @@ def test_delta_by_examples():
 def test_delta_min_gradient_positive_cases():
     res = delta_min(chain_graph((2, 3)))
     assert res.value == Fraction(7, 5)
-    assert res.minimizer.is_zero()
+    assert not any(res.x_num)
     assert res.active_set == frozenset()
     smooth = delta_min(smooth_graph())
     assert smooth.value == 4
-    assert smooth.minimizer.is_zero()
+    assert not any(smooth.x_num)
 
 
 def test_delta_min_anchor_2_5_2():
     g = chain_graph((2, 5, 2))
     res = delta_min(g, _mid_boundary_252())
     assert res.value == Fraction(81, 80)
-    assert res.minimizer.coeffs == (Fraction(0), Fraction(1, 10), Fraction(0))
+    assert minimizer_of(res) == (Fraction(0), Fraction(1, 10), Fraction(0))
     assert res.active_set == frozenset({1})
     assert res.value < delta_by(g, _mid_boundary_252())
 
@@ -151,16 +162,17 @@ def test_delta_min_matches_exhaustive_and_kkt():
             fast = delta_min(g, b)
             slow = delta_min_exhaustive(g, b)
             assert fast.value == slow.value
-            assert fast.minimizer == slow.minimizer
+            x0 = minimizer_of(fast)
+            assert x0 == minimizer_of(slow)
             # exact KKT certificate
             cs = boundary_cycle(g, b)
-            v = cs.fundamental - cs.boundary_canonical
+            v = minus(cs.z, boundary_canonical_of(cs))
             form = form_cache.setdefault(name, intersection_matrix(g).positive_form)
-            gradient = matvec(form, (v + fast.minimizer).coeffs)
+            gradient = matvec(form, plus(v, x0))
             assert all(gj >= 0 for gj in gradient)
-            assert all(x * gj == 0 for x, gj in zip(fast.minimizer, gradient))
-            assert fast.minimizer.is_effective()
-            assert fast.value == quadratic_norm(g, v + fast.minimizer)
+            assert all(x * gj == 0 for x, gj in zip(x0, gradient, strict=True))
+            assert all(x >= 0 for x in x0)
+            assert fast.value == quadratic_norm(g, plus(v, x0))
             assert fast.value <= quadratic_norm(g, v)
 
 
@@ -170,12 +182,10 @@ def test_delta_min_below_random_feasible_points():
     b = _mid_boundary_252()
     res = delta_min(g, b)
     cs = boundary_cycle(g, b)
-    v = cs.fundamental - cs.boundary_canonical
+    v = minus(cs.z, boundary_canonical_of(cs))
     for _ in range(200):
-        x = ExcDivisor.from_values(
-            [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(g.n)]
-        )
-        assert res.value <= quadratic_norm(g, v + x)
+        x = [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in range(g.n)]
+        assert res.value <= quadratic_norm(g, plus(v, x))
 
 
 def test_mu_examples():
@@ -224,6 +234,37 @@ def test_delta_prime_examples():
     assert custom.epsilon == Fraction(1, 7)
     with pytest.raises(ValueError, match="positive"):
         delta_prime(ade_graph("D", 4), epsilon=Fraction(0))
+
+
+def test_epsilon_is_exact_and_positive_on_every_shape():
+    # epsilon is read exactly and refused unless positive on a chain, a
+    # dihedral fork and an E8 fork alike, though only the dihedral fork
+    # prints it; a report stores the exact value it printed
+    shapes = (chain_graph((2, 3)), ade_graph("D", 4), ade_graph("E", 8))
+    nef = NefData(Fraction(3), Fraction(1))
+    for g in shapes:
+        for bad in (Fraction(0), 0, -5, "-1/2"):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                delta_prime(g, epsilon=bad)
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                check_hypotheses(g, None, 3, 1, epsilon=bad)
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                build_report(g, epsilon=bad)
+        for bad in (0.1, 1.0, True):
+            message = rf"epsilon must be exact .*got {bad!r}"
+            with pytest.raises(ValueError, match=message):
+                delta_prime(g, epsilon=bad)
+            with pytest.raises(ValueError, match=message):
+                check_hypotheses(g, None, 3, 1, epsilon=bad)
+            for report_nef in (None, nef):
+                with pytest.raises(ValueError, match=message):
+                    build_report(g, nef=report_nef, epsilon=bad)
+    d4 = ade_graph("D", 4)
+    assert delta_prime(d4, epsilon="1/7").epsilon == Fraction(1, 7)
+    report = build_report(d4, nef=nef, epsilon="1/10")
+    assert report.epsilon == report.delta_prime.epsilon == Fraction(1, 10)
+    assert type(report.epsilon) is Fraction
+    assert report_to_dict(report)["delta_prime"]["epsilon"] == "1/10"
 
 
 def test_delta_prime_orientation_invariant():
@@ -304,7 +345,7 @@ def test_delta_by_upper_bounds_by_kind():
         for _ in range(4):
             b = random_boundary(g, rng, strict=True)
             cs = boundary_cycle(g, b)
-            assert is_log_terminal(b, cs.boundary_canonical)
+            assert is_log_terminal(b, boundary_canonical_of(cs))
             dby = delta_by(g, b)
             if kind is SingularityKind.SMOOTH:
                 assert dby <= 4
@@ -344,18 +385,19 @@ def _assert_matches_fraction_route(graph, boundary, a):
     cs = a.cycles
     form = dense_form(graph)
     q = [sum(c.coeff * c.meets[j] for c in boundary.components) for j in range(graph.n)]
-    assert matvec(form, cs.canonical.coeffs) == canonical_degrees(graph)
-    assert matvec(form, cs.boundary_part.coeffs) == q
+    canonical, boundary_part = canonical_of(cs), boundary_part_of(cs)
+    assert matvec(form, canonical) == canonical_degrees(graph)
+    assert matvec(form, boundary_part) == q
     assert [Fraction(v, cs.dq) for v in cs.q] == q
-    assert cs.boundary_canonical == cs.canonical + cs.boundary_part
-    e = cs.boundary_canonical
-    assert a.delta_y == quadratic_norm(graph, cs.fundamental - cs.canonical)
-    assert a.delta_by == quadratic_norm(graph, cs.fundamental - e)
+    e = boundary_canonical_of(cs)
+    assert e == plus(canonical, boundary_part)
+    assert a.delta_y == quadratic_norm(graph, minus(cs.z, canonical))
+    assert a.delta_by == quadratic_norm(graph, minus(cs.z, e))
     assert a.classification.log_terminal == is_log_terminal(boundary, e)
     assert a.classification.log_canonical == is_log_canonical(boundary, e)
     if a.classification.log_terminal:
-        u = cs.fundamental - cs.canonical
-        assert a.mu == min(bj / uj for bj, uj in zip(cs.boundary_part, u))
+        u = minus(cs.z, canonical)
+        assert a.mu == min(bj / uj for bj, uj in zip(boundary_part, u, strict=True))
     else:
         assert a.mu is None
 
@@ -401,7 +443,7 @@ def test_delta_min_lcp_matches_exhaustive_on_random_graphs(monkeypatch):
         slow = delta_min_exhaustive(g, b)
         # equal results compare equal: x0 is kept in lowest terms
         assert fast == slow, (kind, g, b)
-        assert fast.minimizer == slow.minimizer
+        assert minimizer_of(fast) == minimizer_of(slow)
         assert_kkt(g, b, fast)
         iterated += bool(fast.active_set)
     assert iterated > 20  # the LCP loop itself, not only x = 0, was exercised
@@ -712,12 +754,12 @@ def test_a_boundary_off_the_fiber_reuses_the_boundary_free_pass():
         zero = boundary_component("C1", 0, meets)
         apart = boundary_component("C2", Fraction(rng.randint(1, 4), 4), [0] * g.n)
         canonical = canonical_cycle(g)
-        u = fundamental_cycle(g) - canonical
+        u = minus(fundamental_cycle(g), canonical)
         norm = quadratic_norm(g, u)
         for b in (None, EMPTY_BOUNDARY, BoundaryData((zero,)), BoundaryData((apart,)),
                   BoundaryData((zero, apart))):
             a = analyze(g, b)
-            assert a.cycles.dq == 1 and a.cycles.boundary_canonical == canonical
+            assert a.cycles.dq == 1 and boundary_canonical_of(a.cycles) == canonical
             assert a.delta_by == a.delta_y == norm
             components = () if b is None else b.components
             q = [sum(c.coeff * c.meets[j] for c in components) for j in range(g.n)]
@@ -731,7 +773,7 @@ def test_a_boundary_off_the_fiber_reuses_the_boundary_free_pass():
                 assert a.mu is None
             exhaustive = delta_min_exhaustive(g, b)
             assert a.delta_min == exhaustive
-            assert a.delta_min.minimizer == exhaustive.minimizer
+            assert minimizer_of(a.delta_min) == minimizer_of(exhaustive)
     assert log_terminal == {True, False}
 
 
@@ -745,7 +787,6 @@ def test_public_helpers_read_the_analysis():
         assert delta_y(g) == a.delta_y == analyze(g).delta_y
         assert mu(g, b) == a.mu
         assert delta(g, b) == a.delta
-        assert a.delta_y == quadratic_norm(g, a.cycles.fundamental - a.cycles.canonical)
-        assert a.delta_by == quadratic_norm(
-            g, a.cycles.fundamental - a.cycles.boundary_canonical
-        )
+        cs = a.cycles
+        assert a.delta_y == quadratic_norm(g, minus(cs.z, canonical_of(cs)))
+        assert a.delta_by == quadratic_norm(g, minus(cs.z, boundary_canonical_of(cs)))

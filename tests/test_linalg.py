@@ -14,7 +14,6 @@ from conftest import (
     quadratic_form,
 )
 from singinv.families import chain_graph, smooth_graph
-from singinv.graph import ExcDivisor
 from singinv.invariants import quadratic_norm
 from singinv.linalg import Factor, clear_denominators, solve
 
@@ -123,7 +122,7 @@ def test_solve_errors():
 def _norms(graph, v):
     """v^T N v through the library's sparse columns, checked against the
     tests' dense reference."""
-    q = quadratic_norm(graph, ExcDivisor.from_values(v))
+    q = quadratic_norm(graph, v)
     assert q == quadratic_form(dense_form(graph), v)
     return q
 

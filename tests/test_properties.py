@@ -12,7 +12,7 @@ canonical cycle against a fresh solve, the integer boundary tests
 against the Fraction helpers, the report's
 equivariance under a reordering of the vertices, the lossless
 serialisation of every rational the report emits, the report's vectors,
-printed from integers, against their ExcDivisor views, and generated input
+printed from integers, against their Fractions, and generated input
 documents, valid and bent, and every field of the base documents bent by
 each edit kind, through `parse_input`, `build_report` and the CLI, which
 end in a report or a documented error, and generated argument lists
@@ -40,11 +40,16 @@ from conftest import (
     GRAPH_KINDS,
     assert_kkt,
     base_graphs,
+    boundary_canonical_of,
+    boundary_part_of,
     canonical_degrees,
+    canonical_of,
     dense_eliminate,
     dense_form,
     dense_laufer,
     factor_state,
+    fractions,
+    minimizer_of,
     reference_report_dict,
     reference_text,
     scanned_kind,
@@ -302,7 +307,7 @@ def test_the_canonical_cycle_is_the_solve_of_the_degrees(sweep):
         bad = dense_eliminate(dense_form(graph))
         if bad is None:
             delta = canonical_cycle(graph)
-            assert delta == boundary_cycle(graph).canonical
+            assert delta == canonical_of(boundary_cycle(graph))
             assert delta == solve_exceptional(graph, graph.canonical)
             continue
         for call in (canonical_cycle, lambda g: solve_exceptional(g, g.canonical)):
@@ -352,7 +357,7 @@ def test_lcp_equals_exhaustive_search(case):
     fast = analyze(graph, boundary).delta_min
     slow = delta_min_exhaustive(graph, boundary)
     assert fast == slow  # x0 in lowest terms, so equal results compare equal
-    assert fast.minimizer == slow.minimizer
+    assert minimizer_of(fast) == minimizer_of(slow)
     assert isinstance(fast.value, Fraction)
 
 
@@ -457,7 +462,7 @@ def test_the_genus_of_z_is_the_integer_adjunction(graph):
     # cycles and multiple edges among the graphs
     cs = boundary_cycle(graph)
     assert type(cs.fundamental_genus) is int
-    assert cs.fundamental_genus == arithmetic_genus(graph, cs.fundamental)
+    assert cs.fundamental_genus == arithmetic_genus(graph, cs.z)
 
 
 def _by_vertex(doc):
@@ -530,7 +535,7 @@ def test_the_integer_boundary_tests_are_the_fraction_helpers(graph, data):
         return
     cs = boundary_cycle(graph, boundary)
     flags = classify(graph, boundary, cycles=cs)
-    e = cs.boundary_canonical
+    e = boundary_canonical_of(cs)
     assert flags.log_terminal is is_log_terminal(boundary, e)
     assert flags.log_canonical is is_log_canonical(boundary, e)
 
@@ -628,13 +633,13 @@ def _emitted(report, doc):
         (doc["delta_min"]["value"], dmin.value),
     ]
     for key, divisor in (
-        ("fundamental_cycle", cs.fundamental),
-        ("canonical_cycle", cs.canonical),
-        ("boundary_pullback", cs.boundary_part),
-        ("boundary_canonical_cycle", cs.boundary_canonical),
+        ("fundamental_cycle", fractions(cs.z, 1)),
+        ("canonical_cycle", canonical_of(cs)),
+        ("boundary_pullback", boundary_part_of(cs)),
+        ("boundary_canonical_cycle", boundary_canonical_of(cs)),
     ):
         pairs += zip(doc[key], divisor, strict=True)
-    pairs += zip(doc["delta_min"]["minimizer"], dmin.minimizer, strict=True)
+    pairs += zip(doc["delta_min"]["minimizer"], minimizer_of(dmin), strict=True)
     if report.delta_min_oracle is not None:
         pairs.append((doc["delta_min"]["oracle"]["value"], report.delta_min_oracle.value))
     if report.mu is not None:
@@ -730,9 +735,9 @@ def test_ratios_are_the_fraction_strings(nums, den, common):
 
 @PROFILE
 @given(st.one_of(inputs(1, 8, kinds=GRAPH_KINDS), corpus_inputs()), st.data())
-def test_the_renderers_print_the_exc_divisor_views(case, data):
+def test_the_renderers_print_the_vectors_fractions(case, data):
     # both renderers print Z, Delta, b', e and x0 from the analysis's
-    # integers, and each entry reads as str() of its Fraction in the views
+    # integers, and each entry reads as str() of its Fraction
     graph, boundary = case
     nef = data.draw(st.none() | st.builds(
         NefData,
