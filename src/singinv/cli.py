@@ -50,7 +50,7 @@ class ParsedInput(NamedTuple):
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
 # Input caps.  At MAX_VERTICES the slowest known input that is no star,
-# the complete graph, takes 0.86 s; stars whose Z needs thousands of
+# the complete graph, takes 0.67 s; stars whose Z needs thousands of
 # rounds take longer, one of 95 vertices two minutes (README, "Limits").
 # Together the caps keep every reported number within Python's
 # 4300-digit string conversion limit: det N <= 10^600 (Hadamard) and the

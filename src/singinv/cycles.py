@@ -28,12 +28,13 @@ along, and its monotonicity argument runs unchanged.  On the 64-vertex
 long-arm fork it takes 10 iterations; from S = {} the method takes 21.
 S only grows and is kept in entry order, so each principal block N_SS
 is the previous one bordered by the entering rows and columns: one
-`Factor`, built on the first iteration and bordered on each later one,
-is eliminated once over the whole LCP.  The right-hand side -(N v)_S
-grows the same way, so each iteration forward-eliminates only its
-entering entries.  A symmetric permutation leaves det N_SS and the
-solution unchanged, so entry order gives the same exact answer as
-sorted order.
+factor is eliminated once over the whole LCP.  It starts as the leading
+p rows of the graph's own factor of N (`Factor.prefix`), p the longest
+run 0..p-1 that the first entering vertices form, and each iteration
+borders only the rows it lacks.  The right-hand side -(N v)_S grows the
+same way, so each iteration forward-eliminates only its entering
+entries.  A symmetric permutation leaves det N_SS and the solution
+unchanged, so entry order gives the same exact answer as sorted order.
 An iteration pays only for the entries its entering test reads.  Every
 j outside S and not next to it has w_j = (N v)_j det N_SS >= 0, since
 the j with (N v)_j < 0 all enter on the first iteration and S only
@@ -67,7 +68,6 @@ from .graph import (
     form_image,
     solve_exceptional,
 )
-from .linalg import Factor
 
 # The rounds for Z end on every negative-definite graph (`_fundamental`
 # refuses any other) after at most sum(Z) - n rounds; no smaller bound is
@@ -174,12 +174,13 @@ def _check_cone(y: Sequence[int | None]) -> None:
 
 
 def least_element(
-    columns: Sequence[Sequence[tuple[int, int]]], v: Sequence[int], nv: Sequence[int]
+    graph: DualGraph, v: Sequence[int], nv: Sequence[int]
 ) -> tuple[list[int], list[int], int]:
-    """The least element v + x of {y >= v : N y >= 0}, N given by its
-    sparse `columns`, by Chandrasekaran's method started from the j with
+    """The least element v + x of {y >= v : N y >= 0}, N the graph's
+    positive form, by Chandrasekaran's method started from the j with
     v_j < 0 or (N v)_j < 0, all inside the final support (module
-    docstring).
+    docstring).  The caller has checked that ``graph.factor`` is
+    definite: the block starts from its leading rows.
 
     Only the signs of v are read; nv = d N v, integral, for an integer
     d > 0.  Returns the support S in entry order, the integers y with
@@ -188,12 +189,14 @@ def least_element(
     """
     if min(v) >= 0 and min(nv) >= 0:  # x = 0 satisfies the KKT conditions
         return [], [], 1
-    n = len(nv)
+    n, columns = len(nv), graph.columns
     entering = [j for j in range(n) if v[j] < 0 or nv[j] < 0]
+    # entering[:shared] == [0, ..., shared - 1]: that much of N_SS is N's own
+    shared = next((p for p, j in enumerate(entering) if j != p), len(entering))
+    block = graph.factor.prefix(shared)
     support: list[int] = []  # in entry order: each block borders the last
     where = [-1] * n  # position in the support, -1 outside it
     links: dict[int, list[tuple[int, int]]] = {}  # j next to S: [(position, N_ij)]
-    block: Factor | None = None
     forward: list[int] = []  # -(N v)_S forward-eliminated, kept across borders
     partial: list[int | None] | None = None  # y where the entering test reads it
     while entering:
@@ -211,10 +214,7 @@ def least_element(
                 else:
                     row.append((q, c))
             rows.append(row)
-        if block is None:
-            block = Factor(rows)
-        else:
-            block.border(rows)
+        block.border(rows[max(shared - m, 0) :])  # only the rows it lacks
         block.carry(forward, [-nv[i] for i in entering])
         if not links:
             partial = None  # nothing outside S is left to enter
@@ -260,7 +260,7 @@ def _fundamental(graph: DualGraph) -> tuple[list[int], list[int]]:
                 f"{_ROUND_CAP:,} rounds of its least-element solver"
             )
         rounds += 1
-        support, y, det_s = least_element(columns, z, s)
+        support, y, det_s = least_element(graph, z, s)
         for j, t in zip(support, y):
             step = -(-t // det_s)
             z[j] += step

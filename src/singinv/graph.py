@@ -388,18 +388,18 @@ def definite_factor(graph: DualGraph) -> Factor:
 
 def canonical_degree(graph: DualGraph, j: int) -> int:
     """K_X . E_j by adjunction: w_j + 2*g_j - 2, read off `DualGraph.canonical`."""
+    if type(j) is not int:  # a bool or a float is no vertex index
+        raise TypeError(f"vertex index must be an int, got {j!r}")
     if not 0 <= j < graph.n:
         raise IndexError(f"vertex index {j} out of range for {graph.n} vertices")
     return graph.canonical[j]
 
 
 def solve_exceptional(
-    graph: DualGraph, rhs: Sequence[Fraction | int]
+    graph: DualGraph, rhs: Sequence[Fraction | int | str]
 ) -> tuple[Fraction, ...]:
-    """The unique exact solution x of N x = rhs, N the positive form.
-
-    N must be positive definite (NotNegativeDefiniteError otherwise), so
-    the solution exists and is unique; if rhs >= 0 componentwise then so
-    is x.
-    """
-    return tuple(definite_factor(graph).solve(rhs))
+    """The unique exact solution x of N x = rhs, N the positive form and
+    rhs read exactly (`exact_fraction`).  N must be positive definite
+    (NotNegativeDefiniteError otherwise); if rhs >= 0 then so is x."""
+    values = [exact_fraction(x, f"rhs[{j}]") for j, x in enumerate(rhs)]
+    return tuple(definite_factor(graph).solve(values))

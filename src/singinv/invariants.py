@@ -16,7 +16,8 @@ numerators with the denominator.
 delta_min minimizes -(v + x)^2 = (v + x)^T N (v + x) over effective
 exceptional x.  N is a Stieltjes matrix, so the KKT conditions x >= 0,
 w = N(v + x) >= 0, x.w = 0 make v + x the least element of
-{y >= v : N y >= 0}, which `cycles.least_element` finds (see there).
+{y >= v : N y >= 0}, which `cycles.least_element` finds, starting from
+the leading rows of N's factor that `boundary_cycle` checked (see there).
 N v is integral over dq alone, so its integers carry no factor det N:
 x_S = y / (dq det N_SS) with y integral, and v.(N v), an integer over
 det N dq^2, joins x_S.(N v)_S in one fraction at the end, as
@@ -134,7 +135,7 @@ def _monotone_lcp(
     objective in one fraction (module docstring).  N v = nv / dq and
     v.(N v) = vnv / (det dq^2), all integers; dby is that quotient, the
     objective at x = 0."""
-    support, y, det_s = least_element(graph.columns, v, nv)
+    support, y, det_s = least_element(graph, v, nv)
     if not support:  # x = 0 satisfies the KKT conditions
         return DeltaMinResult(dby, _NONE_ACTIVE, (0,) * len(nv), 1)
     x_den = dq * det_s

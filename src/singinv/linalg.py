@@ -28,14 +28,15 @@ triangle, as in row-by-row symmetric elimination (George and Liu,
 *Computer Solution of Large Sparse Positive Definite Systems*, 1981):
 row i is stored up to its diagonal, and the pivot row's entry a_kj is
 read as a_jk.  Row i comes in as its nonzero pairs (j, a_ij), as
-`DualGraph.columns` holds N.  `Factor(rows)` borders the empty factor,
-and `border` takes only the new rows; a border appends rows and never
-changes an old one.  Row i and the pivots up to M_{i+1} are minors of
+`DualGraph.columns` holds N.  Rows enter a factor one way, `border`
+(`Factor(rows)` borders the empty factor), which appends them and never
+changes an old row.  Row i and the pivots up to M_{i+1} are minors of
 the leading (i + 1) x (i + 1) block alone, so two matrices that agree on
 their leading p x p block have the same first p rows, bit for bit.
-`prefix(p)` hands them on, shared, not copied: as no border writes to an
-old row, one row list can serve many factors, and a graph reweighted
-from vertex p on pays only for rows p on (`DualGraph.reweighted`).
+`prefix(p)` hands them on, shared, not copied: one row list serves many
+factors, so a graph reweighted from vertex p on (`DualGraph.reweighted`)
+and a least-element block whose first p vertices are 0..p-1
+(`cycles.least_element`) eliminate only the rows after p.
 A solve is two calls.  `carry` forward-eliminates
 the entries of a right-hand side added since its last call and keeps the
 old ones.
@@ -86,7 +87,7 @@ class Factor:
         self._upper: list[list[int]] = []  # of row k: rows i > k with a[i][k] != 0
         self._piv = [1]  # M_0 and the positive pivots M_1, M_2, ...
         self.first_nonpositive: int | None = None
-        self._extend(rows)
+        self.border(rows)
 
     def prefix(self, p: int) -> "Factor":
         """The factor of the leading p x p block.  Rows 0..p-1 and the
@@ -106,16 +107,14 @@ class Factor:
         return f
 
     def border(self, rows: SparseRows) -> None:
-        """Extend the symmetric m x m matrix by r new rows.  By symmetry a
-        new row's pairs below m are the old rows' new columns, and its
-        pairs past its diagonal, which later rows hold, are skipped."""
-        self._extend(rows)
-
-    def _extend(self, rows: SparseRows) -> None:
-        """Append the reduced new rows, or none on a negative column index.
-        Row i runs its nonzero multiplier steps k from its first nonzero
-        on; step k updates only the columns j <= i below pivot k,
-        `_upper[k]`, and i itself, reading the pivot row's a[k][j] as a[j][k]."""
+        """Extend the symmetric m x m matrix by r new rows: append them
+        reduced, or none on a negative column index.  By symmetry a new
+        row's pairs below m are the old rows' new columns, and its pairs
+        past its diagonal, which later rows hold, are skipped.  Row i runs
+        its nonzero multiplier steps k from its first nonzero on; step k
+        updates only the columns j <= i below pivot k, `_upper[k]`, and i
+        itself, reading the pivot row's a[k][j] as a[j][k].  No old row is
+        written, so rows shared by `prefix` stay as they were."""
         a, piv, lower, upper = self._a, self._piv, self._lower, self._upper
         spread = []  # (first nonzero column, dense row up to the diagonal)
         for i, pairs in enumerate(rows, len(a)):

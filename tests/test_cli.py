@@ -192,18 +192,18 @@ def test_parse_input_eliminates_nothing(monkeypatch):
     # border no Factor: a refused boundary or nef block costs no
     # elimination of N.  Validation eliminates N once, all 100 rows
     appended = []
-    real_extend, real_prefix = Factor._extend, Factor.prefix
+    real_border, real_prefix = Factor.border, Factor.prefix
 
-    def extend(factor, rows):
+    def border(factor, rows):
         rows = list(rows)
         appended.append(len(rows))
-        return real_extend(factor, rows)
+        return real_border(factor, rows)
 
     def prefix(factor, p):
         appended.append(("prefix", p))
         return real_prefix(factor, p)
 
-    monkeypatch.setattr(Factor, "_extend", extend)
+    monkeypatch.setattr(Factor, "border", border)
     monkeypatch.setattr(Factor, "prefix", prefix)
     ids = [f"E{k}" for k in range(100)]
     doc = {
@@ -1025,15 +1025,15 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
     from singinv.linalg import Factor
 
     appended = carried = checked = 0
-    real_extend = Factor._extend
+    real_border = Factor.border
     real_carry = graph_module._carry_canonical
     real_check = graph_module._check_weight
 
-    def extend(factor, rows):
+    def border(factor, rows):
         nonlocal appended
         rows = list(rows)
         appended += len(rows)
-        return real_extend(factor, rows)
+        return real_border(factor, rows)
 
     def carry(factor, prefix, degrees):
         nonlocal carried
@@ -1045,7 +1045,7 @@ def test_enumerate_computes_each_skeleton_structure_once(monkeypatch, capsys):
         checked += 1
         return real_check(vid, weight)
 
-    monkeypatch.setattr(Factor, "_extend", extend)
+    monkeypatch.setattr(Factor, "border", border)
     monkeypatch.setattr(graph_module, "_carry_canonical", carry)
     monkeypatch.setattr(graph_module, "_check_weight", check)
 

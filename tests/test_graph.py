@@ -19,7 +19,12 @@ from conftest import (
     random_graph,
 )
 from singinv.classify import ShapeKind, SingularityKind, graph_shape, singularity_kind
-from singinv.cycles import arithmetic_genus, canonical_cycle, fundamental_cycle
+from singinv.cycles import (
+    arithmetic_genus,
+    canonical_cycle,
+    exceptional_pullback,
+    fundamental_cycle,
+)
 from singinv import families
 from singinv.families import ade_graph, chain_graph, chain_sweep, rdp_family, smooth_graph
 from singinv.graph import (
@@ -356,14 +361,14 @@ def test_a_sweep_drawn_whole_shares_as_much_as_a_streamed_one(monkeypatch):
     # fresh build per chain eliminates every row.  Every chain drawn
     # holds its factor and equals a fresh build
     appended = []
-    real_extend = Factor._extend
+    real_border = Factor.border
 
-    def extend(factor, rows):
+    def border(factor, rows):
         rows = list(rows)
         appended[-1] += len(rows)
-        return real_extend(factor, rows)
+        return real_border(factor, rows)
 
-    monkeypatch.setattr(Factor, "_extend", extend)
+    monkeypatch.setattr(Factor, "border", border)
 
     def analyzed(sweep):
         for _, graph in sweep:
@@ -449,6 +454,15 @@ def test_canonical_degree():
         canonical_degree(smooth_graph(), 1)
 
 
+def test_canonical_degree_refuses_an_index_that_is_no_int():
+    # True would read vertex 1 and 1.0 would fail on a tuple index
+    g = chain_graph((2, 3))
+    for bad in (True, False, 1.0, Fraction(1)):
+        with pytest.raises(TypeError, match=re.escape(f"must be an int, got {bad!r}")):
+            canonical_degree(g, bad)
+    assert canonical_degree(g, 1) == 1
+
+
 def test_the_canonical_helpers_read_the_graphs_degrees():
     # singularity_kind, canonical_cycle, arithmetic_genus and
     # canonical_degree read the degrees the graph built with itself
@@ -485,6 +499,17 @@ def test_solve_exceptional_examples():
     assert solve_exceptional(g2, [1, 0]) == (Fraction(3, 5), Fraction(1, 5))
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve_exceptional(g2, [1])
+
+
+def test_solve_exceptional_reads_its_right_hand_side_exactly():
+    # as exceptional_pullback reads its meets: a float or a bool is
+    # refused, naming the entry, and a 'p/q' string is the rational
+    g = chain_graph((2, 3))
+    for bad in (0.5, 1.0, True, False):
+        with pytest.raises(ValueError, match=rf"rhs\[0\] must be exact .*got {bad!r}"):
+            solve_exceptional(g, [bad, 0])
+    assert solve_exceptional(g, ["1/2", 0]) == (Fraction(3, 10), Fraction(1, 10))
+    assert solve_exceptional(g, ["1/2", 0]) == exceptional_pullback(g, ["1/2", 0])
 
 
 def test_solve_exceptional_roundtrip_and_positivity():

@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from conftest import (
     canonical_degrees,
     canonical_of,
     dense_form,
+    factor_state,
     fraction_delta_min_exhaustive,
     matvec,
     minimizer_of,
@@ -403,16 +405,47 @@ def _assert_matches_fraction_route(graph, boundary, a):
 
 
 def _count_borders(monkeypatch):
-    """Record the number of rows of every `Factor.border` call."""
+    """Record (factor, number of rows) of every `Factor.border` call,
+    `Factor.__init__`'s own included."""
     sizes = []
     real = Factor.border
 
     def border(factor, rows):
-        sizes.append(len(rows))
+        rows = list(rows)
+        sizes.append((factor, len(rows)))
         return real(factor, rows)
 
     monkeypatch.setattr(Factor, "border", border)
     return sizes
+
+
+def _count_blocks(monkeypatch):
+    """Record (factor, p) of every `Factor.prefix` call, the start of each
+    least-element block, and the rows of every factor built afresh."""
+    blocks, built = [], []
+    real_prefix, real_init = Factor.prefix, Factor.__init__
+
+    def prefix(factor, p):
+        block = real_prefix(factor, p)
+        blocks.append((block, p))
+        return block
+
+    def init(factor, rows):
+        rows = list(rows)
+        built.append(len(rows))
+        real_init(factor, rows)
+
+    monkeypatch.setattr(Factor, "prefix", prefix)
+    monkeypatch.setattr(Factor, "__init__", init)
+    return blocks, built
+
+
+def _shares_rows(block, factor, p):
+    """The first p rows of `block` are `factor`'s own objects, not copies."""
+    return len(block._a) >= p and all(
+        block._a[i] is factor._a[i] and block._lower[i] is factor._lower[i]
+        for i in range(p)
+    )
 
 
 def _small_long_arm_forks():
@@ -437,7 +470,8 @@ def test_delta_min_lcp_matches_exhaustive_on_random_graphs(monkeypatch):
     for kind, g, b in cases:
         borders.clear()
         a = analyze(g, b)
-        bordered += bool(borders)  # LCP iterations after the first block
+        per_block = Counter(f for f, _ in borders if f is not g.factor)
+        bordered += max(per_block.values(), default=0) > 1  # LCP iterations
         _assert_matches_fraction_route(g, b, a)
         fast = a.delta_min
         slow = delta_min_exhaustive(g, b)
@@ -480,17 +514,13 @@ def test_lcp_kkt_on_graphs_beyond_exhaustive_range():
 
 def test_lcp_borders_one_factor_on_the_long_arm_fork(monkeypatch):
     # the 64-vertex long-arm fork of the benchmark's hard ladder: center
-    # weight 3, arms of 21 twos, 21 threes and 21 twos, no boundary
+    # weight 3, arms of 21 twos, 21 threes and 21 twos, no boundary.  Its
+    # Z is (1, ..., 1), so the delta_min LCP is the only one: one block,
+    # started from the leading rows of N's own factor, no factor built
+    # afresh, and one border of the rows it lacks per iteration
     g = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
     validate(g)  # N's own factor is built here, before counting
-    built = []
-    real_init = Factor.__init__
-
-    def init(factor, rows):
-        built.append((factor, len(rows)))
-        real_init(factor, rows)
-
-    monkeypatch.setattr(Factor, "__init__", init)
+    blocks, built = _count_blocks(monkeypatch)
     borders = _count_borders(monkeypatch)
     solved = []  # (factor, size) of each forward carry
     real_carry = Factor.carry
@@ -502,11 +532,14 @@ def test_lcp_borders_one_factor_on_the_long_arm_fork(monkeypatch):
     monkeypatch.setattr(Factor, "carry", carry)
     substituted = _count_back_substitutions(monkeypatch)
     result = analyze(g).delta_min
-    assert len(built) == 1
-    block, first = built[0]
+    assert built == [] and len(blocks) == 1
+    block, shared = blocks[0]
+    assert shared > 0 and _shares_rows(block, g.factor, shared)
+    assert {f for f, _ in borders} == {block}
     lcp_solves = [size for f, size in solved if f is block]
-    assert len(borders) + 1 == len(lcp_solves) >= 3
-    assert first + sum(borders) == lcp_solves[-1] == len(result.active_set) > 30
+    assert len(borders) == len(lcp_solves) >= 3
+    assert shared + sum(rows for _, rows in borders) == lcp_solves[-1]
+    assert lcp_solves[-1] == len(result.active_set) > 30
     # one full back substitution, the last, on the final block
     full = [rows for f, rows, _ in substituted if f is block and rows is None]
     assert len(full) == 1 and substituted[-1][:2] == (block, None)
@@ -580,32 +613,61 @@ def test_lcp_starts_inside_its_final_support(monkeypatch):
     # the LCP's first block holds every j with v_j < 0 or (N v)_j < 0,
     # all of them in the final support, so the worst known inputs border
     # about half as often as from the j with (N v)_j < 0 alone (20 times
-    # on the 64-vertex fork, 67 on the 32-component chain)
-    built = []  # the first block's size, one per LCP
-    real_init = Factor.__init__
-
-    def init(factor, rows):
-        built.append(len(rows))
-        real_init(factor, rows)
-
-    borders = _count_borders(monkeypatch)
+    # on the 64-vertex fork, 67 on the 32-component chain).  The block is
+    # one per LCP and starts from the leading rows of N's own factor that
+    # the first batch shares, then borders the rest of it: 36 = 13 + 23
+    # rows on the 64-vertex fork, 5 = 2 + 3 on the 13-vertex fork, and
+    # 64 = 0 + 64 on the chain, whose first support starts at vertex 1
     fork64 = fork_graph(3, [(2,) * 21, (3,) * 21, (2,) * 21])
     fork13 = fork_graph(3, [(2,) * 4, (3,) * 4, (2,) * 4])
     chain32 = _limits_chain32()
     for g in (fork64, fork13, chain32.graph):
         validate(g)  # N's own factor is built here, before counting
-    monkeypatch.setattr(Factor, "__init__", init)
-    for (g, b), most, first in (
-        ((fork64, None), 9, 36),
-        ((fork13, None), 2, 5),
-        ((chain32.graph, chain32.boundary), 34, 64),
+    blocks, built = _count_blocks(monkeypatch)
+    borders = _count_borders(monkeypatch)
+    for (g, b), most, shared, first in (
+        ((fork64, None), 9, 13, 23),
+        ((fork13, None), 2, 2, 3),
+        ((chain32.graph, chain32.boundary), 34, 0, 64),
     ):
-        built.clear()
+        blocks.clear()
         borders.clear()
         result = analyze(g, b).delta_min
-        assert len(borders) <= most
-        assert built == [first]
+        assert built == []
+        (block, p), = blocks
+        assert p == shared and _shares_rows(block, g.factor, shared)
+        assert {f for f, _ in borders} == {block}
+        assert borders[0][1] == first and len(borders) - 1 <= most
         assert_kkt(g, b, result)
+
+
+# rows appended to factors, N's own included, when the CLI analyzes each
+# pinned input: validate, then build_report
+ROWS_PER_REPORT = {
+    "limits_complete100": 100,
+    "star64_tail35": 233,
+    "long_arm_fork64": 112,
+    "star6_rounds1505": 6_059,
+}
+
+
+def test_the_rows_one_report_eliminates_are_pinned(monkeypatch):
+    # each least-element block starts from the leading rows of N's own
+    # factor that its first batch shares and eliminates only the rest: on
+    # the complete graph the delta_min LCP grows to every vertex in index
+    # order and eliminates no row beyond N's 100, where a block built
+    # afresh eliminated all 100 again.  The report leaves the graph's
+    # factor bit for bit as it was
+    borders = _count_borders(monkeypatch)
+    for name, rows in ROWS_PER_REPORT.items():
+        text = (Path(__file__).parent / "golden" / f"{name}_input.json").read_text()
+        g, b, nef = parse_input(text)
+        borders.clear()
+        validate(g)
+        before = copy.deepcopy(factor_state(g.factor))
+        build_report(g, b, nef)
+        assert sum(k for _, k in borders) == rows, name
+        assert factor_state(g.factor) == before, name
 
 
 def test_build_report_runs_each_stage_once(monkeypatch):

@@ -1,6 +1,8 @@
+import ast
 import copy
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -510,3 +512,26 @@ def test_restricted_back_substitution_matches_dense_reference():
             _assert_restricted(factor, forward, lead, b[:k], rng)
             checked += 1
     assert checked > 150
+
+
+def test_factors_are_built_only_for_n_the_dense_solve_and_the_oracle():
+    # every other factor in the library starts from N's own: a weight
+    # sweep and each least-element block border a prefix of it
+    built = set()
+    for path in (Path(__file__).resolve().parent.parent / "src" / "singinv").glob("*.py"):
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, scope + (child.name,))
+                    continue
+                if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "Factor"
+                    or getattr(child.func, "attr", None) == "Factor"
+                ):
+                    built.add(".".join((path.stem, *scope)))
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), ())
+    assert built == {"graph.DualGraph.factor", "linalg.solve",
+                     "invariants.delta_min_exhaustive"}

@@ -4,10 +4,12 @@ and the canonical degrees and their forward values carried along a
 weight sweep against fresh ones, the kind read off those degrees against
 a scan of the vertices, the `continuant` closed forms against the
 general pass on chains, the delta_min LCP against the exhaustive oracle,
-its KKT certificate beyond the oracle's range, the rounds for Z against
-the step-by-step Laufer loop and the continuant formula on stars where
-Z grows, with legs that are leaves or longer chains, p_a(Z) in integers
-against its Fraction route on graphs with genus and multiple edges, the
+its KKT certificate beyond the oracle's range, the graph's factor,
+which the least-element blocks share, left as it was by the analysis,
+the rounds for Z against the step-by-step Laufer loop and the
+continuant formula on stars where Z grows, with legs that are leaves
+or longer chains, p_a(Z) in integers against its Fraction route on
+graphs with genus and multiple edges, the
 canonical cycle against a fresh solve, the integer boundary tests
 against the Fraction helpers, the report's
 equivariance under a reordering of the vertices, the lossless
@@ -387,6 +389,20 @@ def heavy_stars(draw):
     graph = build_graph(*star_with_tail(center, leaves, tail))
     validate(graph)
     return graph
+
+
+@PROFILE
+@given(st.one_of(inputs(1, 16, GRAPH_KINDS),
+                 heavy_stars().map(lambda graph: (graph, BoundaryData()))))
+def test_analyze_leaves_the_graphs_factor_as_it_was(case):
+    # the least-element blocks, for Z and for delta_min, share the leading
+    # rows of the graph's own factor and border past them; no border
+    # writes to a shared row, so the factor, which every later solve on
+    # the graph reads, stays bit for bit as it was
+    graph, boundary = case
+    before = copy.deepcopy(factor_state(graph.factor))
+    analyze(graph, boundary)
+    assert factor_state(graph.factor) == before
 
 
 @PROFILE
